@@ -2,10 +2,9 @@
 
 Subcommands operate on a JSON system specification and write JSON reports
 (complex numbers as [re, im] pairs) and CSV point clouds.  Reports carry
-schemaVersion, the driving seed, and a digest of the input; with
-``--no-timestamp`` repeated runs are byte-identical.  The SPECLOC_THREADS
-environment variable caps sweep concurrency (default 1); results are merged
-in seed order so concurrency never changes the report.
+schemaVersion, a digest of the input and, for subcommands that take
+``--seed``, the driving seed; with ``--no-timestamp`` repeated runs are
+byte-identical.  Each subcommand accepts only the options it reads.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ import datetime
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -211,8 +208,7 @@ def write_points_csv(path: str, header, rows) -> None:
 def cmd_subord(args) -> int:
     data = load_spec(args.input)
     system = system_from_json(data)
-    result = subordination.subordination_bound(system.s, system.g, system.p,
-                                               seed=args.seed, tol=args.tol)
+    result = subordination.subordination_bound(system.s, system.g, system.p)
     violations = []
     if math.isfinite(result.bound):
         violations = subordination.verify_bound(system.s, system.g, system.p, result.bound,
@@ -223,20 +219,17 @@ def cmd_subord(args) -> int:
         "seed": args.seed,
         "p": system.p,
         "bound": result.bound,
-        "converged": result.converged,
-        "restarts": result.restarts,
+        "lowerBound": result.lower,
         "witness": None if result.witness is None else list(result.witness),
         "sampleViolations": len(violations),
     }, args)
-    return EXIT_OK if result.converged and not violations else EXIT_CHECK_FAILED
+    return EXIT_OK if not violations else EXIT_CHECK_FAILED
 
 
 def cmd_enclosure(args) -> int:
     data = load_spec(args.input)
     system = system_from_json(data)
-    result = subordination.subordination_bound(system.s, system.g, system.p, seed=args.seed)
-    b = result.bound
-    system.b = b
+    b = subordination.subordination_bound(system.s, system.g, system.p).bound
     alpha = args.alpha_factor * b if b > 0.0 else 0.1
     epsilon = args.epsilon if args.epsilon is not None else (b / alpha + 1.0) / 2.0
     psi = args.psi if args.psi is not None else min(
@@ -255,7 +248,6 @@ def cmd_enclosure(args) -> int:
     write_report({
         "command": "enclosure",
         "input": {"path": data["_path"], "digest": data["_digest"]},
-        "seed": args.seed,
         "b": b, "alpha": alpha, "epsilon": epsilon, "psi": psi, "r0": r0,
         "allInside": report.all_inside,
         "violators": [v["value"] for v in report.violators],
@@ -359,14 +351,7 @@ def cmd_sweep(args) -> int:
     if args.suite != "enclosure":
         raise InputError("unknown sweep suite %r" % args.suite)
     seeds = _parse_seed_range(args.seeds)
-    workers = max(int(os.environ.get("SPECLOC_THREADS", "1")), 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cases = list(pool.map(lambda s: instances.run_enclosure_case(
-                s, alpha_factor=args.alpha_factor), seeds))
-    else:
-        cases = [instances.run_enclosure_case(s, alpha_factor=args.alpha_factor) for s in seeds]
-    cases.sort(key=lambda c: c["seed"])
+    cases = [instances.run_enclosure_case(s, alpha_factor=args.alpha_factor) for s in seeds]
     all_inside = all(c["allInside"] for c in cases)
     neg_frac = (sum(1 for c in cases if c["negativeControl"]["violatorCount"] > 0)
                 / max(len(cases), 1))
@@ -393,8 +378,8 @@ def cmd_demo(args) -> int:
     s = operators.build_perturbation(
         operators.RandomGaussianPerturbation(seed=args.seed, scale=0.8), ray_spec.dimension)
     system = operators.assemble(g, s, 0.5, ray_spec=ray_spec)
-    result = subordination.subordination_bound(system.s, system.g, system.p, seed=args.seed)
-    alpha = 1.5 * result.bound
+    b = subordination.subordination_bound(system.s, system.g, system.p).bound
+    alpha = 1.5 * b
     abscissae = [float((x + 0.5) ** 2) for x in k[:-1]]
     rows = []
     for z in numerics.eig(system.t).values:
@@ -413,7 +398,7 @@ def cmd_demo(args) -> int:
         "command": "demo",
         "what": args.what,
         "seed": args.seed,
-        "b": result.bound,
+        "b": b,
         "alpha": alpha,
         "abscissas": abscissae,
         "pointRows": len(rows),
@@ -434,13 +419,18 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("--input", required=True, help="system spec JSON")
         p.add_argument("--out", help="report JSON path (default: stdout)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit wall-clock fields for byte-identical reruns")
 
+    def seed(p):
+        p.add_argument("--seed", type=int, default=0)
+
+    def tol(p):
+        p.add_argument("--tol", type=float, default=1e-8)
+
     p = sub.add_parser("subord", help="p-subordination bound")
     common(p)
+    seed(p)
     p.set_defaults(func=cmd_subord)
 
     p = sub.add_parser("enclosure", help="certified spectral enclosure check")
@@ -458,6 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("project", help="Riesz projections over gap contours")
     common(p)
+    tol(p)
     p.add_argument("--abscissas", required=True, help="comma list of cut abscissae")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--theta", type=float, default=None)
@@ -465,6 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rieszconst", help="Riesz basis constants of a gap family")
     common(p)
+    seed(p)
+    tol(p)
     p.add_argument("--abscissas", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--theta", type=float, default=None)
@@ -472,6 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blockop", help="Hamiltonian block operator checks")
     common(p)
+    tol(p)
     p.set_defaults(func=cmd_blockop)
 
     p = sub.add_parser("sweep", help="randomized verification sweep")
@@ -483,6 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="built-in demonstration datasets")
     common(p, needs_input=False)
+    seed(p)
     p.add_argument("what", nargs="?", default="figure4")
     p.add_argument("--points", help="CSV path for the point cloud")
     p.set_defaults(func=cmd_demo)

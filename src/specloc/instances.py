@@ -99,14 +99,13 @@ def run_enclosure_case(seed: int, alpha_factor: float = 1.1,
                        negative_factor: float = 0.5) -> dict:
     """Full enclosure check for one seeded instance.
 
-    Builds the instance, estimates b, certifies r0, verifies all eigenvalues
-    of T against the region, and records the narrowed negative control
+    Builds the instance, takes b as the certified upper end of the
+    subordination bracket, certifies r0, verifies all eigenvalues of T
+    against the region, and records the narrowed negative control
     (alpha = negative_factor * b, same ball).
     """
     system, info = enclosure_instance(seed)
-    result = subordination.subordination_bound(system.s, system.g, system.p, seed=seed)
-    b = result.bound
-    system.b = b
+    b = subordination.subordination_bound(system.s, system.g, system.p).bound
     alpha = float(alpha_factor) * b if b > 0.0 else 0.1
     epsilon = (b / alpha + 1.0) / 2.0
     psi = min(math.pi / 4.0, system.ray_spec.min_ray_separation() / 2.0)

@@ -128,13 +128,6 @@ def join_constant_check(outer: SubspaceFamily, inners, slack: float = 1e-8) -> J
 # sign patterns for disjoint projection families
 
 
-def _check_disjoint(mats, tol=1e-6):
-    for i in range(len(mats)):
-        for j in range(len(mats)):
-            if i != j and numerics.opnorm(mats[i] @ mats[j]) > tol:
-                raise InputError("projections are not pairwise disjoint (P_j P_k != 0)")
-
-
 def sign_pattern_constant(family: ProjectionFamily, seed: int = 0) -> float:
     """C = max over sign vectors eps of || sum_k eps_k P_k ||.
 
@@ -144,7 +137,8 @@ def sign_pattern_constant(family: ProjectionFamily, seed: int = 0) -> float:
     mats = family.matrices
     if not mats:
         raise InputError("family is empty")
-    _check_disjoint(mats)
+    if family.cross_talk > 1e-6:
+        raise InputError("projections are not pairwise disjoint (P_j P_k != 0)")
     m = len(mats)
     if m <= SIGN_EXHAUSTIVE_MAX:
         patterns = itertools.product((1.0, -1.0), repeat=m)

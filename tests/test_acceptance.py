@@ -66,7 +66,7 @@ class TestAcceptance:
         min_sigma = math.inf
         for seed in seeds:
             system, info = instances.enclosure_instance(seed)
-            res = subordination.subordination_bound(system.s, system.g, system.p, seed=seed)
+            res = subordination.subordination_bound(system.s, system.g, system.p)
             n = system.dimension
             ident = np.eye(n)
             for _ in range(8):

@@ -3,9 +3,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from specloc import cli
+from specloc import cli, subordination
+
+E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
 
 
 def write_json(path, payload):
@@ -22,7 +25,7 @@ def basic_spec(tmp_path):
     return write_json(tmp_path / "spec.json", {
         "schemaVersion": 1,
         "G": {"rays": [{"theta": 0.0, "radii": [1.0, 4.0]}]},
-        "S": {"kind": "dense", "entries": [[0.0, 1.0], [0.0, 0.0]]},
+        "S": {"kind": "dense", "entries": E12.tolist()},
         "p": 0.5,
     })
 
@@ -43,7 +46,13 @@ class TestSubord:
         report = read_report(out)
         assert report["command"] == "subord"
         assert abs(report["bound"] - 0.5) < 1e-5
-        assert report["converged"] is True
+        lower, bound = report["lowerBound"], report["bound"]
+        assert lower <= bound <= lower * (1.0 + subordination.BRACKET_RTOL)
+        witness = [complex(re, im) for re, im in report["witness"]]
+        g = np.diag([1.0, 4.0])
+        np.testing.assert_allclose(subordination.subordination_ratio(E12, g, 0.5, witness),
+                                   lower, rtol=1e-12)
+        assert subordination.verify_bound(E12, g, 0.5, bound, sample_count=100_000) == []
         assert report["sampleViolations"] == 0
         assert len(report["input"]["digest"]) == 64
 

@@ -156,6 +156,13 @@ class TestSignPatterns:
         with pytest.raises(InputError):
             rieszbasis.sign_pattern_constant(family)
 
+    def test_accepts_overlap_below_tolerance(self):
+        # P_a P_b = [[0, 1e-8], [0, 0]] and P_b P_a = 0: the cross talk 1e-8
+        # is below the 1e-6 disjointness tolerance
+        family = projections.make_family([("a", np.diag([1.0, 0.0])),
+                                          ("b", np.array([[0.0, 1e-8], [0.0, 1.0]]))])
+        np.testing.assert_allclose(rieszbasis.sign_pattern_constant(family), 1.0, rtol=1e-6)
+
     def test_sign_average_identity(self):
         # averaging || sum eps_k P_k x ||^2 over all sign patterns kills the
         # cross terms for disjoint projections: the mean is sum_k ||P_k x||^2

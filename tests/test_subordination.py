@@ -1,14 +1,34 @@
-"""Tests for subordination ratios and the minimal bound estimator."""
+"""Tests for subordination ratios and the certified minimal-bound bracket."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from specloc import numerics, subordination
-from specloc.errors import InputError
+from specloc.errors import ConvergenceError, InputError
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+def assert_certified(res, s, g, p):
+    """The bracket contract: lower = ratio(witness) <= bound <= lower (1 + BRACKET_RTOL),
+    and no sampled unit vector beats the upper end."""
+    ratio = subordination.subordination_ratio(s, g, p, res.witness)
+    np.testing.assert_allclose(ratio, res.lower, rtol=1e-12)
+    assert res.lower <= res.bound <= res.lower * (1.0 + subordination.BRACKET_RTOL)
+    assert subordination.verify_bound(s, g, p, res.bound, sample_count=100_000) == []
+
+
+def multiscale_instance(seed, p, n=24):
+    """Moduli log-uniform in [1, 1e4] and a rank-2 coupling scaled by |g|^(p/2)."""
+    rng = np.random.default_rng(seed)
+    g = np.diag(np.exp(rng.uniform(0.0, np.log(1e4), n))).astype(complex)
+    low = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) @ (
+        rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
+    w = np.abs(np.diag(g)) ** (p / 2.0)
+    return w[:, None] * low * w[None, :], g
 
 
 class TestRatio:
@@ -38,7 +58,7 @@ class TestBound:
         s = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         res = subordination.subordination_bound(s, np.diag(np.arange(1.0, 7.0)), 0.0)
         np.testing.assert_allclose(res.bound, numerics.opnorm(s), rtol=1e-12)
-        assert res.converged
+        assert_certified(res, s, np.diag(np.arange(1.0, 7.0)), 0.0)
 
     def test_analytic_half(self):
         res = subordination.subordination_bound(E12, np.diag([1.0, 4.0]), 0.5)
@@ -51,9 +71,11 @@ class TestBound:
         assert res.bound == 0.0
 
     def test_unbounded_on_kernel(self):
-        res = subordination.subordination_bound(np.eye(2), np.diag([0.0, 1.0]), 0.5)
-        assert res.bound == math.inf
-        assert res.witness is None
+        # the second case is all kernel, with S below the kernel test's tolerance
+        for s, g in ((np.eye(2), np.diag([0.0, 1.0])), (1e-12 * E12, np.zeros((2, 2)))):
+            res = subordination.subordination_bound(s, g, 0.5)
+            assert res.bound == math.inf
+            assert res.witness is None
 
     def test_scaling_invariance(self):
         # bound(t^p S, t G, p) = bound(S, G, p)
@@ -61,8 +83,8 @@ class TestBound:
         s = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         g = np.diag([1.0, 2.0, 5.0])
         p, t = 0.5, 10.0
-        base = subordination.subordination_bound(s, g, p, seed=4)
-        scaled = subordination.subordination_bound(t**p * s, t * g, p, seed=4)
+        base = subordination.subordination_bound(s, g, p)
+        scaled = subordination.subordination_bound(t**p * s, t * g, p)
         np.testing.assert_allclose(scaled.bound, base.bound, rtol=1e-6)
 
     def test_monotone_in_p_when_g_expansive(self):
@@ -70,7 +92,7 @@ class TestBound:
         rng = np.random.default_rng(8)
         s = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         g = np.diag([1.0, 3.0, 9.0])
-        bounds = [subordination.subordination_bound(s, g, p, seed=1).bound
+        bounds = [subordination.subordination_bound(s, g, p).bound
                   for p in (0.0, 0.25, 0.5, 0.75)]
         for lo, hi in zip(bounds[1:], bounds):
             assert lo <= hi * (1.0 + 1e-8)
@@ -81,8 +103,52 @@ class TestBound:
             for _ in range(3):
                 s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                 g = np.diag(rng.uniform(1.0, 5.0, n).astype(complex))
-                res = subordination.subordination_bound(s, g, 0.4, seed=5)
-                assert res.converged  # cross-check against the sampling oracle passed
+                res = subordination.subordination_bound(s, g, 0.4)
+                assert_certified(res, s, g, 0.4)
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.8])
+    def test_closed_form_power_of_g(self, p):
+        # S = c |G|^p gives b = c exactly: by Hoelder,
+        # sum |g_i|^(2p) |u_i|^2 <= ||u||^(2-2p) ||G u||^(2p), with equality at e_k
+        rng = np.random.default_rng(31)
+        g = np.diag(np.exp(rng.uniform(0.0, np.log(1e4), 16))
+                    * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 16)))
+        c = 0.3
+        s = c * np.diag(np.abs(np.diag(g)) ** p)
+        res = subordination.subordination_bound(s, g, p)
+        assert res.lower <= c <= res.bound
+        assert res.bound <= res.lower * (1.0 + subordination.BRACKET_RTOL)
+
+    def test_non_diagonal_g_widens_rounding_pad(self):
+        # S = c |G|^p gives b = c for any G; a non-diagonal G scales the
+        # rounding pad by cond(G)^max(1, 2p), here 100 at p = 1/2
+        rng = np.random.default_rng(12)
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        sigma = np.geomspace(1.0, 100.0, 8)
+        g = q @ np.diag(sigma) @ q.conj().T
+        c, p = 0.3, 0.5
+        s = c * q @ np.diag(sigma**p) @ q.conj().T
+        res = subordination.subordination_bound(s, g, p)
+        assert_certified(res, s, g, p)
+        assert res.lower <= c * (1.0 + 1e-12)
+        assert res.bound >= c * (1.0 + 50.0 * subordination.ROUNDING_PAD)
+        # at cond(G) = 1e6 the pad alone, 1e-4, is wider than the bracket
+        g_bad = q @ np.diag(np.geomspace(1.0, 1e6, 8)) @ q.conj().T
+        with pytest.raises(ConvergenceError):
+            subordination.subordination_bound(s, g_bad, p)
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.8])
+    def test_multiscale_beats_coordinate_vectors(self, p):
+        s, g = multiscale_instance(6, p)
+        res = subordination.subordination_bound(s, g, p)
+        best_coordinate = max(subordination.subordination_ratio(s, g, p, e) for e in np.eye(24))
+        assert res.bound >= best_coordinate
+        assert_certified(res, s, g, p)
+        # weighted AM-GM: every t gives lambda_max(S*S, D(t)) <= b^2
+        sigma2 = np.abs(np.diag(g)) ** 2
+        for t in np.geomspace(sigma2.min(), sigma2.max(), 400):
+            d = np.diag((1.0 - p) * t**p + p * t ** (p - 1.0) * sigma2)
+            assert scipy.linalg.eigh(s.conj().T @ s, d, eigvals_only=True)[-1] <= res.bound**2
 
     def test_rejects_bad_p(self):
         with pytest.raises(InputError):
