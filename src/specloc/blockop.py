@@ -17,9 +17,7 @@ import scipy.linalg
 
 from . import numerics
 from .errors import DimensionError, InputError
-from .operators import MAX_DIMENSION, PerturbedSystem, Ray, RaySpectrumSpec
-
-_TWO_PI = 2.0 * np.pi
+from .operators import MAX_DIMENSION, PerturbedSystem, rays_from_values
 
 
 def _require_normal(m: np.ndarray, name: str):
@@ -27,34 +25,6 @@ def _require_normal(m: np.ndarray, name: str):
     residual = numerics.opnorm(m @ m.conj().T - m.conj().T @ m)
     if residual > 1e-10 * max(norm**2, 1.0):
         raise InputError("%s is not normal (commutator norm %.3e)" % (name, residual))
-
-
-def _rays_from_values(values: np.ndarray, tol_angle: float = 1e-8) -> RaySpectrumSpec:
-    """Cluster eigenvalue angles into rays; every eigenvalue must sit on its
-    ray within 1e-10 (relative)."""
-    nonzero = values[np.abs(values) > 0.0]
-    n_zero = int(np.sum(np.abs(values) == 0.0))
-    reps: list[float] = []
-    for a in np.sort(np.mod(np.angle(nonzero), _TWO_PI)):
-        if not reps:
-            reps.append(float(a))
-            continue
-        d = min(min(abs(a - r), _TWO_PI - abs(a - r)) for r in reps)
-        if d > tol_angle:
-            reps.append(float(a))
-    if not reps:
-        reps = [0.0]
-    buckets: dict[float, list[float]] = {r: [] for r in reps}
-    for z in nonzero:
-        a = float(np.mod(np.angle(z), _TWO_PI))
-        rep = min(reps, key=lambda r: min(abs(a - r), _TWO_PI - abs(a - r)))
-        offset = abs(z) * min(abs(a - rep), _TWO_PI - abs(a - rep))
-        if offset > 1e-10 * (1.0 + abs(z)):
-            raise InputError("eigenvalue %r is not on any spectral ray" % (complex(z),))
-        buckets[rep].append(float(abs(z)))
-    buckets[reps[0]].extend([0.0] * n_zero)
-    rays = tuple(Ray(theta=r, radii=tuple(sorted(buckets[r]))) for r in reps)
-    return RaySpectrumSpec(rays=rays)
 
 
 def assemble_block(a, b, c, d, p: float) -> PerturbedSystem:
@@ -88,8 +58,7 @@ def assemble_block(a, b, c, d, p: float) -> PerturbedSystem:
     s[:n1, n1:] = b
     s[n1:, :n1] = c
     values = np.concatenate([np.linalg.eigvals(a), np.linalg.eigvals(d)])
-    ray_spec = _rays_from_values(values)
-    return PerturbedSystem(g=g, s=s, t=g + s, p=p, ray_spec=ray_spec)
+    return PerturbedSystem(g=g, s=s, t=g + s, p=p, ray_spec=rays_from_values(values))
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +129,7 @@ def build_hamiltonian(model: HamiltonianModel) -> PerturbedSystem:
     if 2 * n > MAX_DIMENSION:
         raise DimensionError("dimension %d exceeds cap %d" % (2 * n, MAX_DIMENSION))
     a = 1j * np.diag(np.asarray(model.r_seq, dtype=float)).astype(complex)
-    system = assemble_block(a, model.b_mat, model.c_mat, a, p=0.0)
-    system.b = model.subordination_norm
-    return system
+    return assemble_block(a, model.b_mat, model.c_mat, a, p=0.0)
 
 
 @dataclass(frozen=True)

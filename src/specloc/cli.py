@@ -275,13 +275,23 @@ def cmd_gaps(args) -> int:
     return EXIT_OK
 
 
-def cmd_project(args) -> int:
+def _gap_family(args):
+    """Load the spec and build the gap projection family of project/rieszconst.
+
+    Returns (spec data, abscissae, theta, family); theta defaults to the
+    first ray's angle.
+    """
     data = load_spec(args.input)
     system = system_from_json(data)
     abscissae = [float(x) for x in args.abscissas.split(",")]
     theta = args.theta if args.theta is not None else float(system.ray_spec.rays[0].theta)
     family = projections.family_from_gaps(system.t, abscissae, args.alpha, system.p,
                                           theta=theta, tol=args.tol)
+    return data, abscissae, theta, family
+
+
+def cmd_project(args) -> int:
+    data, abscissae, theta, family = _gap_family(args)
     write_report({
         "command": "project",
         "input": {"path": data["_path"], "digest": data["_digest"]},
@@ -296,12 +306,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_rieszconst(args) -> int:
-    data = load_spec(args.input)
-    system = system_from_json(data)
-    abscissae = [float(x) for x in args.abscissas.split(",")]
-    theta = args.theta if args.theta is not None else float(system.ray_spec.rays[0].theta)
-    family = projections.family_from_gaps(system.t, abscissae, args.alpha, system.p,
-                                          theta=theta, tol=args.tol)
+    data, _, _, family = _gap_family(args)
     c_hat, c_upper = projections.projection_sum_bound(family, seed=args.seed)
     estimate = rieszbasis.verify_projection_estimate(
         family, rieszbasis.sign_pattern_constant(family, seed=args.seed), seed=args.seed)
@@ -328,7 +333,7 @@ def cmd_blockop(args) -> int:
     write_report({
         "command": "blockop",
         "input": {"path": data["_path"], "digest": data["_digest"]},
-        "b": system.b,
+        "b": model.subordination_norm,
         "j1SkewResidual": report.j1_skew_residual,
         "pairingDefects": list(report.pairing_defects),
         "realPartFloorViolations": list(report.real_part_floor_violations),

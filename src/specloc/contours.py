@@ -7,15 +7,16 @@ Every contour carries explicit nodes z_j and weights w_j such that
 with positive (counterclockwise) orientation.  Circles use the periodic
 trapezoid rule (spectrally accurate).  Gap contours consist of four open
 segments (lower parabola arc left->right, right vertical up, upper parabola
-arc right->left, left vertical down) joined at corners; each segment is
-parametrized through a corner-clustered map whose derivative vanishes at the
-endpoints, so the composite trapezoid rule converges at high order despite
-the corners.
+arc right->left, left vertical down) joined at corners.  Each segment is a
+smooth arc away from the spectrum, so composite Gauss-Legendre panels of
+``MIN_NODES_PER_SEGMENT`` nodes converge geometrically on it without any
+treatment of the corners; refinement doubles the panel count, never the
+order.  The resolvent-margin gate samples every node and every panel
+endpoint, so the corners and panel joins are checked too.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +24,13 @@ import numpy as np
 from . import numerics
 from .errors import InputError
 
-#: minimum trapezoid nodes per segment
+#: minimum nodes per segment; on gap contours, the Gauss-Legendre panel order
 MIN_NODES_PER_SEGMENT = 16
 
-#: order of the corner-clustering parameter map
-_CLUSTER_ORDER = 8
+# panel nodes and weights on [0, 1]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(MIN_NODES_PER_SEGMENT)
+_GL_NODES = 0.5 * (_GL_NODES + 1.0)
+_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
 @dataclass(frozen=True)
@@ -37,12 +40,14 @@ class Segment:
     weights: np.ndarray
     start: complex
     end: complex
+    #: panel endpoints other than ``end`` (the next segment's start)
+    breaks: np.ndarray
 
 
 @dataclass(frozen=True)
 class Contour:
-    """Closed quadrature contour; ``refined(factor)`` rebuilds with more
-    nodes for adaptive doubling."""
+    """Closed quadrature contour; ``refined(factor)`` rebuilds with factor
+    times the nodes (on gap contours, factor times the panels)."""
 
     kind: str
     params: dict
@@ -61,6 +66,11 @@ class Contour:
     def total_nodes(self) -> int:
         return sum(len(s.nodes) for s in self.segments)
 
+    @property
+    def gate_points(self) -> np.ndarray:
+        """Points the margin gate samples: every node and panel endpoint."""
+        return np.concatenate([self.nodes] + [s.breaks for s in self.segments])
+
     def refined(self, factor: int = 2) -> "Contour":
         return _build(self.kind, self.params, self.nodes_per_segment * int(factor))
 
@@ -73,30 +83,16 @@ def _check_closure(segments):
             raise InputError("contour segments do not close up")
 
 
-def _cluster_map(t: np.ndarray):
-    """Map [0,1]->[0,1] with derivative vanishing to high order at both ends."""
-    a = _CLUSTER_ORDER
-    ta = t**a
-    ua = (1.0 - t) ** a
-    den = ta + ua
-    w = ta / den
-    dw = a * t ** (a - 1) * (1.0 - t) ** (a - 1) / den**2
-    return w, dw
-
-
-def _open_segment(kind, z_of, dz_of, m):
-    """Composite trapezoid on a clustered parameter for one open segment."""
-    t = np.linspace(0.0, 1.0, m + 1)
-    w, dw = _cluster_map(t)
-    h = 1.0 / m
-    factors = np.full(m + 1, h)
-    factors[0] *= 0.5
-    factors[-1] *= 0.5
-    nodes = z_of(w)
-    weights = dz_of(w) * dw * factors
-    return Segment(kind=kind, nodes=nodes, weights=weights,
-                   start=complex(z_of(np.array([0.0]))[0]),
-                   end=complex(z_of(np.array([1.0]))[0]))
+def _open_segment(kind, z_of, dz_of, m, rot):
+    """Composite Gauss-Legendre panels on one open segment, rotated by rot."""
+    panels = m // MIN_NODES_PER_SEGMENT
+    left = np.arange(panels) / panels
+    s = (left[:, None] + _GL_NODES[None, :] / panels).ravel()
+    weights = dz_of(s) * np.tile(_GL_WEIGHTS / panels, panels)
+    breaks = z_of(left) * rot
+    return Segment(kind=kind, nodes=z_of(s) * rot, weights=weights * rot,
+                   start=complex(breaks[0]), end=complex(z_of(np.array([1.0]))[0]) * rot,
+                   breaks=breaks)
 
 
 def _build(kind, params, m):
@@ -108,9 +104,12 @@ def _build(kind, params, m):
         e = np.exp(1j * t)
         seg = Segment(kind="circle", nodes=c + r * e,
                       weights=1j * r * e * (2.0 * np.pi / m),
-                      start=c + r, end=c + r)
+                      start=c + r, end=c + r, breaks=np.zeros(0, dtype=complex))
         return Contour(kind=kind, params=dict(params), segments=(seg,), nodes_per_segment=m)
     if kind == "gap":
+        if m % MIN_NODES_PER_SEGMENT:
+            raise InputError("nodes per segment must be a multiple of %d"
+                             % MIN_NODES_PER_SEGMENT)
         xl, xr = float(params["x_left"]), float(params["x_right"])
         alpha, p = float(params["alpha"]), float(params["p"])
         theta = float(params["theta"])
@@ -145,13 +144,8 @@ def _build(kind, params, m):
             ("side_left", vertical(xl, hl, -hl)),
         ]
         rot = np.exp(1j * theta)
-        segments = []
-        for name, (z_of, dz_of) in pieces:
-            seg = _open_segment(name, z_of, dz_of, m)
-            segments.append(Segment(kind=name, nodes=seg.nodes * rot,
-                                    weights=seg.weights * rot,
-                                    start=seg.start * rot, end=seg.end * rot))
-        segments = tuple(segments)
+        segments = tuple(_open_segment(name, z_of, dz_of, m, rot)
+                         for name, (z_of, dz_of) in pieces)
         _check_closure(segments)
         return Contour(kind=kind, params=dict(params), segments=segments, nodes_per_segment=m)
     raise InputError("unknown contour kind %r" % kind)
@@ -189,11 +183,11 @@ def winding_number(contour: Contour, w: complex) -> complex:
 
 
 def min_resolvent_margin(t_mat, contour: Contour) -> float:
-    """min over contour nodes of sigma_min(T - z)."""
+    """min over the contour's gate points of sigma_min(T - z)."""
     t_mat = numerics.as_matrix(t_mat)
     n = t_mat.shape[0]
     ident = np.eye(n, dtype=complex)
     margins = [
-        np.linalg.svd(t_mat - z * ident, compute_uv=False)[-1] for z in contour.nodes
+        np.linalg.svd(t_mat - z * ident, compute_uv=False)[-1] for z in contour.gate_points
     ]
     return float(min(margins))

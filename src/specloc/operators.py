@@ -184,17 +184,13 @@ def build_perturbation(spec, n: int) -> np.ndarray:
 
 @dataclass
 class PerturbedSystem:
-    """T = G + S with G normal (diagonal in the standard basis here).
-
-    ``b`` is the p-subordination bound, filled in once computed.
-    """
+    """T = G + S with G normal (diagonal in the standard basis here)."""
 
     g: np.ndarray
     s: np.ndarray
     t: np.ndarray = field(repr=False)
     p: float = 0.0
     ray_spec: RaySpectrumSpec | None = None
-    b: float | None = None
 
     @property
     def dimension(self) -> int:
@@ -208,26 +204,32 @@ class PerturbedSystem:
         return numerics.eig(self.g).values
 
 
-def _infer_ray_spec(diag: np.ndarray) -> RaySpectrumSpec:
-    """Cluster diagonal entries of G by angle into rays (1e-9 rad tolerance)."""
-    nonzero = diag[np.abs(diag) > 0.0]
+def rays_from_values(values) -> RaySpectrumSpec:
+    """Cluster eigenvalue angles into rays (1e-8 rad) and put each eigenvalue
+    on its nearest ray; one off every ray by more than 1e-10 (relative) raises
+    InputError.  Zeros join the first ray."""
+    values = np.asarray(values)
+    nonzero = values[np.abs(values) > 0.0]
     angles = np.mod(np.angle(nonzero), _TWO_PI)
+
+    def dist(a, r):
+        return min(abs(a - r), _TWO_PI - abs(a - r))
+
     reps: list[float] = []
     for a in np.sort(angles):
-        sep = min(abs(a - r) for r in reps) if reps else np.inf
-        wrap = min(_TWO_PI - abs(a - r) for r in reps) if reps else np.inf
-        if min(sep, wrap) > 1e-9:
+        if not reps or min(dist(a, r) for r in reps) > 1e-8:
             reps.append(float(a))
     if not reps:
         reps = [0.0]
-    rays = []
-    for rep in reps:
-        d = np.abs(np.mod(angles - rep + np.pi, _TWO_PI) - np.pi)
-        radii = sorted(float(abs(z)) for z, dd in zip(nonzero, d) if dd <= 1e-9)
-        if rep == reps[0]:
-            radii = sorted(radii + [0.0] * int(np.sum(np.abs(diag) == 0.0)))
-        rays.append(Ray(theta=rep, radii=tuple(radii)))
-    return RaySpectrumSpec(rays=tuple(rays))
+    buckets: dict[float, list[float]] = {r: [] for r in reps}
+    for z, a in zip(nonzero, angles):
+        rep = min(reps, key=lambda r: dist(a, r))
+        if abs(z) * dist(a, rep) > 1e-10 * (1.0 + abs(z)):
+            raise InputError("eigenvalue %r is not on any spectral ray" % (complex(z),))
+        buckets[rep].append(float(abs(z)))
+    buckets[reps[0]].extend([0.0] * (len(values) - len(nonzero)))
+    return RaySpectrumSpec(rays=tuple(Ray(theta=r, radii=tuple(sorted(buckets[r])))
+                                      for r in reps))
 
 
 def assemble(g, s, p: float, ray_spec: RaySpectrumSpec | None = None) -> PerturbedSystem:
@@ -249,7 +251,7 @@ def assemble(g, s, p: float, ray_spec: RaySpectrumSpec | None = None) -> Perturb
     if numerics.opnorm(g - np.diag(diag)) > 1e-12 * max(numerics.opnorm(g), 1.0):
         raise InputError("G must be diagonal in the standard basis")
     if ray_spec is None:
-        ray_spec = _infer_ray_spec(diag)
+        ray_spec = rays_from_values(diag)
     else:
         if ray_spec.dimension != g.shape[0]:
             raise DimensionError(

@@ -1,7 +1,8 @@
 """Riesz projections by contour quadrature, and projection families.
 
 P = (i / 2 pi) * sum_j w_j (T - z_j)^-1 over a positively oriented contour,
-with node doubling until ||P^2 - P|| meets tolerance.  An eigendecomposition
+gated once on its resolvent margin, with node doubling until ||P^2 - P||
+meets tolerance.  An eigendecomposition
 route (``spectral_projector_oracle``) provides the independent cross-check
 used throughout the tests.
 """
@@ -24,7 +25,11 @@ MAX_TOTAL_NODES = 2**20
 
 
 def riesz_projection(t_mat, contour: contours_mod.Contour, tol: float = 1e-8) -> np.ndarray:
-    """Contour-quadrature Riesz projection with adaptive node doubling."""
+    """Contour-quadrature Riesz projection with adaptive node doubling.
+
+    The contour is gated once, on its resolvent margin, before any
+    quadrature; a failing gate raises ContourSpectrumError.
+    """
     t_mat = numerics.as_matrix(t_mat)
     margin = contours_mod.min_resolvent_margin(t_mat, contour)
     if margin <= MARGIN_GATE:
@@ -144,11 +149,11 @@ def make_family(labelled_projections) -> ProjectionFamily:
 
 
 def family_from_gaps(t_mat, gap_abscissae, alpha: float, p: float, theta: float = 0.0,
-                     tol: float = 1e-8, nodes_per_segment: int = 32) -> ProjectionFamily:
+                     tol: float = 1e-8) -> ProjectionFamily:
     """Riesz projections for the gap contours between consecutive abscissae.
 
-    Each contour is gated on its resolvent margin before any quadrature; a
-    failing gate raises ContourSpectrumError naming the abscissa pair.
+    A contour failing the margin gate of ``riesz_projection`` raises
+    ContourSpectrumError naming the abscissa pair.
     """
     t_mat = numerics.as_matrix(t_mat)
     xs = [float(x) for x in gap_abscissae]
@@ -156,15 +161,13 @@ def family_from_gaps(t_mat, gap_abscissae, alpha: float, p: float, theta: float 
         raise InputError("need at least two strictly increasing gap abscissae")
     labelled = []
     for xl, xr in zip(xs, xs[1:]):
-        contour = contours_mod.gap_contour(xl, xr, alpha, p, theta=theta,
-                                           nodes_per_segment=nodes_per_segment)
-        margin = contours_mod.min_resolvent_margin(t_mat, contour)
-        if margin <= MARGIN_GATE:
-            raise ContourSpectrumError(
-                "gap contour (%g, %g) margin %.3e below gate" % (xl, xr, margin),
-                margin=margin, abscissae=(xl, xr),
-            )
-        labelled.append(("gap[%g,%g]" % (xl, xr), riesz_projection(t_mat, contour, tol=tol)))
+        contour = contours_mod.gap_contour(xl, xr, alpha, p, theta=theta)
+        try:
+            proj = riesz_projection(t_mat, contour, tol=tol)
+        except ContourSpectrumError as exc:
+            raise ContourSpectrumError("gap contour (%g, %g): %s" % (xl, xr, exc),
+                                       margin=exc.margin, abscissae=(xl, xr)) from exc
+        labelled.append(("gap[%g,%g]" % (xl, xr), proj))
     return make_family(labelled)
 
 

@@ -107,7 +107,7 @@ class TestHamiltonianSpectrum:
     def test_identity_coupling_closed_form(self):
         model = self.model()
         system = blockop.build_hamiltonian(model)
-        assert system.b == 1.0
+        assert model.subordination_norm == 1.0
         values = np.linalg.eigvals(system.t)
         expect = np.array([r * 1j + s for r in model.r_seq for s in (1.0, -1.0)])
         got = sorted(values, key=lambda z: (round(z.imag, 6), z.real))
@@ -126,12 +126,10 @@ class TestHamiltonianSpectrum:
 
     def test_floor_violation_detected(self):
         model = self.model()
-        good = blockop.build_hamiltonian(model)
         # weaken the coupling after the fact: eigenvalues move to i r_k +- 1/2,
         # below the declared floor gamma = 1
         bad = blockop.assemble_block(1j * np.diag(model.r_seq), 0.5 * np.eye(4),
                                      0.5 * np.eye(4), 1j * np.diag(model.r_seq), 0.0)
-        bad.b = good.b
         report = blockop.verify_hamiltonian(bad, model)
         assert report.real_part_floor_violations
         assert not report.clean
@@ -142,7 +140,6 @@ class TestHamiltonianSpectrum:
         # an operator whose spectrum sits far from every disc center
         rogue = blockop.assemble_block(np.diag([100.0 + 0.0j] * 4), np.zeros((4, 4)),
                                        np.zeros((4, 4)), np.diag([100.0 + 0.0j] * 4), 0.0)
-        rogue.b = 1.0
         report = blockop.verify_hamiltonian(rogue, model)
         assert report.disc_violations
         assert not report.clean

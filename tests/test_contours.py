@@ -78,6 +78,18 @@ class TestGapContour:
         with pytest.raises(InputError):
             contours.gap_contour(1.0, 2.0, 1.0, 0.5, nodes_per_segment=8)
 
+    @pytest.mark.parametrize("m", [24, 33, 40])
+    def test_nodes_must_fill_whole_panels(self, m):
+        with pytest.raises(InputError):
+            contours.gap_contour(1.0, 2.0, 1.0, 0.5, nodes_per_segment=m)
+
+    def test_rectangle_area_exact(self):
+        # conj(z) is linear along each side, so one 16-node panel is exact:
+        # the contour integral of conj(z) dz is 2i times the enclosed area
+        c = contours.gap_contour(2.0, 4.0, 1.5, 0.0, nodes_per_segment=16)
+        area = np.sum(np.conj(c.nodes) * c.weights) / 2j
+        np.testing.assert_allclose(area, 2.0 * 3.0, rtol=0.0, atol=1e-14)
+
     def test_rejects_bad_abscissae(self):
         with pytest.raises(InputError):
             contours.gap_contour(5.0, 3.0, 1.0, 0.5)
@@ -89,8 +101,14 @@ class TestGapContour:
         for m in (16, 32, 64, 128):
             c = contours.gap_contour(3.0, 7.0, 1.0, 0.5, nodes_per_segment=m)
             errors.append(abs(contours.winding_number(c, 5.0) - 1.0))
-        assert errors[-1] < 1e-12
+        assert max(errors[1:]) < 1e-12
         assert errors[-1] < errors[0]
+
+    def test_refined_doubles_panels(self):
+        c = contours.gap_contour(3.0, 7.0, 1.0, 0.5)
+        fine = c.refined()
+        assert fine.total_nodes == 2 * c.total_nodes == 256
+        assert len(fine.gate_points) == 256 + 4 * 4
 
 
 class TestMargin:

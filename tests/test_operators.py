@@ -99,7 +99,6 @@ class TestAssemble:
         system = operators.assemble(g, s, 0.5, ray_spec=spec)
         np.testing.assert_array_equal(system.t, g + s)
         assert system.p == 0.5
-        assert system.b is None
         np.testing.assert_allclose(system.sigma_g(), np.diag(g))
 
     def test_infers_ray_spec(self):
@@ -107,6 +106,15 @@ class TestAssemble:
         system = operators.assemble(g, np.zeros((3, 3)), 0.0)
         thetas = sorted(system.ray_spec.thetas)
         np.testing.assert_allclose(thetas, [0.0, np.pi / 2], atol=1e-12)
+
+    def test_inferred_rays_count_each_eigenvalue_once(self):
+        # angles 6e-10 rad apart: one ray by angle, but the second and third
+        # eigenvalues sit more than 1e-10 (relative) off it; each eigenvalue
+        # must land on exactly one ray, so this is rejected, not double-counted
+        g = np.diag([np.exp(0.5j), 2.0 * np.exp(1j * (0.5 + 6e-10)),
+                     3.0 * np.exp(1j * (0.5 + 1.2e-9))])
+        with pytest.raises(InputError):
+            operators.assemble(g, np.zeros((3, 3)), 0.0)
 
     def test_rejects_p_out_of_range(self):
         g = np.diag([1.0, 2.0])
