@@ -11,8 +11,8 @@ arc right->left, left vertical down) joined at corners.  Each segment is a
 smooth arc away from the spectrum, so composite Gauss-Legendre panels of
 ``MIN_NODES_PER_SEGMENT`` nodes converge geometrically on it without any
 treatment of the corners; refinement doubles the panel count, never the
-order.  The resolvent-margin gate samples every node and every panel
-endpoint, so the corners and panel joins are checked too.
+order.  ``riesz_projection`` gates every node and panel endpoint (``gate_points``,
+corners included) on the quadrature's own resolvents, on every refinement pass.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class Contour:
 
     @property
     def gate_points(self) -> np.ndarray:
-        """Points the margin gate samples: every node and panel endpoint."""
+        """Points the margin gate checks: every node, then every panel endpoint."""
         return np.concatenate([self.nodes] + [s.breaks for s in self.segments])
 
     def refined(self, factor: int = 2) -> "Contour":
@@ -183,7 +183,7 @@ def winding_number(contour: Contour, w: complex) -> complex:
 
 
 def min_resolvent_margin(t_mat, contour: Contour) -> float:
-    """min over the contour's gate points of sigma_min(T - z)."""
+    """Exact SVD diagnostic: min over the gate points of sigma_min(T - z)."""
     t_mat = numerics.as_matrix(t_mat)
     n = t_mat.shape[0]
     ident = np.eye(n, dtype=complex)

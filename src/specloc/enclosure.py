@@ -120,11 +120,9 @@ def _region_conditions(b: float, p: float, alpha: float, epsilon: float, psi: fl
     return outer, sector, parabolic
 
 
-def certified_r0(b: float, p: float, alpha: float, epsilon: float, psi: float,
-                 phi_minus: float = -math.pi, phi_plus: float = math.pi,
-                 rel_tol: float = 1e-9) -> float:
+def certified_r0(b: float, p: float, alpha: float, epsilon: float, psi: float) -> float:
     """Smallest certified ball radius: all three resolvent conditions hold for
-    every |z| >= r0 (bisection to ``rel_tol`` relative accuracy).
+    every |z| >= r0 (bisection to 1e-9 relative accuracy).
     """
     b = float(b)
     p = float(p)
@@ -137,8 +135,8 @@ def certified_r0(b: float, p: float, alpha: float, epsilon: float, psi: float,
         raise InputError("need b < alpha")
     if not (b / alpha < epsilon < 1.0):
         raise InputError("need b/alpha < epsilon < 1")
-    if not (0.0 < psi < min(-phi_minus, phi_plus, math.pi / 2.0)):
-        raise InputError("need 0 < psi < min(-phi_minus, phi_plus, pi/2)")
+    if not (0.0 < psi < math.pi / 2.0):
+        raise InputError("need 0 < psi < pi/2")
     if b == 0.0:
         return 0.0
 
@@ -165,7 +163,7 @@ def certified_r0(b: float, p: float, alpha: float, epsilon: float, psi: float,
     else:
         raise InputError("resolvent conditions unsatisfiable for these parameters")
     lo = 0.0
-    while hi - lo > rel_tol * hi:
+    while hi - lo > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             hi = mid
@@ -249,8 +247,8 @@ class ResolventDiagnostic:
     st_bound_ok: bool | None = None
 
 
-def resolvent_diagnostic(system: PerturbedSystem, z: complex, epsilon: float,
-                         slack: float = 1e-10) -> ResolventDiagnostic:
+def resolvent_diagnostic(system: PerturbedSystem, z: complex,
+                         epsilon: float) -> ResolventDiagnostic:
     """Evaluate the resolvent perturbation bounds for T = G + S at z."""
     z = complex(z)
     epsilon = float(epsilon)
@@ -283,6 +281,6 @@ def resolvent_diagnostic(system: PerturbedSystem, z: complex, epsilon: float,
         norm_g_resolvent=norm_g, norm_sg_resolvent=norm_sg, applicable=True,
         norm_t_resolvent=norm_t, norm_st_resolvent=norm_st,
         in_resolvent_set=bool(in_res),
-        t_bound_ok=bool(norm_t <= bound_t * (1.0 + slack)),
-        st_bound_ok=bool(norm_st <= bound_st * (1.0 + slack)),
+        t_bound_ok=bool(norm_t <= bound_t * (1.0 + 1e-10)),
+        st_bound_ok=bool(norm_st <= bound_st * (1.0 + 1e-10)),
     )

@@ -95,14 +95,13 @@ def enclosure_instance(seed: int):
     return system, info
 
 
-def run_enclosure_case(seed: int, alpha_factor: float = 1.1,
-                       negative_factor: float = 0.5) -> dict:
+def run_enclosure_case(seed: int, alpha_factor: float = 1.1) -> dict:
     """Full enclosure check for one seeded instance.
 
     Builds the instance, takes b as the certified upper end of the
     subordination bracket, certifies r0, verifies all eigenvalues of T
     against the region, and records the narrowed negative control
-    (alpha = negative_factor * b, same ball).
+    (alpha = b / 2, same ball).
     """
     system, info = enclosure_instance(seed)
     b = subordination.subordination_bound(system.s, system.g, system.p).bound
@@ -114,7 +113,7 @@ def run_enclosure_case(seed: int, alpha_factor: float = 1.1,
     region = enclosure_mod.build_enclosure(thetas, alpha, system.p, r0, b=b)
     report = enclosure_mod.verify_spectrum_enclosure(system, region)
 
-    neg_alpha = float(negative_factor) * b if b > 0.0 else 0.05
+    neg_alpha = 0.5 * b if b > 0.0 else 0.05
     neg_region = enclosure_mod.build_enclosure(thetas, neg_alpha, system.p, r0, b=b)
     neg_violators = sum(0 if enclosure_mod.contains(neg_region, z) else 1
                         for z in report.eigenvalues)
@@ -130,12 +129,12 @@ def run_enclosure_case(seed: int, alpha_factor: float = 1.1,
     }
 
 
-def diagonalizable_instance(seed: int, n: int = 16, cond_cap: float = 1e4):
+def diagonalizable_instance(seed: int, n: int = 16):
     """Random diagonalizable matrix with two well-separated eigenvalue groups.
 
     Returns (matrix, values, vectors, inner_count): eigenvalues with modulus
     <= 1 (inner group) and >= 3 (outer group), eigenvector matrix with
-    condition below cond_cap; the circle |z| = 2 separates the groups.
+    condition below 1e4; the circle |z| = 2 separates the groups.
     """
     rng = subrng(seed, 20)
     inner_count = int(rng.integers(1, n))
@@ -145,7 +144,7 @@ def diagonalizable_instance(seed: int, n: int = 16, cond_cap: float = 1e4):
     values[inner_count:] = rng.uniform(3.0, 6.0, size=n - inner_count) * phases[inner_count:]
     while True:
         v = np.eye(n) + 0.35 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        if np.linalg.cond(v) < cond_cap:
+        if np.linalg.cond(v) < 1e4:
             break
     matrix = v @ np.diag(values) @ np.linalg.inv(v)
     return matrix, values, v, inner_count

@@ -1,10 +1,9 @@
 """Riesz projections by contour quadrature, and projection families.
 
-P = (i / 2 pi) * sum_j w_j (T - z_j)^-1 over a positively oriented contour,
-gated once on its resolvent margin, with node doubling until ||P^2 - P||
-meets tolerance.  An eigendecomposition
-route (``spectral_projector_oracle``) provides the independent cross-check
-used throughout the tests.
+P = (i / 2 pi) * sum_j w_j (T - z_j)^-1 over a positively oriented contour, with
+node doubling until ||P^2 - P||_F meets tolerance; every pass gates each node and
+panel endpoint on the quadrature's own resolvent there.  An eigendecomposition
+route (``spectral_projector_oracle``) provides the independent cross-check.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from . import contours as contours_mod
 from . import numerics
 from .errors import AmbiguousClusterError, ContourSpectrumError, ConvergenceError, InputError
 
-#: margin gate: contour nodes must keep sigma_min(T - z) above this
+#: margin gate: 1 / ||(T - z)^-1||_F, a lower bound on sigma_min(T - z), must exceed this
 MARGIN_GATE = 1e-8
 
 #: total node cap for adaptive doubling
@@ -27,24 +26,28 @@ MAX_TOTAL_NODES = 2**20
 def riesz_projection(t_mat, contour: contours_mod.Contour, tol: float = 1e-8) -> np.ndarray:
     """Contour-quadrature Riesz projection with adaptive node doubling.
 
-    The contour is gated once, on its resolvent margin, before any
-    quadrature; a failing gate raises ContourSpectrumError.
+    Each pass solves T - z at every node and panel endpoint; a failed solve or a
+    margin 1 / ||(T - z)^-1||_F not above MARGIN_GATE raises ContourSpectrumError.
     """
     t_mat = numerics.as_matrix(t_mat)
-    margin = contours_mod.min_resolvent_margin(t_mat, contour)
-    if margin <= MARGIN_GATE:
-        raise ContourSpectrumError(
-            "contour margin %.3e below gate %.1e" % (margin, MARGIN_GATE), margin=margin
-        )
     n = t_mat.shape[0]
     ident = np.eye(n, dtype=complex)
-    residual = np.inf
     while True:
+        weights = contour.weights
         acc = np.zeros((n, n), dtype=complex)
-        for z, w in zip(contour.nodes, contour.weights):
-            acc += w * np.linalg.solve(t_mat - z * ident, ident)
+        for k, z in enumerate(contour.gate_points):
+            try:
+                resolvent = np.linalg.solve(t_mat - z * ident, ident)
+                margin = 1.0 / np.linalg.norm(resolvent)
+            except np.linalg.LinAlgError:
+                margin = 0.0
+            if not margin > MARGIN_GATE:
+                raise ContourSpectrumError("contour margin %.3e below gate %.1e"
+                                           % (margin, MARGIN_GATE), margin=margin)
+            if k < len(weights):
+                acc += weights[k] * resolvent
         proj = (1j / (2.0 * np.pi)) * acc
-        residual = numerics.opnorm(proj @ proj - proj)
+        residual = float(np.linalg.norm(proj @ proj - proj))
         if residual <= tol:
             return proj
         if contour.total_nodes * 2 > MAX_TOTAL_NODES:
@@ -55,11 +58,11 @@ def riesz_projection(t_mat, contour: contours_mod.Contour, tol: float = 1e-8) ->
         contour = contour.refined(2)
 
 
-def spectral_projector_oracle(t_mat, region_predicate, cluster_tol: float = 1e-8) -> np.ndarray:
+def spectral_projector_oracle(t_mat, region_predicate) -> np.ndarray:
     """Eigendecomposition route: sum of spectral projectors of the eigenvalue
     clusters inside the region.
 
-    Eigenvalues within ``cluster_tol`` of each other are clustered; a cluster
+    Eigenvalues within 1e-8 of each other are clustered; a cluster
     whose members disagree about membership raises AmbiguousClusterError.
     """
     dec = numerics.eig(t_mat)
@@ -75,7 +78,7 @@ def spectral_projector_oracle(t_mat, region_predicate, cluster_tol: float = 1e-8
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= cluster_tol:
+            if abs(values[i] - values[j]) <= 1e-8:
                 parent[find(i)] = find(j)
     indicator = np.zeros(n)
     clusters: dict[int, list[int]] = {}

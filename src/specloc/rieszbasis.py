@@ -114,14 +114,14 @@ class JoinCheck:
     holds: bool
 
 
-def join_constant_check(outer: SubspaceFamily, inners, slack: float = 1e-8) -> JoinCheck:
-    """Verify combined constant <= c_outer * max_k c_inner_k (with slack)."""
+def join_constant_check(outer: SubspaceFamily, inners) -> JoinCheck:
+    """Verify combined constant <= c_outer * max_k c_inner_k (relative slack 1e-8)."""
     c0 = riesz_constant(outer).constant
     c1 = max(riesz_constant(inner).constant for inner in inners)
     combined = riesz_constant(join_families(outer, inners)).constant
     bound = c0 * c1
     return JoinCheck(outer_constant=c0, inner_constant=c1, combined_constant=combined,
-                     bound=bound, holds=combined <= bound * (1.0 + slack))
+                     bound=bound, holds=combined <= bound * (1.0 + 1e-8))
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +174,8 @@ def range_family(family: ProjectionFamily) -> SubspaceFamily:
     return SubspaceFamily(frames=tuple(frames))
 
 
-def verify_projection_estimate(family: ProjectionFamily, constant: float,
-                               probe_count: int = 1000, seed: int = 0,
-                               slack: float = 1e-9) -> ProjectionEstimateReport:
+def verify_projection_estimate(family: ProjectionFamily, constant: float, probe_count: int = 1000,
+                               seed: int = 0) -> ProjectionEstimateReport:
     """Probe the two-sided estimate
 
         C^-2 sum ||P_k x||^2 <= || sum P_k x ||^2 <= C^2 sum ||P_k x||^2
@@ -204,7 +203,7 @@ def verify_projection_estimate(family: ProjectionFamily, constant: float,
     lower_slack = mid - sq / c**2
     upper_slack = c**2 * sq - mid
     scale = np.maximum(sq, 1e-300)
-    ok = np.all(lower_slack >= -slack * scale) and np.all(upper_slack >= -slack * scale)
+    ok = np.all(lower_slack >= -1e-9 * scale) and np.all(upper_slack >= -1e-9 * scale)
     basis = riesz_constant(range_family(family)).constant
     return ProjectionEstimateReport(
         constant=c,

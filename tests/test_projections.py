@@ -30,6 +30,13 @@ class TestRieszProjection:
             projections.riesz_projection(t, contour)
         assert info.value.margin <= projections.MARGIN_GATE
 
+    def test_refined_node_on_eigenvalue_gated(self):
+        # the eigenvalue sits between the 32 nodes and on a node of the 64-node pass
+        t = np.diag([1.0, contours.circle(1.0, 1.0, 64).nodes[1], 9.0])
+        with pytest.raises(ContourSpectrumError) as info:
+            projections.riesz_projection(t, contours.circle(1.0, 1.0, 32))
+        assert info.value.margin == 0.0
+
     def test_agrees_with_oracle(self):
         rng = np.random.default_rng(6)
         a = np.diag([0.5, 1.0, 1.5, 4.0, 5.0, 6.0]).astype(complex)
