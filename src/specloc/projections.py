@@ -8,6 +8,7 @@ route (``spectral_projector_oracle``) provides the independent cross-check.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,29 +63,19 @@ def spectral_projector_oracle(t_mat, region_predicate) -> np.ndarray:
     """Eigendecomposition route: sum of spectral projectors of the eigenvalue
     clusters inside the region.
 
-    Eigenvalues within 1e-8 of each other are clustered; a cluster
-    whose members disagree about membership raises AmbiguousClusterError.
+    Eigenvalues are clustered through chains of neighbours within 1e-8; a
+    cluster whose members disagree about membership raises AmbiguousClusterError.
     """
+    # scipy.sparse costs about 5 MB and 30 ms to import; only the oracle uses it
+    from scipy.sparse.csgraph import connected_components
+
     dec = numerics.eig(t_mat)
     values = dec.values
-    n = len(values)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= 1e-8:
-                parent[find(i)] = find(j)
-    indicator = np.zeros(n)
-    clusters: dict[int, list[int]] = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-    for members in clusters.values():
+    count, labels = connected_components(np.abs(values[:, None] - values) <= 1e-8,
+                                         directed=False)
+    indicator = np.zeros(len(values))
+    for c in range(count):
+        members = np.flatnonzero(labels == c)
         flags = {bool(region_predicate(values[i])) for i in members}
         if len(flags) > 1:
             raise AmbiguousClusterError(
@@ -108,47 +99,53 @@ class ProjectionEntry:
     label: str
     matrix: np.ndarray
     idempotency_residual: float
-    rank: int
+    #: orthonormal range frame: left singular vectors with singular value above 1/2
+    frame: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return self.frame.shape[1]
 
 
 @dataclass(frozen=True)
 class ProjectionFamily:
     entries: tuple[ProjectionEntry, ...]
-    #: max over j != k of ||P_j P_k||
-    cross_talk: float
-    #: ||sum_k P_k - I|| (only meaningful for intentionally complete families)
-    sum_residual: float
 
     @property
     def matrices(self) -> list[np.ndarray]:
         return [e.matrix for e in self.entries]
 
+    @property
+    def cross_talk(self) -> float:
+        """max over j != k of ||P_j P_k||; k(k-1) norms on every read."""
+        pairs = itertools.permutations(self.matrices, 2)
+        return max((numerics.opnorm(a @ b) for a, b in pairs), default=0.0)
+
+    @property
+    def sum_residual(self) -> float:
+        """||sum_k P_k - I|| (only meaningful for intentionally complete families)."""
+        mats = self.matrices
+        if not mats:
+            return 0.0
+        return numerics.opnorm(sum(mats) - np.eye(mats[0].shape[0], dtype=complex))
+
 
 def make_family(labelled_projections) -> ProjectionFamily:
-    """Assemble diagnostics for a list of (label, matrix) pairs."""
+    """Entries for a list of (label, matrix) pairs: one SVD each gives the
+    rank and the range frame."""
     entries = []
     for label, mat in labelled_projections:
         mat = numerics.as_matrix(mat)
+        u, s, _ = np.linalg.svd(mat)
         entries.append(
             ProjectionEntry(
                 label=str(label),
                 matrix=mat,
                 idempotency_residual=numerics.opnorm(mat @ mat - mat),
-                rank=rank_of_projection(mat),
+                frame=u[:, s > 0.5],
             )
         )
-    mats = [e.matrix for e in entries]
-    cross = 0.0
-    for i in range(len(mats)):
-        for j in range(len(mats)):
-            if i != j:
-                cross = max(cross, numerics.opnorm(mats[i] @ mats[j]))
-    if mats:
-        n = mats[0].shape[0]
-        sum_res = numerics.opnorm(sum(mats) - np.eye(n, dtype=complex))
-    else:
-        sum_res = 0.0
-    return ProjectionFamily(entries=tuple(entries), cross_talk=cross, sum_residual=sum_res)
+    return ProjectionFamily(entries=tuple(entries))
 
 
 def family_from_gaps(t_mat, gap_abscissae, alpha: float, p: float, theta: float = 0.0,

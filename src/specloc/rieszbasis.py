@@ -131,8 +131,9 @@ def join_constant_check(outer: SubspaceFamily, inners) -> JoinCheck:
 def sign_pattern_constant(family: ProjectionFamily, seed: int = 0) -> float:
     """C = max over sign vectors eps of || sum_k eps_k P_k ||.
 
-    Exhaustive for at most SIGN_EXHAUSTIVE_MAX projections, randomized
-    (SIGN_SAMPLES patterns) beyond that.
+    Exhaustive for at most SIGN_EXHAUSTIVE_MAX projections, over the 2^(m-1)
+    patterns with eps_0 = +1 since ||-A|| = ||A||; randomized (SIGN_SAMPLES
+    patterns) beyond that.
     """
     mats = family.matrices
     if not mats:
@@ -141,7 +142,7 @@ def sign_pattern_constant(family: ProjectionFamily, seed: int = 0) -> float:
         raise InputError("projections are not pairwise disjoint (P_j P_k != 0)")
     m = len(mats)
     if m <= SIGN_EXHAUSTIVE_MAX:
-        patterns = itertools.product((1.0, -1.0), repeat=m)
+        patterns = ((1.0,) + rest for rest in itertools.product((1.0, -1.0), repeat=m - 1))
     else:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(4,)))
         patterns = (rng.choice((1.0, -1.0), size=m) for _ in range(SIGN_SAMPLES))
@@ -159,19 +160,17 @@ class ProjectionEstimateReport:
     worst_lower_slack: float
     worst_upper_slack: float
     basis_constant: float
+    #: the ranges span the whole space
+    complete: bool
     chain_holds: bool
 
 
 def range_family(family: ProjectionFamily) -> SubspaceFamily:
-    """Orthonormal frames of the projection ranges (left singular vectors)."""
-    frames = []
-    for mat in family.matrices:
-        u, s, _ = np.linalg.svd(mat)
-        r = int(np.sum(s > 0.5))
-        if r == 0:
-            raise InputError("projection %r has rank zero" % (mat.shape,))
-        frames.append(u[:, :r])
-    return SubspaceFamily(frames=tuple(frames))
+    """The range frames ``make_family`` took from each projection's SVD."""
+    for e in family.entries:
+        if e.rank == 0:
+            raise InputError("projection %r has rank zero" % (e.label,))
+    return SubspaceFamily(frames=tuple(e.frame for e in family.entries))
 
 
 def verify_projection_estimate(family: ProjectionFamily, constant: float, probe_count: int = 1000,
@@ -204,12 +203,13 @@ def verify_projection_estimate(family: ProjectionFamily, constant: float, probe_
     upper_slack = c**2 * sq - mid
     scale = np.maximum(sq, 1e-300)
     ok = np.all(lower_slack >= -1e-9 * scale) and np.all(upper_slack >= -1e-9 * scale)
-    basis = riesz_constant(range_family(family)).constant
+    basis = riesz_constant(range_family(family))
     return ProjectionEstimateReport(
         constant=c,
         two_sided_holds=bool(ok),
         worst_lower_slack=float(np.min(lower_slack / scale)),
         worst_upper_slack=float(np.min(upper_slack / scale)),
-        basis_constant=basis,
-        chain_holds=bool(basis <= 4.0 * c**2 * (1.0 + 1e-9)),
+        basis_constant=basis.constant,
+        complete=basis.complete,
+        chain_holds=bool(basis.constant <= 4.0 * c**2 * (1.0 + 1e-9)),
     )

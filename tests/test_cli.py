@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from specloc import cli, subordination
+from specloc import cli, rieszbasis, subordination
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
 
@@ -125,6 +125,15 @@ class TestRieszConst:
         assert report["chainHolds"] is True
         assert report["cHat"] <= report["cUpper"] + 1e-12
         assert report["basisConstant"] >= 1.0
+
+    def test_one_riesz_constant(self, triple_spec, tmp_path, monkeypatch):
+        calls = []
+        riesz_constant = rieszbasis.riesz_constant
+        monkeypatch.setattr(rieszbasis, "riesz_constant",
+                            lambda f: calls.append(1) or riesz_constant(f))
+        assert cli.main(["rieszconst", "--input", triple_spec, "--out", str(tmp_path / "r.json"),
+                         "--abscissas", "3,7,11", "--alpha", "1.0"]) == 0
+        assert len(calls) == 1
 
 
 class TestBlockop:

@@ -60,11 +60,52 @@ class TestOracle:
         t = np.diag([1.0, 1.0 + 1e-12])
         with pytest.raises(AmbiguousClusterError):
             projections.spectral_projector_oracle(t, lambda z: z.real <= 1.0)
+        # chained: the ends are 1.2e-8 apart and linked only through the middle one
+        t = np.diag([1.0, 1.0 + 0.6e-8, 1.0 + 1.2e-8])
+        with pytest.raises(AmbiguousClusterError) as info:
+            projections.spectral_projector_oracle(t, lambda z: z.real < 1.0 + 1e-8)
+        assert str(info.value).count("+0j)") == 3
 
     def test_rank(self):
         t = np.diag([1.0, 2.0, 5.0])
         p = projections.spectral_projector_oracle(t, lambda z: z.real < 3.0)
         assert projections.rank_of_projection(p) == 2
+
+
+def skew_projections(k, n, seed):
+    """k labelled disjoint skew projections of C^n onto eigenvector blocks."""
+    rng = np.random.default_rng(seed)
+    v = np.eye(n, dtype=complex) + 0.3 * (rng.standard_normal((n, n))
+                                          + 1j * rng.standard_normal((n, n)))
+    vi = np.linalg.inv(v)
+    return [(str(j), v[:, j::k] @ vi[j::k, :]) for j in range(k)]
+
+
+class TestMakeFamily:
+    def test_one_opnorm_per_projection_until_cross_talk_is_read(self, monkeypatch):
+        calls = []
+        opnorm = numerics.opnorm
+        monkeypatch.setattr(numerics, "opnorm", lambda a: calls.append(1) or opnorm(a))
+        family = projections.make_family(skew_projections(4, 8, 2))
+        assert len(calls) == 4
+        assert family.cross_talk <= 1e-10
+        assert len(calls) == 4 + 4 * 3
+
+    def test_one_svd_per_projection_gives_the_range_frame(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        family = projections.make_family(skew_projections(3, 7, 4))
+        assert len(calls) == 3
+        assert [e.rank for e in family.entries] == [3, 2, 2]
+        for e in family.entries:
+            np.testing.assert_allclose(e.frame.conj().T @ e.frame, np.eye(e.rank), atol=1e-12)
+            np.testing.assert_allclose(e.matrix @ e.frame, e.frame, atol=1e-10)
+
+    def test_empty_family_diagnostics(self):
+        family = projections.make_family([])
+        assert family.cross_talk == 0.0
+        assert family.sum_residual == 0.0
 
 
 class TestFamilyFromGaps:

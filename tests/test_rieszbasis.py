@@ -27,6 +27,15 @@ def skew_projection_pair(t):
     return projections.make_family([("p1", p1), ("p2", p2)])
 
 
+def skew_family(k, n, seed):
+    """k disjoint skew projections of C^n onto spans of eigenvector blocks."""
+    rng = np.random.default_rng(seed)
+    v = np.eye(n, dtype=complex) + 0.4 * (rng.standard_normal((n, n))
+                                          + 1j * rng.standard_normal((n, n)))
+    vi = np.linalg.inv(v)
+    return projections.make_family([(str(j), v[:, j::k] @ vi[j::k, :]) for j in range(k)])
+
+
 class TestRieszConstant:
     def test_orthogonal_family_is_one(self):
         report = rieszbasis.riesz_constant(coordinate_family((1, 2, 1), 4))
@@ -149,6 +158,21 @@ class TestSignPatterns:
                      for e1, e2 in itertools.product((1.0, -1.0), repeat=2))
         np.testing.assert_allclose(rieszbasis.sign_pattern_constant(family), expect, rtol=1e-12)
         assert rieszbasis.sign_pattern_constant(family) > 1.0
+        # five members: the search fixes eps_0 = +1, and ||-A|| == ||A|| bit for bit
+        family = skew_family(5, 7, 15)
+        mats = family.matrices
+        expect = max(numerics.opnorm(sum(e * m for e, m in zip(eps, mats)))
+                     for eps in itertools.product((1.0, -1.0), repeat=5))
+        assert rieszbasis.sign_pattern_constant(family) == expect
+
+    def test_exhaustive_search_opnorms(self, monkeypatch):
+        family = skew_family(5, 7, 15)
+        calls = []
+        opnorm = numerics.opnorm
+        monkeypatch.setattr(numerics, "opnorm", lambda a: calls.append(1) or opnorm(a))
+        rieszbasis.sign_pattern_constant(family)
+        # 5 * 4 cross-talk norms for the disjointness check, then 2^4 patterns
+        assert len(calls) == 5 * 4 + 2**4
 
     def test_rejects_overlapping_projections(self):
         mats = [np.diag([1.0, 0.0]), np.diag([1.0, 0.0])]
@@ -213,6 +237,23 @@ class TestVerifyEstimate:
         ranges = rieszbasis.range_family(self.family())
         assert [f.shape[1] for f in ranges.frames] == [2, 2, 2]
         assert rieszbasis.riesz_constant(ranges).complete
+
+    def test_range_family_reuses_the_frames(self, monkeypatch):
+        family = self.family()
+        monkeypatch.setattr(np.linalg, "svd", None)
+        ranges = rieszbasis.range_family(family)
+        assert all(f is e.frame for f, e in zip(ranges.frames, family.entries))
+
+    def test_range_family_rejects_rank_zero(self):
+        family = projections.make_family([("a", np.diag([1.0, 0.0])), ("z", np.zeros((2, 2)))])
+        with pytest.raises(InputError, match="rank zero"):
+            rieszbasis.range_family(family)
+
+    def test_report_complete(self):
+        family = self.family()
+        assert rieszbasis.verify_projection_estimate(family, 2.0).complete
+        partial = projections.make_family([(e.label, e.matrix) for e in family.entries[:2]])
+        assert not rieszbasis.verify_projection_estimate(partial, 2.0).complete
 
     def test_invalid_constant(self):
         with pytest.raises(InputError):
