@@ -23,6 +23,9 @@ EIG_RESIDUAL_RTOL = 1e-10
 #: relative residual allowed for a linear solve
 SOLVE_RESIDUAL_RTOL = 1e-12
 
+#: complex entries in one stacked batch of matrices (512 KB)
+BATCH_ENTRIES = 1 << 15
+
 
 def as_matrix(a) -> np.ndarray:
     """Validate ``a`` as a finite square complex matrix and return a copy."""
@@ -34,12 +37,26 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def opnorm(a) -> float:
-    """Spectral (operator 2-) norm of ``a``."""
+def opnorm(a) -> float | np.ndarray:
+    """Spectral (operator 2-) norm of ``a``: a float for one matrix, an array
+    of norms for a stack ``(k, n, n)``.
+
+    The same LAPACK gesdd call as ``np.linalg.norm(a, 2)``, so the values agree
+    bit for bit.
+    """
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+        norms = np.zeros(a.shape[:-2])
+    else:
+        norms = np.linalg.svd(a, compute_uv=False)[..., 0]
+    return float(norms) if a.ndim == 2 else norms
+
+
+def batches(count: int, matrix_entries: int) -> list[slice]:
+    """Consecutive slices of ``range(count)``, each covering as many matrices
+    of ``matrix_entries`` entries as fit in BATCH_ENTRIES (at least one)."""
+    step = max(1, BATCH_ENTRIES // max(matrix_entries, 1))
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def svd_extremes(a) -> tuple[float, float]:

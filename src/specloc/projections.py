@@ -8,7 +8,6 @@ route (``spectral_projector_oracle``) provides the independent cross-check.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,9 +116,15 @@ class ProjectionFamily:
 
     @property
     def cross_talk(self) -> float:
-        """max over j != k of ||P_j P_k||; k(k-1) norms on every read."""
-        pairs = itertools.permutations(self.matrices, 2)
-        return max((numerics.opnorm(a @ b) for a, b in pairs), default=0.0)
+        """max over j != k of ||P_j P_k||; k(k-1) norms on every read, taken
+        per row j as stacked opnorms over batches of the products P_j P_k."""
+        mats = self.matrices
+        best = 0.0
+        for j, a in enumerate(mats):
+            others = mats[:j] + mats[j + 1:]
+            for b in numerics.batches(len(others), a.size):
+                best = max(best, float(numerics.opnorm(a @ np.stack(others[b])).max()))
+        return best
 
     @property
     def sum_residual(self) -> float:

@@ -133,7 +133,9 @@ def sign_pattern_constant(family: ProjectionFamily, seed: int = 0) -> float:
 
     Exhaustive for at most SIGN_EXHAUSTIVE_MAX projections, over the 2^(m-1)
     patterns with eps_0 = +1 since ||-A|| = ||A||; randomized (SIGN_SAMPLES
-    patterns) beyond that.
+    patterns) beyond that.  The patterns form one (P, m) array; each batch of
+    at most numerics.BATCH_ENTRIES stacked entries is one GEMM for its sums
+    and one stacked ``numerics.opnorm``.
     """
     mats = family.matrices
     if not mats:
@@ -142,15 +144,14 @@ def sign_pattern_constant(family: ProjectionFamily, seed: int = 0) -> float:
         raise InputError("projections are not pairwise disjoint (P_j P_k != 0)")
     m = len(mats)
     if m <= SIGN_EXHAUSTIVE_MAX:
-        patterns = ((1.0,) + rest for rest in itertools.product((1.0, -1.0), repeat=m - 1))
+        patterns = np.array([(1.0,) + rest
+                             for rest in itertools.product((1.0, -1.0), repeat=m - 1)])
     else:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(4,)))
-        patterns = (rng.choice((1.0, -1.0), size=m) for _ in range(SIGN_SAMPLES))
-    best = 0.0
-    for eps in patterns:
-        acc = sum(e * p for e, p in zip(eps, mats))
-        best = max(best, numerics.opnorm(acc))
-    return best
+        patterns = rng.choice((1.0, -1.0), size=(SIGN_SAMPLES, m))
+    stack = np.stack(mats)
+    return max(float(numerics.opnorm(np.tensordot(patterns[b], stack, 1)).max())
+               for b in numerics.batches(len(patterns), stack[0].size))
 
 
 @dataclass(frozen=True)

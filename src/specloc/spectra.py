@@ -76,7 +76,8 @@ class AsymptoticModel:
 
 @dataclass(frozen=True)
 class GapSequenceModel:
-    """Increasing radii with gap parameter l and exponent p in [0, 1)."""
+    """Increasing radii (any real sequence, stored as a tuple of floats) with
+    gap parameter l and exponent p in [0, 1)."""
 
     radii: tuple[float, ...]
     l: float
@@ -88,18 +89,18 @@ class GapSequenceModel:
             raise InputError("l must be non-negative")
         if not (0.0 <= self.p < 1.0):
             raise InputError("p must lie in [0, 1)")
-        radii = tuple(float(r) for r in self.radii)
-        if any(r < 0 or not np.isfinite(r) for r in radii):
+        radii = np.asarray(self.radii, dtype=float)
+        if np.any(~np.isfinite(radii) | (radii < 0)):
             raise InputError("radii must be finite and non-negative")
-        if any(b <= a for a, b in zip(radii, radii[1:])):
+        if np.any(np.diff(radii) <= 0):
             raise InputError("radii must be strictly increasing")
-        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "radii", tuple(radii.tolist()))
 
 
 def from_asymptotic(c: float, q: float, l: float, p: float, k_max: int, d_tail=()) -> GapSequenceModel:
     """Build a concrete GapSequenceModel from an asymptotic law up to k_max."""
     model = AsymptoticModel(c=c, q=q, d_tail=tuple(d_tail))
-    return GapSequenceModel(radii=tuple(model.radii(k_max)), l=l, p=p, asymptotic=model)
+    return GapSequenceModel(radii=model.radii(k_max), l=l, p=p, asymptotic=model)
 
 
 @dataclass(frozen=True)

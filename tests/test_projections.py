@@ -1,5 +1,7 @@
 """Tests for Riesz projections and projection families."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -83,24 +85,46 @@ def skew_projections(k, n, seed):
 
 class TestMakeFamily:
     def test_one_opnorm_per_projection_until_cross_talk_is_read(self, monkeypatch):
-        calls = []
+        normed = []
         opnorm = numerics.opnorm
-        monkeypatch.setattr(numerics, "opnorm", lambda a: calls.append(1) or opnorm(a))
+        monkeypatch.setattr(numerics, "opnorm",
+                            lambda a: normed.append(len(a) if np.ndim(a) == 3 else 1) or opnorm(a))
         family = projections.make_family(skew_projections(4, 8, 2))
-        assert len(calls) == 4
+        assert sum(normed) == 4
         assert family.cross_talk <= 1e-10
-        assert len(calls) == 4 + 4 * 3
+        assert sum(normed) == 4 + 4 * 3
 
     def test_one_svd_per_projection_gives_the_range_frame(self, monkeypatch):
-        calls = []
+        # opnorm's singular-value-only SVDs are counted apart from the frames
+        uv_flags = []
         svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **kw: uv_flags.append(kw.get("compute_uv", True))
+                            or svd(*a, **kw))
         family = projections.make_family(skew_projections(3, 7, 4))
-        assert len(calls) == 3
+        assert uv_flags.count(True) == 3
+        # and one singular-value-only opnorm per idempotency residual
+        assert uv_flags.count(False) == 3
         assert [e.rank for e in family.entries] == [3, 2, 2]
         for e in family.entries:
             np.testing.assert_allclose(e.frame.conj().T @ e.frame, np.eye(e.rank), atol=1e-12)
             np.testing.assert_allclose(e.matrix @ e.frame, e.frame, atol=1e-10)
+
+    @pytest.mark.parametrize("budget", [numerics.BATCH_ENTRIES, 2 * 8 * 8])
+    @pytest.mark.parametrize("position", [0, 3])
+    def test_cross_talk_with_planted_overlap(self, monkeypatch, budget, position):
+        # a skew rank-one projection u w* / (w* u) overlaps all three disjoint
+        # members, and ||P_j Q|| != ||Q P_j||, so one ordered pair holds the max
+        rng = np.random.default_rng(9)
+        u, w = rng.standard_normal((2, 8, 1)) + 1j * rng.standard_normal((2, 8, 1))
+        labelled = skew_projections(3, 8, 5)
+        labelled.insert(position, ("overlap", u @ w.conj().T / (w.conj().T @ u)))
+        family = projections.make_family(labelled)
+        monkeypatch.setattr(numerics, "BATCH_ENTRIES", budget)
+        expect = max(numerics.opnorm(a @ b)
+                     for a, b in itertools.permutations(family.matrices, 2))
+        assert expect > 0.1
+        assert family.cross_talk == expect
 
     def test_empty_family_diagnostics(self):
         family = projections.make_family([])

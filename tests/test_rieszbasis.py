@@ -167,12 +167,42 @@ class TestSignPatterns:
 
     def test_exhaustive_search_opnorms(self, monkeypatch):
         family = skew_family(5, 7, 15)
-        calls = []
+        normed = []
         opnorm = numerics.opnorm
-        monkeypatch.setattr(numerics, "opnorm", lambda a: calls.append(1) or opnorm(a))
+        monkeypatch.setattr(numerics, "opnorm",
+                            lambda a: normed.append(len(a) if np.ndim(a) == 3 else 1) or opnorm(a))
         rieszbasis.sign_pattern_constant(family)
-        # 5 * 4 cross-talk norms for the disjointness check, then 2^4 patterns
-        assert len(calls) == 5 * 4 + 2**4
+        # matrices normed: 5 * 4 cross-talk products for the disjointness
+        # check, then 2^4 pattern sums
+        assert sum(normed) == 5 * 4 + 2**4
+
+    @staticmethod
+    def sampled_norms(family, seed):
+        """Reference: the per-pattern loop, one draw of m signs per pattern."""
+        mats = family.matrices
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(4,)))
+        return [numerics.opnorm(sum(e * p for e, p in zip(rng.choice((1.0, -1.0), size=len(mats)),
+                                                          mats)))
+                for _ in range(rieszbasis.SIGN_SAMPLES)]
+
+    @pytest.mark.parametrize("seed", [0, 7919])
+    def test_sampled_search_matches_per_pattern_loop(self, seed):
+        family = skew_family(14, 16, 3)
+        assert len(family.entries) > rieszbasis.SIGN_EXHAUSTIVE_MAX
+        expect = max(self.sampled_norms(family, seed))
+        assert rieszbasis.sign_pattern_constant(family, seed=seed) == expect
+
+    def test_maximum_in_last_partial_batch(self, monkeypatch):
+        family = skew_family(14, 16, 3)
+        norms = self.sampled_norms(family, 0)
+        best = int(np.argmax(norms))
+        count = len(norms)
+        # a batch size that leaves a partial last batch holding the maximum
+        step = next(c for c in range(2, count) if count % c and count - count % c <= best)
+        monkeypatch.setattr(numerics, "BATCH_ENTRIES", step * 16 * 16)
+        sizes = [len(range(count)[b]) for b in numerics.batches(count, 16 * 16)]
+        assert sizes[-1] < sizes[0] == step
+        assert rieszbasis.sign_pattern_constant(family) == norms[best]
 
     def test_rejects_overlapping_projections(self):
         mats = [np.diag([1.0, 0.0]), np.diag([1.0, 0.0])]
@@ -240,9 +270,18 @@ class TestVerifyEstimate:
 
     def test_range_family_reuses_the_frames(self, monkeypatch):
         family = self.family()
-        monkeypatch.setattr(np.linalg, "svd", None)
+        svd = np.linalg.svd
+        uv_flags = []
+
+        def counted(a, compute_uv=True, **kw):
+            uv_flags.append(compute_uv)
+            return svd(a, compute_uv=compute_uv, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
         ranges = rieszbasis.range_family(family)
         assert all(f is e.frame for f, e in zip(ranges.frames, family.entries))
+        # no frame SVD: only SubspaceFamily's orthonormality opnorm per frame
+        assert uv_flags == [False] * len(family.entries)
 
     def test_range_family_rejects_rank_zero(self):
         family = projections.make_family([("a", np.diag([1.0, 0.0])), ("z", np.zeros((2, 2)))])

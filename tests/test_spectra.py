@@ -79,6 +79,12 @@ class TestGapSequence:
         with pytest.raises(InputError):
             spectra.GapSequenceModel(radii=(1.0, 1.0), l=0.1, p=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_non_finite_or_negative_radii(self, bad):
+        # checked before monotonicity: (bad, 1.0, 0.5) is not increasing either
+        with pytest.raises(InputError, match="finite and non-negative"):
+            spectra.GapSequenceModel(radii=(bad, 1.0, 0.5), l=0.1, p=0.0)
+
 
 class TestAsymptoticClassifier:
     def test_squares_flip_at_one(self):
