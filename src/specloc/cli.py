@@ -120,9 +120,8 @@ def hamiltonian_from_json(data: dict) -> blockop_mod.HamiltonianModel:
             if value.get("kind") == "identity":
                 return float(value.get("scale", 1.0)) * np.eye(n, dtype=complex)
             if value.get("kind") == "randomSpd":
-                rng = instances.subrng(int(value.get("seed", 0)), 30)
-                q, _ = np.linalg.qr(rng.standard_normal((n, n))
-                                    + 1j * rng.standard_normal((n, n)))
+                rng = numerics.subrng(int(value.get("seed", 0)), 30)
+                q, _ = np.linalg.qr(numerics.gaussian(rng, (n, n)))
                 lam = float(value["gamma"]) + rng.uniform(0.0, float(value.get("spread", 1.0)), n)
                 return (q * lam) @ q.conj().T
             raise InputError("unknown block kind %r" % value.get("kind"))
@@ -228,27 +227,20 @@ def cmd_subord(args) -> int:
 
 def cmd_enclosure(args) -> int:
     data = load_spec(args.input)
-    system = system_from_json(data)
-    b = subordination.subordination_bound(system.s, system.g, system.p).bound
-    alpha = args.alpha_factor * b if b > 0.0 else 0.1
-    epsilon = args.epsilon if args.epsilon is not None else (b / alpha + 1.0) / 2.0
-    psi = args.psi if args.psi is not None else min(
-        math.pi / 4.0, system.ray_spec.min_ray_separation() / 2.0)
-    r0 = enclosure_mod.certified_r0(b, system.p, alpha, epsilon, psi)
-    region = enclosure_mod.build_enclosure(system.ray_spec.thetas, alpha, system.p, r0, b=b)
-    report = enclosure_mod.verify_spectrum_enclosure(system, region)
+    run = enclosure_mod.enclose(system_from_json(data), args.alpha_factor, args.epsilon, args.psi)
+    region, report = run.region, run.report
     if args.points:
         rows = [(z.real, z.imag, int(enclosure_mod.contains(region, z)))
                 for z in report.eigenvalues]
         write_points_csv(args.points, ("re", "im", "inside"), rows)
     if args.lobes:
-        x_max = max(float(np.max(np.abs(report.eigenvalues))), r0, 1.0) * 1.1
+        x_max = max(float(np.max(np.abs(report.eigenvalues))), region.r0, 1.0) * 1.1
         write_points_csv(args.lobes, ("theta", "x", "y_upper", "y_lower"),
                          enclosure_mod.lobe_boundary(region, x_max))
     write_report({
         "command": "enclosure",
         "input": {"path": data["_path"], "digest": data["_digest"]},
-        "b": b, "alpha": alpha, "epsilon": epsilon, "psi": psi, "r0": r0,
+        **run.parameters,
         "allInside": report.all_inside,
         "violators": [v["value"] for v in report.violators],
     }, args)
@@ -269,7 +261,7 @@ def cmd_gaps(args) -> int:
         "l": model.l, "p": model.p,
         "allHold": report.all_hold,
         "firstHoldIndex": report.first_hold_index,
-        "failures": [e.k for e in report.entries if not e.holds],
+        "failures": report.k[~report.holds].tolist(),
         "asymptoticVerdict": verdict,
     }, args)
     return EXIT_OK

@@ -7,7 +7,8 @@ one parabolic lobe per spectral ray:
 
 ``certified_r0`` produces the ball radius from the resolvent conditions used
 to prove the enclosure; ``contains`` optionally applies the sharper
-asymptotic exclusion test (reducing to b < |y| at p = 0).
+asymptotic exclusion test (reducing to b < |y| at p = 0).  ``enclose`` runs
+the whole chain from b to the verdict once, for every caller.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
+from . import numerics, subordination
 from .errors import InputError
 from .operators import PerturbedSystem
 
@@ -205,6 +206,38 @@ def verify_spectrum_enclosure(system: PerturbedSystem, region: EnclosureRegion) 
         if not contains(region, z)
     )
     return EnclosureReport(all_inside=not violators, eigenvalues=values, violators=violators)
+
+
+@dataclass(frozen=True)
+class Enclosure:
+    """One run of the enclosure chain: the tuple ``certified_r0`` certified
+    (keys b, alpha, epsilon, psi) with its r0, the region and the verdict."""
+
+    parameters: dict
+    region: EnclosureRegion
+    report: EnclosureReport
+
+
+def enclose(system: PerturbedSystem, alpha_factor: float, epsilon: float | None = None,
+            psi: float | None = None) -> Enclosure:
+    """Certify and check the enclosure of ``system`` in one chain.
+
+    b is the upper end of the certified subordination bracket, alpha =
+    alpha_factor b (0.1 when b = 0); unless given, epsilon = (b/alpha + 1)/2
+    and psi = min(pi/4, half the smallest ray separation).  r0 comes from
+    ``certified_r0`` on exactly these values, and every eigenvalue of T is
+    checked against the region they define.
+    """
+    b = float(subordination.subordination_bound(system.s, system.g, system.p).bound)
+    alpha = float(alpha_factor) * b if b > 0.0 else 0.1
+    if epsilon is None:
+        epsilon = (b / alpha + 1.0) / 2.0
+    if psi is None:
+        psi = min(math.pi / 4.0, system.ray_spec.min_ray_separation() / 2.0)
+    r0 = certified_r0(b, system.p, alpha, epsilon, psi)
+    region = build_enclosure(system.ray_spec.thetas, alpha, system.p, r0, b=b)
+    parameters = {"b": b, "alpha": alpha, "epsilon": float(epsilon), "psi": float(psi), "r0": r0}
+    return Enclosure(parameters, region, verify_spectrum_enclosure(system, region))
 
 
 def lobe_boundary(region: EnclosureRegion, x_max: float, count: int = 200):

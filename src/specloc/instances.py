@@ -1,8 +1,7 @@
 """Seeded instance generators shared by the CLI sweeps and the test suite.
 
-All randomness flows from a single seed through counter-based splitting
-(numpy SeedSequence spawn keys), so every instance is reproducible and
-independent of evaluation order.
+All randomness flows from a single seed through ``numerics.subrng`` (spawn
+key 10 for enclosure instances, 20 for diagonalizable ones).
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import math
 import numpy as np
 
 from . import enclosure as enclosure_mod
-from . import numerics, operators, subordination
+from . import numerics, operators
 
 _TWO_PI = 2.0 * np.pi
 
@@ -20,11 +19,6 @@ _TWO_PI = 2.0 * np.pi
 _P_GRID = (0.0, 0.3, 0.5, 0.7)
 _N_GRID = (16, 32, 64)
 _RAY_GRID = (1, 2, 4)
-
-
-def subrng(seed: int, *key: int) -> np.random.Generator:
-    """Counter-based splitter: independent stream for (seed, key...)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(key)))
 
 
 def _ray_angles(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -49,7 +43,7 @@ def enclosure_instance(seed: int):
     p = _P_GRID[idx % len(_P_GRID)]
     n = _N_GRID[(idx // len(_P_GRID)) % len(_N_GRID)]
     n_rays = _RAY_GRID[(idx // (len(_P_GRID) * len(_N_GRID))) % len(_RAY_GRID)]
-    rng = subrng(seed, 10)
+    rng = numerics.subrng(seed, 10)
 
     b_target = float(rng.uniform(0.1, 0.5))
     psi = min(math.pi / 4.0, 0.5 * 0.5)  # conservative: half of min separation floor
@@ -84,45 +78,33 @@ def enclosure_instance(seed: int):
     phase = np.exp(1j * thetas[0])
     s[i, j] = strength * phase
     s[j, i] = -strength * phase
-    bg = (rng.standard_normal((len(diag), len(diag)))
-          + 1j * rng.standard_normal((len(diag), len(diag))))
+    bg = numerics.gaussian(rng, (len(diag), len(diag)))
     bg *= 0.1 * b_target / numerics.opnorm(bg)
     s += bg
 
     system = operators.assemble(g, s, p, ray_spec=ray_spec)
     info = {"seed": idx, "n": int(len(diag)), "p": float(p), "rays": int(len(rays)),
-            "bTarget": b_target, "rMax": float(r_max), "psi": float(psi)}
+            "bTarget": b_target, "rMax": float(r_max)}
     return system, info
 
 
 def run_enclosure_case(seed: int, alpha_factor: float = 1.1) -> dict:
     """Full enclosure check for one seeded instance.
 
-    Builds the instance, takes b as the certified upper end of the
-    subordination bracket, certifies r0, verifies all eigenvalues of T
-    against the region, and records the narrowed negative control
-    (alpha = b / 2, same ball).
+    Builds the instance, runs ``enclosure.enclose`` on it and records the
+    narrowed negative control (alpha = b / 2, same ball).
     """
     system, info = enclosure_instance(seed)
-    b = subordination.subordination_bound(system.s, system.g, system.p).bound
-    alpha = float(alpha_factor) * b if b > 0.0 else 0.1
-    epsilon = (b / alpha + 1.0) / 2.0
-    psi = min(math.pi / 4.0, system.ray_spec.min_ray_separation() / 2.0)
-    r0 = enclosure_mod.certified_r0(b, system.p, alpha, epsilon, psi)
-    thetas = system.ray_spec.thetas
-    region = enclosure_mod.build_enclosure(thetas, alpha, system.p, r0, b=b)
-    report = enclosure_mod.verify_spectrum_enclosure(system, region)
-
+    run = enclosure_mod.enclose(system, alpha_factor)
+    b, report = run.parameters["b"], run.report
     neg_alpha = 0.5 * b if b > 0.0 else 0.05
-    neg_region = enclosure_mod.build_enclosure(thetas, neg_alpha, system.p, r0, b=b)
+    neg_region = enclosure_mod.build_enclosure(system.ray_spec.thetas, neg_alpha, system.p,
+                                               run.region.r0, b=b)
     neg_violators = sum(0 if enclosure_mod.contains(neg_region, z) else 1
                         for z in report.eigenvalues)
     return {
         **info,
-        "b": float(b),
-        "alpha": float(alpha),
-        "epsilon": float(epsilon),
-        "r0": float(r0),
+        **run.parameters,
         "allInside": bool(report.all_inside),
         "violators": [[float(v["value"].real), float(v["value"].imag)] for v in report.violators],
         "negativeControl": {"alpha": float(neg_alpha), "violatorCount": int(neg_violators)},
@@ -136,14 +118,14 @@ def diagonalizable_instance(seed: int, n: int = 16):
     <= 1 (inner group) and >= 3 (outer group), eigenvector matrix with
     condition below 1e4; the circle |z| = 2 separates the groups.
     """
-    rng = subrng(seed, 20)
+    rng = numerics.subrng(seed, 20)
     inner_count = int(rng.integers(1, n))
     values = np.empty(n, dtype=complex)
     phases = np.exp(1j * rng.uniform(0.0, _TWO_PI, size=n))
     values[:inner_count] = rng.uniform(0.2, 1.0, size=inner_count) * phases[:inner_count]
     values[inner_count:] = rng.uniform(3.0, 6.0, size=n - inner_count) * phases[inner_count:]
     while True:
-        v = np.eye(n) + 0.35 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        v = np.eye(n) + 0.35 * numerics.gaussian(rng, (n, n))
         if np.linalg.cond(v) < 1e4:
             break
     matrix = v @ np.diag(values) @ np.linalg.inv(v)

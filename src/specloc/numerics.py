@@ -2,7 +2,9 @@
 
 Thin, validated wrappers around LAPACK (via numpy/scipy) with deterministic
 conventions: eigenvalues come back in a fixed order, eigenvectors have unit
-columns, and solves certify their own residual.
+columns, and solves certify their own residual.  Seeded randomness comes from
+``subrng``: one independent stream per (seed, spawn key), so every instance
+and probe set is reproducible and independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -57,6 +59,26 @@ def batches(count: int, matrix_entries: int) -> list[slice]:
     of ``matrix_entries`` entries as fit in BATCH_ENTRIES (at least one)."""
     step = max(1, BATCH_ENTRIES // max(matrix_entries, 1))
     return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def subrng(seed: int, *key: int) -> np.random.Generator:
+    """Counter-based splitter: independent stream for (seed, key...)."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(key)))
+
+
+def gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    """Complex standard-normal array: all real parts are drawn, then all
+    imaginary parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def unit_columns(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """``count`` random unit probe vectors of length ``n``, as columns
+    (a zero column is left zero)."""
+    z = gaussian(rng, (n, count))
+    norms = np.linalg.norm(z, axis=0)
+    norms[norms == 0.0] = 1.0
+    return z / norms
 
 
 def svd_extremes(a) -> tuple[float, float]:

@@ -129,7 +129,7 @@ class OffDiagonalBlockPerturbation:
 
 
 def _gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return numerics.gaussian(rng, shape) / np.sqrt(2.0)
 
 
 def _rescaled(m: np.ndarray, scale: float) -> np.ndarray:
@@ -198,8 +198,7 @@ class PerturbedSystem:
 
     def sigma_g(self) -> np.ndarray:
         """Eigenvalues of G (diagonal entries for diagonal G)."""
-        off = self.g - np.diag(np.diag(self.g))
-        if numerics.opnorm(off) == 0.0:
+        if not np.any(self.g - np.diag(np.diag(self.g))):
             return np.diag(self.g).copy()
         return numerics.eig(self.g).values
 

@@ -185,38 +185,12 @@ def projection_sum_bound(family: ProjectionFamily, probe_count: int = 256, seed:
     if not mats:
         return 0.0, 0.0
     n = mats[0].shape[0]
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(3,)))
-
-    def unit(shape):
-        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return z / np.linalg.norm(z, axis=0)
-
-    x = unit((n, probe_count))
-    y = unit((n, probe_count))
+    rng = numerics.subrng(seed, 3)
+    x = numerics.unit_columns(rng, n, probe_count)
+    y = numerics.unit_columns(rng, n, probe_count)
     total = np.zeros(probe_count)
     for mat in mats:
         total += np.abs(np.einsum("ij,ij->j", y.conj(), mat @ x))
     c_upper = float(sum(numerics.opnorm(m) for m in mats))
     c_hat = min(float(total.max()), c_upper)
     return c_hat, c_upper
-
-
-@dataclass(frozen=True)
-class RankComparison:
-    index: int
-    label_left: str
-    label_right: str
-    rank_left: int
-    rank_right: int
-    equal: bool
-
-
-def compare_ranks(left: ProjectionFamily, right: ProjectionFamily) -> list[RankComparison]:
-    """Pairwise rank comparison of two equally long projection families."""
-    if len(left.entries) != len(right.entries):
-        raise InputError("families have different lengths")
-    out = []
-    for k, (a, b) in enumerate(zip(left.entries, right.entries)):
-        out.append(RankComparison(index=k, label_left=a.label, label_right=b.label,
-                                  rank_left=a.rank, rank_right=b.rank, equal=a.rank == b.rank))
-    return out

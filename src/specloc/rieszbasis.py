@@ -147,8 +147,7 @@ def sign_pattern_constant(family: ProjectionFamily, seed: int = 0) -> float:
         patterns = np.array([(1.0,) + rest
                              for rest in itertools.product((1.0, -1.0), repeat=m - 1)])
     else:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(4,)))
-        patterns = rng.choice((1.0, -1.0), size=(SIGN_SAMPLES, m))
+        patterns = numerics.subrng(seed, 4).choice((1.0, -1.0), size=(SIGN_SAMPLES, m))
     stack = np.stack(mats)
     return max(float(numerics.opnorm(np.tensordot(patterns[b], stack, 1)).max())
                for b in numerics.batches(len(patterns), stack[0].size))
@@ -190,9 +189,7 @@ def verify_projection_estimate(family: ProjectionFamily, constant: float, probe_
     if c <= 0.0:
         raise InputError("constant must be positive")
     n = mats[0].shape[0]
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(5,)))
-    x = rng.standard_normal((n, probe_count)) + 1j * rng.standard_normal((n, probe_count))
-    x /= np.linalg.norm(x, axis=0)
+    x = numerics.unit_columns(numerics.subrng(seed, 5), n, probe_count)
     sum_px = np.zeros((n, probe_count), dtype=complex)
     sq = np.zeros(probe_count)
     for mat in mats:

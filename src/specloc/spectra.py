@@ -104,23 +104,21 @@ def from_asymptotic(c: float, q: float, l: float, p: float, k_max: int, d_tail=(
 
 
 @dataclass(frozen=True)
-class GapEntry:
-    k: int
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-@dataclass(frozen=True)
 class GapReport:
-    entries: tuple[GapEntry, ...]
+    """The gap condition ``lhs <= rhs`` at each inspected index ``k``, as
+    aligned arrays."""
+
+    k: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    holds: np.ndarray
     #: smallest k such that the condition holds from k through the end of the
     #: inspected window; None when it fails at the last inspected index
     first_hold_index: int | None
 
     @property
     def all_hold(self) -> bool:
-        return all(e.holds for e in self.entries)
+        return bool(self.holds.all())
 
 
 def check_gap_sequence(model: GapSequenceModel, k_range: tuple[int, int] | None = None) -> GapReport:
@@ -140,16 +138,11 @@ def check_gap_sequence(model: GapSequenceModel, k_range: tuple[int, int] | None 
     lhs = r[ks - 1] + model.l * r[ks - 1] ** model.p
     rhs = r[ks] - model.l * r[ks] ** model.p
     holds = lhs <= rhs
-    entries = tuple(
-        GapEntry(k=int(k), lhs=float(a), rhs=float(b), holds=bool(h))
-        for k, a, b, h in zip(ks, lhs, rhs, holds)
-    )
-    first = None
-    for e in reversed(entries):
-        if not e.holds:
-            break
-        first = e.k
-    return GapReport(entries=entries, first_hold_index=first)
+    # the holding tail starts right after the last failure
+    fails = np.flatnonzero(~holds)
+    start = int(fails[-1]) + 1 if fails.size else 0
+    first = int(ks[start]) if start < len(ks) else None
+    return GapReport(k=ks, lhs=lhs, rhs=rhs, holds=holds, first_hold_index=first)
 
 
 def classify_asymptotic_gap(c: float, q: float, l: float, p: float) -> str:

@@ -111,12 +111,6 @@ def _column_ratios(s, g, p, u):
     return out
 
 
-def _normalize_columns(u):
-    norms = np.linalg.norm(u, axis=0)
-    norms[norms == 0.0] = 1.0
-    return u / norms
-
-
 def _weights(sigma2, p, t):
     """Diagonal of D(t): d_i(t) = (1-p) t^p + p t^(p-1) sigma_i^2."""
     return (1.0 - p) * t**p + p * t ** (p - 1.0) * sigma2
@@ -244,8 +238,7 @@ def verify_bound(s, g, p: float, b: float, sample_count: int = 1000, seed: int =
     if sample_count < 0:
         raise InputError("sample_count must be non-negative")
     n = g.shape[0]
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(2,)))
-    u = _normalize_columns(rng.standard_normal((n, sample_count)) + 1j * rng.standard_normal((n, sample_count)))
+    u = numerics.unit_columns(numerics.subrng(seed, 2), n, sample_count)
     r = _column_ratios(s, g, float(p), u)
     bad = np.flatnonzero(r > float(b) * (1.0 + 1e-9))
     return [{"index": int(i), "ratio": float(r[i]), "vector": u[:, i].copy()} for i in bad]

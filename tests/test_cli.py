@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from specloc import cli, rieszbasis, subordination
+from specloc import cli, enclosure, rieszbasis, subordination
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
 
@@ -75,6 +75,16 @@ class TestEnclosure:
         assert all(r[2] == "1" for r in rows[1:])
         with open(lobes) as fh:
             assert next(csv.reader(fh)) == ["theta", "x", "y_upper", "y_lower"]
+
+    @pytest.mark.parametrize("given", [{}, {"epsilon": 0.95, "psi": 0.3}])
+    def test_reports_the_shared_chain(self, triple_spec, tmp_path, given):
+        out = tmp_path / "report.json"
+        options = [x for k, v in given.items() for x in ("--" + k, repr(v))]
+        assert cli.main(["enclosure", "--input", triple_spec, "--out", str(out),
+                         "--no-timestamp", *options]) == 0
+        report = read_report(out)
+        run = enclosure.enclose(cli.system_from_json(cli.load_spec(triple_spec)), 1.1, **given)
+        assert {k: report[k] for k in run.parameters} == run.parameters
 
 
 class TestGaps:

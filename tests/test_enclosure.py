@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from specloc import enclosure, numerics, operators, subordination
+from specloc import enclosure, instances, numerics, operators, subordination
 from specloc.errors import InputError
 
 
@@ -109,6 +109,29 @@ class TestCertifiedR0:
             enclosure.certified_r0(1.0, 0.5, 1.1, 0.5, 0.5)  # eps <= b/alpha
         with pytest.raises(InputError):
             enclosure.certified_r0(1.0, 0.5, 2.0, 0.9, 2.0)  # psi >= pi/2
+
+
+class TestEnclose:
+    def test_sweep_cases_report_the_certified_tuple(self):
+        # r0 recomputed from a case's reported (b, p, alpha, epsilon, psi) is
+        # its reported r0, bit for bit
+        drift = []
+        for seed in range(36):
+            case = instances.run_enclosure_case(seed)
+            r0 = enclosure.certified_r0(case["b"], case["p"], case["alpha"], case["epsilon"],
+                                        case["psi"])
+            if r0 != case["r0"]:
+                drift.append((seed, case["psi"], r0, case["r0"]))
+        assert drift == []
+
+    def test_given_epsilon_and_psi_are_used(self):
+        system, _ = instances.enclosure_instance(5)
+        run = enclosure.enclose(system, 1.1, epsilon=0.99, psi=0.2)
+        par = run.parameters
+        assert (par["epsilon"], par["psi"]) == (0.99, 0.2)
+        assert par["r0"] == enclosure.certified_r0(par["b"], system.p, par["alpha"], 0.99, 0.2)
+        assert run.region.r0 == par["r0"]
+        assert run.report.all_inside
 
 
 class TestVerifySpectrum:

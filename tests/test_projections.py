@@ -187,22 +187,3 @@ class TestSumBound:
         family = projections.make_family([])
         assert projections.projection_sum_bound(family) == (0.0, 0.0)
 
-
-class TestCompareRanks:
-    def test_equal_for_zero_perturbation(self):
-        t = np.diag([1.0, 5.0, 9.0])
-        left = projections.family_from_gaps(t, [3.0, 7.0, 11.0], 1.0, 0.5)
-        right = projections.make_family([
-            (e.label, projections.spectral_projector_oracle(
-                t, lambda z, lo=lo, hi=hi: lo < z.real < hi))
-            for e, (lo, hi) in zip(left.entries, [(3.0, 7.0), (7.0, 11.0)])
-        ])
-        comps = projections.compare_ranks(left, right)
-        assert all(c.equal for c in comps)
-        assert [c.rank_left for c in comps] == [1, 1]
-
-    def test_length_mismatch(self):
-        fam = projections.make_family([("a", np.eye(2))])
-        empty = projections.make_family([])
-        with pytest.raises(InputError):
-            projections.compare_ranks(fam, empty)

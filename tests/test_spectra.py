@@ -58,11 +58,9 @@ class TestGapSequence:
     def test_entries_and_first_hold_index(self):
         model = spectra.GapSequenceModel(radii=(1.0, 2.0, 10.0, 20.0), l=1.0, p=0.0)
         report = spectra.check_gap_sequence(model)
-        holds = [e.holds for e in report.entries]
-        assert holds == [False, True, True]
+        assert report.holds.tolist() == [False, True, True]
         assert report.first_hold_index == 2
-        e = report.entries[0]
-        assert (e.lhs, e.rhs) == (2.0, 1.0)
+        assert (report.lhs[0], report.rhs[0]) == (2.0, 1.0)
 
     def test_first_hold_none_when_failing_at_end(self):
         model = spectra.GapSequenceModel(radii=(1.0, 10.0, 10.5), l=1.0, p=0.0)
@@ -71,7 +69,7 @@ class TestGapSequence:
     def test_k_range_window(self):
         model = spectra.from_asymptotic(c=1.0, q=2.0, l=0.5, p=0.5, k_max=50)
         report = spectra.check_gap_sequence(model, k_range=(10, 20))
-        assert [e.k for e in report.entries] == list(range(10, 21))
+        assert report.k.tolist() == list(range(10, 21))
         with pytest.raises(InputError):
             spectra.check_gap_sequence(model, k_range=(0, 10))
 
