@@ -13,7 +13,6 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     InputError,
-    SingularMatrixError,
     SpeclocError,
 )
 
@@ -25,7 +24,6 @@ __all__ = [
     "ConvergenceError",
     "DimensionError",
     "InputError",
-    "SingularMatrixError",
     "SpeclocError",
     "__version__",
 ]

@@ -1,15 +1,19 @@
 """Command-line interface.
 
 Subcommands operate on a JSON system specification and write JSON reports
-(complex numbers as [re, im] pairs) and CSV point clouds.  Reports carry
-schemaVersion, a digest of the input and, for subcommands that take
+(complex numbers as [re, im] pairs) and CSV point clouds.  ``write_report``
+gives every report its header: the command, schemaVersion, the input path and
+digest for subcommands that read a spec and, for subcommands that take
 ``--seed``, the driving seed; with ``--no-timestamp`` repeated runs are
-byte-identical.  Each subcommand accepts only the options it reads.
+byte-identical.  Each subcommand accepts only the options it reads.  A
+malformed spec, seed range or abscissa list, or a negative seed, is an input
+error (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import hashlib
@@ -34,6 +38,16 @@ EXIT_INPUT_ERROR = 2
 
 # ---------------------------------------------------------------------------
 # input parsing
+
+
+@contextlib.contextmanager
+def _reading(what: str):
+    """Report a KeyError, TypeError or ValueError raised while reading ``what``
+    from the user as an InputError; usable as a decorator."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError("malformed %s: %s %s" % (what, type(exc).__name__, exc)) from exc
 
 
 def _as_complex(v):
@@ -96,6 +110,7 @@ def perturbation_from_json(data: dict, n: int):
     raise InputError("unknown perturbation kind %r" % kind)
 
 
+@_reading("system spec")
 def system_from_json(data: dict) -> operators.PerturbedSystem:
     ray_spec = ray_spec_from_json(data)
     n = ray_spec.dimension
@@ -109,6 +124,7 @@ def system_from_json(data: dict) -> operators.PerturbedSystem:
     return operators.assemble(g, s, float(data["p"]), ray_spec=ray_spec)
 
 
+@_reading("hamiltonian spec")
 def hamiltonian_from_json(data: dict) -> blockop_mod.HamiltonianModel:
     h = data.get("hamiltonian")
     if not isinstance(h, dict):
@@ -134,6 +150,7 @@ def hamiltonian_from_json(data: dict) -> blockop_mod.HamiltonianModel:
     )
 
 
+@_reading("gapModel spec")
 def gap_model_from_json(data: dict) -> spectra.GapSequenceModel:
     gm = data.get("gapModel")
     if not isinstance(gm, dict):
@@ -178,14 +195,17 @@ def _jsonify(obj):
 
 
 def write_report(report: dict, args) -> None:
-    report = dict(report)
-    report["schemaVersion"] = SCHEMA_VERSION
-    if not getattr(args, "no_timestamp", False):
-        report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    text = json.dumps(_jsonify(report), indent=2, sort_keys=True) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    """Write ``report`` under the shared header (see the module docstring)."""
+    header = {"command": args.command, "schemaVersion": SCHEMA_VERSION}
+    if "spec" in args:
+        header["input"] = {"path": args.spec["_path"], "digest": args.spec["_digest"]}
+    if "seed" in args:
+        header["seed"] = args.seed
+    if not args.no_timestamp:
+        header["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    text = json.dumps(_jsonify({**report, **header}), indent=2, sort_keys=True) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -205,17 +225,13 @@ def write_points_csv(path: str, header, rows) -> None:
 
 
 def cmd_subord(args) -> int:
-    data = load_spec(args.input)
-    system = system_from_json(data)
+    system = system_from_json(args.spec)
     result = subordination.subordination_bound(system.s, system.g, system.p)
     violations = []
     if math.isfinite(result.bound):
         violations = subordination.verify_bound(system.s, system.g, system.p, result.bound,
                                                 sample_count=1000, seed=args.seed)
     write_report({
-        "command": "subord",
-        "input": {"path": data["_path"], "digest": data["_digest"]},
-        "seed": args.seed,
         "p": system.p,
         "bound": result.bound,
         "lowerBound": result.lower,
@@ -226,8 +242,8 @@ def cmd_subord(args) -> int:
 
 
 def cmd_enclosure(args) -> int:
-    data = load_spec(args.input)
-    run = enclosure_mod.enclose(system_from_json(data), args.alpha_factor, args.epsilon, args.psi)
+    run = enclosure_mod.enclose(system_from_json(args.spec), args.alpha_factor, args.epsilon,
+                                args.psi)
     region, report = run.region, run.report
     if args.points:
         rows = [(z.real, z.imag, int(enclosure_mod.contains(region, z)))
@@ -238,8 +254,6 @@ def cmd_enclosure(args) -> int:
         write_points_csv(args.lobes, ("theta", "x", "y_upper", "y_lower"),
                          enclosure_mod.lobe_boundary(region, x_max))
     write_report({
-        "command": "enclosure",
-        "input": {"path": data["_path"], "digest": data["_digest"]},
         **run.parameters,
         "allInside": report.all_inside,
         "violators": [v["value"] for v in report.violators],
@@ -248,16 +262,13 @@ def cmd_enclosure(args) -> int:
 
 
 def cmd_gaps(args) -> int:
-    data = load_spec(args.input)
-    model = gap_model_from_json(data)
+    model = gap_model_from_json(args.spec)
     report = spectra.check_gap_sequence(model)
     verdict = None
     if model.asymptotic is not None:
         verdict = spectra.classify_asymptotic_gap(model.asymptotic.c, model.asymptotic.q,
                                                   model.l, model.p)
     write_report({
-        "command": "gaps",
-        "input": {"path": data["_path"], "digest": data["_digest"]},
         "l": model.l, "p": model.p,
         "allHold": report.all_hold,
         "firstHoldIndex": report.first_hold_index,
@@ -268,25 +279,23 @@ def cmd_gaps(args) -> int:
 
 
 def _gap_family(args):
-    """Load the spec and build the gap projection family of project/rieszconst.
+    """Build the gap projection family of project/rieszconst from the spec.
 
-    Returns (spec data, abscissae, theta, family); theta defaults to the
-    first ray's angle.
+    Returns (abscissae, theta, family); theta defaults to the first ray's
+    angle.
     """
-    data = load_spec(args.input)
-    system = system_from_json(data)
-    abscissae = [float(x) for x in args.abscissas.split(",")]
+    system = system_from_json(args.spec)
+    with _reading("--abscissas"):
+        abscissae = [float(x) for x in args.abscissas.split(",")]
     theta = args.theta if args.theta is not None else float(system.ray_spec.rays[0].theta)
     family = projections.family_from_gaps(system.t, abscissae, args.alpha, system.p,
                                           theta=theta, tol=args.tol)
-    return data, abscissae, theta, family
+    return abscissae, theta, family
 
 
 def cmd_project(args) -> int:
-    data, abscissae, theta, family = _gap_family(args)
+    abscissae, theta, family = _gap_family(args)
     write_report({
-        "command": "project",
-        "input": {"path": data["_path"], "digest": data["_digest"]},
         "abscissas": abscissae, "alpha": args.alpha, "theta": theta,
         "projections": [{"label": e.label, "rank": e.rank,
                          "idempotencyResidual": e.idempotency_residual}
@@ -298,14 +307,11 @@ def cmd_project(args) -> int:
 
 
 def cmd_rieszconst(args) -> int:
-    data, _, _, family = _gap_family(args)
+    _, _, family = _gap_family(args)
     c_hat, c_upper = projections.projection_sum_bound(family, seed=args.seed)
     estimate = rieszbasis.verify_projection_estimate(
         family, rieszbasis.sign_pattern_constant(family, seed=args.seed), seed=args.seed)
     write_report({
-        "command": "rieszconst",
-        "input": {"path": data["_path"], "digest": data["_digest"]},
-        "seed": args.seed,
         "cHat": c_hat, "cUpper": c_upper,
         "signPatternConstant": estimate.constant,
         "twoSidedHolds": estimate.two_sided_holds,
@@ -317,13 +323,10 @@ def cmd_rieszconst(args) -> int:
 
 
 def cmd_blockop(args) -> int:
-    data = load_spec(args.input)
-    model = hamiltonian_from_json(data)
+    model = hamiltonian_from_json(args.spec)
     system = blockop_mod.build_hamiltonian(model)
     report = blockop_mod.verify_hamiltonian(system, model, tol=args.tol)
     write_report({
-        "command": "blockop",
-        "input": {"path": data["_path"], "digest": data["_digest"]},
         "b": model.subordination_norm,
         "j1SkewResidual": report.j1_skew_residual,
         "pairingDefects": list(report.pairing_defects),
@@ -336,11 +339,16 @@ def cmd_blockop(args) -> int:
     return EXIT_OK if report.clean else EXIT_CHECK_FAILED
 
 
+@_reading("--seeds")
 def _parse_seed_range(text: str):
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",")]
+        seeds = list(range(int(lo), int(hi) + 1))
+    else:
+        seeds = [int(s) for s in text.split(",")]
+    if not seeds or min(seeds) < 0:
+        raise InputError("need a non-empty range of non-negative seeds, got %r" % text)
+    return seeds
 
 
 def cmd_sweep(args) -> int:
@@ -349,10 +357,8 @@ def cmd_sweep(args) -> int:
     seeds = _parse_seed_range(args.seeds)
     cases = [instances.run_enclosure_case(s, alpha_factor=args.alpha_factor) for s in seeds]
     all_inside = all(c["allInside"] for c in cases)
-    neg_frac = (sum(1 for c in cases if c["negativeControl"]["violatorCount"] > 0)
-                / max(len(cases), 1))
+    neg_frac = sum(1 for c in cases if c["negativeControl"]["violatorCount"] > 0) / len(cases)
     write_report({
-        "command": "sweep",
         "suite": args.suite,
         "seeds": seeds,
         "alphaFactor": args.alpha_factor,
@@ -391,9 +397,7 @@ def cmd_demo(args) -> int:
     if args.points:
         write_points_csv(args.points, ("kind", "x", "y"), rows)
     write_report({
-        "command": "demo",
         "what": args.what,
-        "seed": args.seed,
         "b": b,
         "alpha": alpha,
         "abscissas": abscissae,
@@ -488,6 +492,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
+        if "seed" in args and args.seed < 0:
+            raise InputError("--seed must be non-negative, got %d" % args.seed)
+        if "input" in args:
+            args.spec = load_spec(args.input)
         return args.func(args)
     except InputError as exc:
         print("specloc: input error: %s" % exc, file=sys.stderr)

@@ -123,7 +123,11 @@ def _region_conditions(b: float, p: float, alpha: float, epsilon: float, psi: fl
 
 def certified_r0(b: float, p: float, alpha: float, epsilon: float, psi: float) -> float:
     """Smallest certified ball radius: all three resolvent conditions hold for
-    every |z| >= r0 (bisection to 1e-9 relative accuracy).
+    every |z| >= r0.
+
+    Each condition is a power law in r, so r0 is the largest of their exact
+    thresholds, rounded up by ulps until the conditions hold in floating point.
+    Raises InputError when that radius exceeds the floating-point range.
     """
     b = float(b)
     p = float(p)
@@ -141,36 +145,21 @@ def certified_r0(b: float, p: float, alpha: float, epsilon: float, psi: float) -
     if b == 0.0:
         return 0.0
 
-    outer, sector, parabolic = _region_conditions(b, p, alpha, epsilon, psi)
-
-    def ok(r):
-        return r > 0.0 and outer(r) and sector(r) and parabolic(r)
-
-    # closed-form thresholds of the individual conditions seed the bracket
     sin_psi = math.sin(psi)
-    cos_psi = math.cos(psi)
-    r_outer = (2.0**p * b / epsilon) ** (1.0 / (1.0 - p))
-    r_sector = (b * (1.0 + 1.0 / sin_psi) ** p / epsilon) ** (1.0 / (1.0 - p)) / sin_psi
-    if p > 0.0:
-        k = 2.0 * b / (alpha ** (1.0 - p) * (epsilon - b / alpha))
-        r_par = k ** (1.0 / (p * (1.0 - p))) / cos_psi
-    else:
-        r_par = 0.0
-    hi = max(r_outer, r_sector, r_par, 1e-300)
-    for _ in range(200):
-        if ok(hi):
-            break
-        hi *= 2.0
-    else:
-        raise InputError("resolvent conditions unsatisfiable for these parameters")
-    lo = 0.0
-    while hi - lo > 1e-9 * hi:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    try:
+        r0 = max((2.0**p * b / epsilon) ** (1.0 / (1.0 - p)),
+                 (b * (1.0 + 1.0 / sin_psi) ** p / epsilon) ** (1.0 / (1.0 - p)) / sin_psi)
+        if p > 0.0:
+            k = 2.0 * b / (alpha ** (1.0 - p) * (epsilon - b / alpha))
+            r0 = max(r0, k ** (1.0 / (p * (1.0 - p))) / math.cos(psi))
+    except OverflowError:
+        r0 = math.inf
+    if math.isinf(r0):
+        raise InputError("certified r0 exceeds the floating-point range (b=%g, p=%g)" % (b, p))
+    outer, sector, parabolic = _region_conditions(b, p, alpha, epsilon, psi)
+    while not (r0 > 0.0 and outer(r0) and sector(r0) and parabolic(r0)):
+        r0 = math.nextafter(r0, math.inf)
+    return r0
 
 
 # ---------------------------------------------------------------------------
@@ -291,22 +280,22 @@ def resolvent_diagnostic(system: PerturbedSystem, z: complex,
     dist = float(np.min(np.abs(sigma_g - z)))
     if dist <= 1e-12:
         raise InputError("z is (numerically) in the spectrum of G")
-    n = system.dimension
-    ident = np.eye(n, dtype=complex)
-    g_res = numerics.solve(system.g - z * ident, ident)
-    norm_g = numerics.opnorm(g_res)
-    norm_sg = numerics.opnorm(system.s @ g_res)
+    ident = np.eye(system.dimension, dtype=complex)
+    norm_g = 1.0 / dist  # G is normal
+    norm_sg = numerics.opnorm(system.s @ np.linalg.solve(system.g - z * ident, ident))
     if norm_sg > epsilon:
         return ResolventDiagnostic(
             z=z, epsilon=epsilon, dist_to_sigma_g=dist,
             norm_g_resolvent=norm_g, norm_sg_resolvent=norm_sg, applicable=False,
         )
-    tz = system.t - z * ident
-    _, smin = numerics.svd_extremes(tz)
-    in_res = smin > 0.0
-    norm_t = 1.0 / smin if smin > 0.0 else math.inf
-    t_res = numerics.solve(tz, ident)
-    norm_st = numerics.opnorm(system.s @ t_res)
+    # T - z = U diag(sv) V*, so (T - z)^-1 = V diag(1/sv) U* and ||S (T - z)^-1|| = ||S V / sv||
+    _, sv, vh = np.linalg.svd(system.t - z * ident)
+    in_res = sv[-1] > 0.0
+    if in_res:
+        norm_t = 1.0 / float(sv[-1])
+        norm_st = numerics.opnorm((system.s @ vh.conj().T) / sv)
+    else:
+        norm_t = norm_st = math.inf
     bound_t = norm_g / (1.0 - epsilon)
     bound_st = epsilon / (1.0 - epsilon)
     return ResolventDiagnostic(

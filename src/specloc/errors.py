@@ -11,7 +11,8 @@ class SpeclocError(Exception):
 
 
 class InputError(SpeclocError):
-    """Invalid argument, malformed specification or violated precondition."""
+    """Invalid argument, malformed specification or violated precondition,
+    including parameters whose certified radius exceeds the float range."""
 
 
 class DimensionError(InputError):
@@ -27,17 +28,6 @@ class ConvergenceError(SpeclocError):
     def __init__(self, msg, residual=None):
         super().__init__(msg)
         self.residual = residual
-
-
-class SingularMatrixError(SpeclocError):
-    """A linear solve hit a (numerically) singular matrix.
-
-    Carries ``sigma_min``, the offending smallest singular value.
-    """
-
-    def __init__(self, msg, sigma_min=None):
-        super().__init__(msg)
-        self.sigma_min = sigma_min
 
 
 class ContourSpectrumError(SpeclocError):

@@ -1,8 +1,8 @@
 """Dense complex linear-algebra kernel used by every other module.
 
 Thin, validated wrappers around LAPACK (via numpy/scipy) with deterministic
-conventions: eigenvalues come back in a fixed order, eigenvectors have unit
-columns, and solves certify their own residual.  Seeded randomness comes from
+conventions: eigenvalues come back in a fixed order with a residual check,
+and eigenvectors have unit columns.  Seeded randomness comes from
 ``subrng``: one independent stream per (seed, spawn key), so every instance
 and probe set is reproducible and independent of evaluation order.
 """
@@ -14,16 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceError, InputError, SingularMatrixError
+from .errors import ConvergenceError, InputError
 
 #: number of angular buckets used by the deterministic eigenvalue ordering
 _ANGLE_BUCKETS = 4096
 
 #: relative residual allowed for an eigenpair, in units of ||A||
 EIG_RESIDUAL_RTOL = 1e-10
-
-#: relative residual allowed for a linear solve
-SOLVE_RESIDUAL_RTOL = 1e-12
 
 #: complex entries in one stacked batch of matrices (512 KB)
 BATCH_ENTRIES = 1 << 15
@@ -141,38 +138,3 @@ def eig(a) -> EigenDecomposition:
     sv = np.linalg.svd(vectors, compute_uv=False) if a.shape[0] else np.array([1.0])
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
     return EigenDecomposition(values=values, vectors=vectors, condition_estimate=max(cond, 1.0))
-
-
-def solve(a, b) -> np.ndarray:
-    """Solve ``A X = B`` with a backward-stability certificate.
-
-    Raises SingularMatrixError (carrying sigma_min) when A is singular to
-    working tolerance, ConvergenceError when the residual check fails for any
-    other reason.
-    """
-    a = as_matrix(a)
-    b = np.asarray(b, dtype=complex)
-    if b.shape[0] != a.shape[0]:
-        raise InputError("right-hand side has %d rows, matrix has %d" % (b.shape[0], a.shape[0]))
-
-    def _singular_check():
-        smax, smin = svd_extremes(a)
-        if smin <= 1e-13 * max(smax, 1e-300):
-            raise SingularMatrixError(
-                "matrix singular to tolerance (sigma_min=%.3e)" % smin, sigma_min=smin
-            )
-
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        _singular_check()
-        raise SingularMatrixError("linear solve failed: %s" % exc, sigma_min=0.0) from exc
-    residual = float(np.linalg.norm(a @ x - b))
-    scale = opnorm(a) * max(float(np.linalg.norm(x)), 1e-300)
-    if residual > SOLVE_RESIDUAL_RTOL * max(scale, 1e-300):
-        _singular_check()
-        raise ConvergenceError(
-            "solve residual %.3e exceeds %.1e * ||A|| ||X||" % (residual, SOLVE_RESIDUAL_RTOL),
-            residual=residual,
-        )
-    return x

@@ -52,9 +52,6 @@ ROUNDING_PAD = 1e-10
 MAX_DEPTH = 60
 MAX_CELLS = 4096
 
-#: matrix entries per batched eigh call, which bounds its memory
-BATCH_ENTRIES = 1 << 20
-
 
 def _check_pair(s, g):
     g = numerics.as_matrix(g)
@@ -133,17 +130,16 @@ def _minorant(sigma2, p, a, c):
 def _pencil_tops(h, sigma2, p, diags):
     """Top eigenpairs of the pencils (H, diag(d)) for the rows d of diags.
 
-    Batched eigh, at most BATCH_ENTRIES matrix entries per call.  Returns
+    Batched eigh over ``numerics.batches`` of the pencils.  Returns
     (lam, u, ratio2): the largest eigenvalues, their eigenvectors u in V
     coordinates, and the squared subordination ratio of each u.
     """
     scale = diags**-0.5
     lam, u = np.empty(len(diags)), np.empty(diags.shape, dtype=complex)
-    step = max(BATCH_ENTRIES // h.size, 1)
-    for i in range(0, len(diags), step):
-        sc = scale[i:i + step]
+    for batch in numerics.batches(len(diags), h.size):
+        sc = scale[batch]
         w, vec = np.linalg.eigh(sc[:, :, None] * h * sc[:, None, :])
-        lam[i:i + step], u[i:i + step] = w[:, -1], sc * vec[:, :, -1]
+        lam[batch], u[batch] = w[:, -1], sc * vec[:, :, -1]
     w = np.abs(u) ** 2
     # u* diag(d) u = 1, so ||S V u||^2 = u* H u = lam
     return lam, u, lam / (w.sum(axis=1) ** (1.0 - p) * (w @ sigma2) ** p)

@@ -226,6 +226,30 @@ class TestErrorPaths:
         })
         assert cli.main(["subord", "--input", spec]) == 2
 
+    @pytest.mark.parametrize("spec, argv", [
+        ({"G": {"rays": [{"radii": [1.0]}]}, "S": {"kind": "dense", "entries": [[0.0]]},
+          "p": 0.5}, ["subord"]),
+        ({"G": {"rays": [{"theta": 0.0, "radii": [1.0]}]},
+          "S": {"kind": "randomGaussian", "seed": 1}, "p": 0.5}, ["subord"]),
+        ({"G": {"rays": [{"theta": 0.0, "radii": [1.0, 4.0, 9.0, 16.0]}]},
+          "S": {"kind": "randomGaussian", "seed": 1, "scale": 0.3}, "p": 0.001}, ["enclosure"]),
+        ({"G": {"rays": [{"theta": 0.0, "radii": [1.0, 5.0, 9.0]}]},
+          "S": {"kind": "randomGaussian", "seed": 7, "scale": 0.2}, "p": 0.5},
+         ["project", "--abscissas", "2,x", "--alpha", "1.0"]),
+        (None, ["sweep", "--seeds", "a..b"]),
+        (None, ["sweep", "--seeds", "5..3"]),
+        (None, ["sweep", "--seeds=-2..-1"]),
+        (None, ["demo", "--seed=-1"]),
+    ], ids=["ray-without-theta", "gaussian-without-scale", "r0-beyond-float-range",
+            "abscissa-not-a-number", "seeds-not-integers", "empty-seed-range",
+            "negative-sweep-seeds", "negative-seed"])
+    def test_malformed_input(self, tmp_path, capsys, spec, argv):
+        if spec is not None:
+            argv = argv + ["--input", write_json(tmp_path / "spec.json", spec)]
+        assert cli.main(argv + ["--out", str(tmp_path / "report.json")]) == 2
+        assert capsys.readouterr().err.startswith("specloc: input error: ")
+        assert not (tmp_path / "report.json").exists()
+
     def test_unknown_flag(self, basic_spec):
         assert cli.main(["subord", "--input", basic_spec, "--bogus"]) == 2
 

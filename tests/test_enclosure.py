@@ -102,6 +102,26 @@ class TestCertifiedR0:
         r = r0 * (1.0 - 1e-3)
         assert not (outer(r) and sector(r) and parabolic(r))
 
+    def test_threshold_on_a_random_grid(self):
+        # r0 is the largest power-law threshold rounded up in ulps: the three
+        # conditions hold at r0 and fail 1e-10 below it
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            p = rng.uniform(0.01, 0.99)
+            b = 10 ** rng.uniform(-2, 1)
+            alpha = b * rng.uniform(1.05, 4.0)
+            eps = rng.uniform(b / alpha + 0.01 * (1 - b / alpha), 0.99)
+            psi = rng.uniform(0.05, 1.5)
+            r0 = enclosure.certified_r0(b, p, alpha, eps, psi)
+            conditions = enclosure._region_conditions(b, p, alpha, eps, psi)
+            assert all(c(r0) for c in conditions)
+            assert not all(c(r0 * (1.0 - 1e-10)) for c in conditions)
+
+    def test_radius_beyond_float_range(self):
+        # at p = 0.001 the parabolic threshold is k^(1/(p(1-p))) with k ~ 40
+        with pytest.raises(InputError, match="floating-point range"):
+            enclosure.certified_r0(0.3, 0.001, 0.33, 0.95, math.pi / 4)
+
     def test_preconditions(self):
         with pytest.raises(InputError):
             enclosure.certified_r0(1.0, 0.5, 0.9, 0.95, 0.5)  # b >= alpha
@@ -200,6 +220,27 @@ class TestResolventDiagnostic:
         diag = enclosure.resolvent_diagnostic(system, 2.0, 0.5)
         assert diag.applicable and diag.t_bound_ok and diag.st_bound_ok
         np.testing.assert_allclose(diag.norm_t_resolvent, 1.0, rtol=1e-12)
+
+    def test_one_svd_of_t_minus_z_and_no_solve_against_t(self, monkeypatch):
+        system = self.system()
+        tz = system.t - 5.0 * np.eye(2)
+        svd, solve = np.linalg.svd, np.linalg.solve
+        full_svds, solved = [], []
+
+        def counting_svd(a, *args, compute_uv=True, **kwargs):
+            if compute_uv:
+                full_svds.append(np.array(a))
+            return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+        def recording_solve(a, b):
+            solved.append(np.array(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        assert enclosure.resolvent_diagnostic(system, 5.0, 0.25).applicable
+        assert len(full_svds) == 1 and np.array_equal(full_svds[0], tz)
+        assert not any(np.array_equal(a, tz) for a in solved)
 
     def test_rejects_spectrum_point(self):
         with pytest.raises(InputError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specloc import numerics
-from specloc.errors import ConvergenceError, InputError, SingularMatrixError
+from specloc.errors import InputError
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -76,35 +76,3 @@ class TestSvdExtremes:
         smax, smin = numerics.svd_extremes(a)
         inv_smax, _ = numerics.svd_extremes(np.linalg.inv(a))
         np.testing.assert_allclose(smin, 1.0 / inv_smax, rtol=1e-10)
-
-
-class TestSolve:
-    def test_identity(self):
-        b = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_allclose(numerics.solve(np.eye(3), b), b)
-
-    def test_diagonal_inverse(self):
-        x = numerics.solve(np.diag([2.0, 4.0]), np.eye(2))
-        np.testing.assert_allclose(x, np.diag([0.5, 0.25]))
-
-    def test_shear_inverse(self):
-        x = numerics.solve(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
-        np.testing.assert_allclose(x, [[1.0, -1.0], [0.0, 1.0]], atol=1e-14)
-
-    def test_residual_certificate(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
-        b = rng.standard_normal((20, 3))
-        x = numerics.solve(a, b)
-        res = np.linalg.norm(a @ x - b)
-        assert res <= 1e-12 * numerics.opnorm(a) * np.linalg.norm(x)
-
-    def test_singular_matrix_carries_sigma_min(self):
-        with pytest.raises(SingularMatrixError) as err:
-            numerics.solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
-        assert err.value.sigma_min is not None
-        assert err.value.sigma_min <= 1e-13 * 2.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            numerics.solve(np.eye(3), np.ones(2))
