@@ -281,7 +281,7 @@ def cmd_gaps(args) -> int:
 def _gap_family(args):
     """Build the gap projection family of project/rieszconst from the spec.
 
-    Returns (abscissae, theta, family); theta defaults to the first ray's
+    Returns (t, abscissae, theta, family); theta defaults to the first ray's
     angle.
     """
     system = system_from_json(args.spec)
@@ -290,15 +290,17 @@ def _gap_family(args):
     theta = args.theta if args.theta is not None else float(system.ray_spec.rays[0].theta)
     family = projections.family_from_gaps(system.t, abscissae, args.alpha, system.p,
                                           theta=theta, tol=args.tol)
-    return abscissae, theta, family
+    return system.t, abscissae, theta, family
 
 
 def cmd_project(args) -> int:
-    abscissae, theta, family = _gap_family(args)
+    t, abscissae, theta, family = _gap_family(args)
+    # ||T P - P T|| on the original T checks the Schur-coordinate quadrature
     write_report({
         "abscissas": abscissae, "alpha": args.alpha, "theta": theta,
         "projections": [{"label": e.label, "rank": e.rank,
-                         "idempotencyResidual": e.idempotency_residual}
+                         "idempotencyResidual": e.idempotency_residual,
+                         "commutatorResidual": numerics.opnorm(t @ e.matrix - e.matrix @ t)}
                         for e in family.entries],
         "crossTalk": family.cross_talk,
         "sumResidual": family.sum_residual,
@@ -307,7 +309,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_rieszconst(args) -> int:
-    _, _, family = _gap_family(args)
+    _, _, _, family = _gap_family(args)
     c_hat, c_upper = projections.projection_sum_bound(family, seed=args.seed)
     estimate = rieszbasis.verify_projection_estimate(
         family, rieszbasis.sign_pattern_constant(family, seed=args.seed), seed=args.seed)

@@ -12,7 +12,8 @@ smooth arc away from the spectrum, so composite Gauss-Legendre panels of
 ``MIN_NODES_PER_SEGMENT`` nodes converge geometrically on it without any
 treatment of the corners; refinement doubles the panel count, never the
 order.  ``riesz_projection`` gates every node and panel endpoint (``gate_points``,
-corners included) on the quadrature's own resolvents, on every refinement pass.
+corners included) on the quadrature's own resolvents, triangular resolvents from
+one Schur form, on every refinement pass.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 """Riesz projections by contour quadrature, and projection families.
 
 P = (i / 2 pi) * sum_j w_j (T - z_j)^-1 over a positively oriented contour, with
-node doubling until ||P^2 - P||_F meets tolerance; every pass gates each node and
-panel endpoint on the quadrature's own resolvent there.  An eigendecomposition
+node doubling until ||P^2 - P||_F meets tolerance.  The resolvents are
+triangular resolvents from one Schur form T = Q R Q*: each node and panel
+endpoint inverts R - z with LAPACK ztrtri, every pass gates each of them on that
+inverse, and the accepted sum is rotated back as Q P_R Q*.  An eigendecomposition
 route (``spectral_projector_oracle``) provides the independent cross-check.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import contours as contours_mod
 from . import numerics
@@ -23,24 +26,43 @@ MARGIN_GATE = 1e-8
 MAX_TOTAL_NODES = 2**20
 
 
-def riesz_projection(t_mat, contour: contours_mod.Contour, tol: float = 1e-8) -> np.ndarray:
+def schur_form(t_mat) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form T = Q R Q*: returns (R, Q), R upper triangular."""
+    try:
+        r, q = scipy.linalg.schur(numerics.as_matrix(t_mat), output="complex")
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError("Schur form failed: %s" % exc) from exc
+    return np.triu(r), q
+
+
+def _triangular_resolvent(r, z):
+    """(R - z)^-1 by ztrtri and its margin 1 / ||(R - z)^-1||_F (0 at a zero pivot)."""
+    if not r.size:  # LAPACK rejects an empty matrix; its inverse is empty
+        return r, np.inf
+    shifted = r.copy(order="F")
+    shifted.flat[::r.shape[0] + 1] -= z
+    inverse, info = scipy.linalg.lapack.ztrtri(shifted, overwrite_c=1)
+    return inverse, (1.0 / np.linalg.norm(inverse) if info == 0 else 0.0)
+
+
+def riesz_projection(t_mat, contour: contours_mod.Contour, tol: float = 1e-8, *,
+                     schur: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Contour-quadrature Riesz projection with adaptive node doubling.
 
-    Each pass solves T - z at every node and panel endpoint; a failed solve or a
-    margin 1 / ||(T - z)^-1||_F not above MARGIN_GATE raises ContourSpectrumError.
+    Works in the Schur coordinates of ``schur = schur_form(T)`` (computed here
+    when not given), so the quadrature integrates the resolvent of T + E,
+    where ||E|| is the Schur form's backward error (a small multiple of
+    eps ||T||).  Each pass inverts R - z at every node and panel endpoint; a
+    zero pivot or a margin 1 / ||(R - z)^-1||_F = 1 / ||(T + E - z)^-1||_F not
+    above MARGIN_GATE raises ContourSpectrumError.  The stopping test
+    ||P_R^2 - P_R||_F runs on the triangular P_R; the result is Q P_R Q*.
     """
-    t_mat = numerics.as_matrix(t_mat)
-    n = t_mat.shape[0]
-    ident = np.eye(n, dtype=complex)
+    r, q = schur_form(t_mat) if schur is None else schur
     while True:
         weights = contour.weights
-        acc = np.zeros((n, n), dtype=complex)
+        acc = np.zeros(r.shape, dtype=complex)
         for k, z in enumerate(contour.gate_points):
-            try:
-                resolvent = np.linalg.solve(t_mat - z * ident, ident)
-                margin = 1.0 / np.linalg.norm(resolvent)
-            except np.linalg.LinAlgError:
-                margin = 0.0
+            resolvent, margin = _triangular_resolvent(r, z)
             if not margin > MARGIN_GATE:
                 raise ContourSpectrumError("contour margin %.3e below gate %.1e"
                                            % (margin, MARGIN_GATE), margin=margin)
@@ -49,7 +71,7 @@ def riesz_projection(t_mat, contour: contours_mod.Contour, tol: float = 1e-8) ->
         proj = (1j / (2.0 * np.pi)) * acc
         residual = float(np.linalg.norm(proj @ proj - proj))
         if residual <= tol:
-            return proj
+            return q @ proj @ q.conj().T
         if contour.total_nodes * 2 > MAX_TOTAL_NODES:
             raise ConvergenceError(
                 "projection residual %.3e at node cap %d" % (residual, MAX_TOTAL_NODES),
@@ -114,17 +136,31 @@ class ProjectionFamily:
     def matrices(self) -> list[np.ndarray]:
         return [e.matrix for e in self.entries]
 
-    @property
-    def cross_talk(self) -> float:
-        """max over j != k of ||P_j P_k||; k(k-1) norms on every read, taken
-        per row j as stacked opnorms over batches of the products P_j P_k."""
+    def _cross_products(self):
+        """The products P_j P_k, k != j, per row j in stacked batches."""
         mats = self.matrices
-        best = 0.0
         for j, a in enumerate(mats):
             others = mats[:j] + mats[j + 1:]
             for b in numerics.batches(len(others), a.size):
-                best = max(best, float(numerics.opnorm(a @ np.stack(others[b])).max()))
-        return best
+                yield a @ np.stack(others[b])
+
+    @property
+    def cross_talk(self) -> float:
+        """max over j != k of ||P_j P_k||; k(k-1) norms on every read, taken
+        as stacked opnorms over the batches of ``_cross_products``."""
+        return max((float(numerics.opnorm(c).max()) for c in self._cross_products()),
+                   default=0.0)
+
+    def disjoint(self, tol: float) -> bool:
+        """Whether cross_talk <= tol, without SVDs when the Frobenius norms
+        ||P_j P_k||_F (upper bounds) of the same products already are.
+
+        The Frobenius pass is conclusive only below tol (1 - 1e-12), a margin
+        for the rounding of both norms; above it the exact cross_talk decides.
+        """
+        fro = max((float(np.linalg.norm(c, axis=(1, 2)).max()) for c in self._cross_products()),
+                  default=0.0)
+        return fro <= tol * (1.0 - 1e-12) or self.cross_talk <= tol
 
     @property
     def sum_residual(self) -> float:
@@ -157,18 +193,20 @@ def family_from_gaps(t_mat, gap_abscissae, alpha: float, p: float, theta: float 
                      tol: float = 1e-8) -> ProjectionFamily:
     """Riesz projections for the gap contours between consecutive abscissae.
 
-    A contour failing the margin gate of ``riesz_projection`` raises
-    ContourSpectrumError naming the abscissa pair.
+    One Schur form of T serves every contour.  A contour failing the margin
+    gate of ``riesz_projection`` raises ContourSpectrumError naming the
+    abscissa pair.
     """
     t_mat = numerics.as_matrix(t_mat)
     xs = [float(x) for x in gap_abscissae]
     if len(xs) < 2 or any(b <= a for a, b in zip(xs, xs[1:])):
         raise InputError("need at least two strictly increasing gap abscissae")
+    schur = schur_form(t_mat)
     labelled = []
     for xl, xr in zip(xs, xs[1:]):
         contour = contours_mod.gap_contour(xl, xr, alpha, p, theta=theta)
         try:
-            proj = riesz_projection(t_mat, contour, tol=tol)
+            proj = riesz_projection(t_mat, contour, tol=tol, schur=schur)
         except ContourSpectrumError as exc:
             raise ContourSpectrumError("gap contour (%g, %g): %s" % (xl, xr, exc),
                                        margin=exc.margin, abscissae=(xl, xr)) from exc

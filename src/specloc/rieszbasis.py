@@ -140,7 +140,7 @@ def sign_pattern_constant(family: ProjectionFamily, seed: int = 0) -> float:
     mats = family.matrices
     if not mats:
         raise InputError("family is empty")
-    if family.cross_talk > 1e-6:
+    if not family.disjoint(1e-6):
         raise InputError("projections are not pairwise disjoint (P_j P_k != 0)")
     m = len(mats)
     if m <= SIGN_EXHAUSTIVE_MAX:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -37,6 +38,21 @@ def triple_spec(tmp_path):
         "S": {"kind": "randomGaussian", "seed": 7, "scale": 0.2},
         "p": 0.5,
     })
+
+
+@pytest.fixture
+def hamiltonian_spec(tmp_path):
+    """T = [[iR, B], [C, iR]], R = diag(4, 8, 12), as G.rays plus S."""
+    b = [[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 1.1]]
+    c = [[0.9, -0.1, 0.0], [-0.1, 1.2, 0.2], [0.0, 0.2, 0.7]]
+    return write_json(tmp_path / "ham.json", {
+        "G": {"rays": [{"theta": math.pi / 2, "radii": [4.0, 8.0, 12.0] * 2}]},
+        "S": {"kind": "offdiagonalBlock", "B": b, "C": c},
+        "p": 0.0,
+    })
+
+
+HAMILTONIAN_GAPS = ["--abscissas", "2,6,10,14", "--alpha", "2"]
 
 
 class TestSubord:
@@ -124,6 +140,17 @@ class TestProject:
         assert labels == ["gap[3,7]", "gap[7,11]"]
 
 
+    def test_commutator_residual(self, hamiltonian_spec, tmp_path):
+        out = tmp_path / "report.json"
+        assert cli.main(["project", "--input", hamiltonian_spec, "--out", str(out),
+                         *HAMILTONIAN_GAPS]) == 0
+        report = read_report(out)
+        assert [p["rank"] for p in report["projections"]] == [2, 2, 2]
+        for p in report["projections"]:
+            assert p["idempotencyResidual"] <= 1e-8
+            assert p["commutatorResidual"] <= 1e-8
+
+
 class TestRieszConst:
     def test_chain_holds(self, triple_spec, tmp_path):
         out = tmp_path / "report.json"
@@ -187,6 +214,14 @@ class TestSweepAndDemo:
             assert cli.main(["sweep", "--seeds", "3", "--out", str(out),
                              "--no-timestamp"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("command", ["project", "rieszconst"])
+    def test_gap_family_deterministic_bytes(self, hamiltonian_spec, tmp_path, command):
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert cli.main([command, "--input", hamiltonian_spec, "--out", str(out),
+                             *HAMILTONIAN_GAPS, "--no-timestamp"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_seed_range_parsing(self):
         assert cli._parse_seed_range("2..5") == [2, 3, 4, 5]

@@ -4,8 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from specloc import contours, numerics, projections
+from specloc import contours, instances, numerics, projections
 from specloc.errors import AmbiguousClusterError, ContourSpectrumError, InputError
 
 
@@ -55,6 +56,68 @@ class TestRieszProjection:
         family = projections.make_family([("c%d" % k, m) for k, m in enumerate(mats)])
         assert family.sum_residual <= 1e-8
         assert family.cross_talk <= 1e-8
+
+
+def lu_reference(t, contour, tol=1e-8):
+    """The quadrature with one LU solve of T - z against I per gate point:
+    (projection, margins of every pass)."""
+    ident = np.eye(len(t), dtype=complex)
+    margins = []
+    while True:
+        acc = np.zeros_like(ident)
+        for k, z in enumerate(contour.gate_points):
+            resolvent = np.linalg.solve(t - z * ident, ident)
+            margins.append(1.0 / np.linalg.norm(resolvent))
+            if k < len(contour.weights):
+                acc += contour.weights[k] * resolvent
+        proj = (1j / (2.0 * np.pi)) * acc
+        if np.linalg.norm(proj @ proj - proj) <= tol:
+            return proj, margins
+        contour = contour.refined(2)
+
+
+class TestTriangularPath:
+    @staticmethod
+    def contours_for(values):
+        # the circle |z| = 2 separates the groups; the gap contour boxes the
+        # largest eigenvalue
+        top = values[np.argmax(abs(values))]
+        return [contours.circle(0.0, 2.0, 64),
+                contours.gap_contour(abs(top) - 0.25, abs(top) + 0.25, 1.0, 0.5,
+                                     theta=float(np.angle(top)))]
+
+    def test_agrees_with_lu_reference(self, monkeypatch):
+        t, values, _, _ = instances.diagonalizable_instance(0)
+        margins = []
+        resolve = projections._triangular_resolvent
+
+        def recording(r, z):
+            inverse, margin = resolve(r, z)
+            margins.append(margin)
+            return inverse, margin
+
+        monkeypatch.setattr(projections, "_triangular_resolvent", recording)
+        for contour in self.contours_for(values):
+            margins.clear()
+            p = projections.riesz_projection(t, contour)
+            p_ref, margins_ref = lu_reference(t, contour)
+            assert np.linalg.norm(p) > 0.5
+            assert np.linalg.norm(p - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
+            assert len(margins) == len(margins_ref)
+            np.testing.assert_allclose(margins, margins_ref, rtol=1e-12, atol=0.0)
+
+    def test_one_schur_form_per_family(self, monkeypatch):
+        calls = []
+        schur = scipy.linalg.schur
+        monkeypatch.setattr(scipy.linalg, "schur",
+                            lambda *a, **kw: calls.append(1) or schur(*a, **kw))
+        t = np.diag([1.0, 5.0, 9.0, 13.0])
+        family = projections.family_from_gaps(t, [3.0, 7.0, 11.0, 15.0], 1.0, 0.5)
+        assert len(family.entries) == 3
+        assert len(calls) == 1
+        # a plain call computes its own form
+        projections.riesz_projection(t, contours.circle(1.0, 1.0, 32))
+        assert len(calls) == 2
 
 
 class TestOracle:

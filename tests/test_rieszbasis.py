@@ -172,9 +172,9 @@ class TestSignPatterns:
         monkeypatch.setattr(numerics, "opnorm",
                             lambda a: normed.append(len(a) if np.ndim(a) == 3 else 1) or opnorm(a))
         rieszbasis.sign_pattern_constant(family)
-        # matrices normed: 5 * 4 cross-talk products for the disjointness
-        # check, then 2^4 pattern sums
-        assert sum(normed) == 5 * 4 + 2**4
+        # matrices normed: the Frobenius pass settles the disjointness check
+        # without opnorms, then 2^4 pattern sums
+        assert sum(normed) == 2**4
 
     @staticmethod
     def sampled_norms(family, seed):
@@ -209,6 +209,26 @@ class TestSignPatterns:
         family = projections.make_family([("a", mats[0]), ("b", mats[1])])
         with pytest.raises(InputError):
             rieszbasis.sign_pattern_constant(family)
+
+    @pytest.mark.parametrize("eps, disjoint", [(0.9e-6, True), (1.1e-6, False)])
+    def test_inconclusive_frobenius_falls_back_to_exact(self, monkeypatch, eps, disjoint):
+        # P_a P_b = [[0, eps I], [0, 0]] has ||.|| = eps but ||.||_F = eps sqrt(2)
+        # > 1e-6, and P_b P_a = 0: the exact cross talk decides either way
+        e = np.eye(2)
+        family = projections.make_family([
+            ("a", np.block([[e, 0 * e], [0 * e, 0 * e]])),
+            ("b", np.block([[0 * e, eps * e], [0 * e, e]]))])
+        normed = []
+        opnorm = numerics.opnorm
+        monkeypatch.setattr(numerics, "opnorm",
+                            lambda a: normed.append(len(a) if np.ndim(a) == 3 else 1) or opnorm(a))
+        if disjoint:
+            np.testing.assert_allclose(rieszbasis.sign_pattern_constant(family), 1.0, rtol=1e-5)
+            assert sum(normed) == 2 * 1 + 2**1
+        else:
+            with pytest.raises(InputError, match="not pairwise disjoint"):
+                rieszbasis.sign_pattern_constant(family)
+            assert sum(normed) == 2 * 1
 
     def test_accepts_overlap_below_tolerance(self):
         # P_a P_b = [[0, 1e-8], [0, 0]] and P_b P_a = 0: the cross talk 1e-8
