@@ -1,7 +1,10 @@
 """Block operator matrices T = [[A, B], [C, D]] with normal diagonal part,
 and the Hamiltonian special case T = [[A, B], [C, A]] with A skew-adjoint.
 
-The off-diagonal part S = [[0, B], [C, 0]] is p-subordinate to G = diag(A, D)
+A block operator is the model T = G + S with G = diag(A, D) and
+S = [[0, B], [C, 0]]: ``assemble_block`` checks the block split and the
+normality of A and D one block at a time (a test on G alone is looser), then
+builds the system through ``operators.assemble``.  S is p-subordinate to G
 with constant max of the individual subordination constants of B relative to
 D and C relative to A.  For the Hamiltonian case (p = 0) the spectrum is
 symmetric about the imaginary axis, confined to discs |z - i r_k| <= b, and
@@ -15,50 +18,26 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import numerics
+from . import numerics, operators
 from .errors import DimensionError, InputError
-from .operators import MAX_DIMENSION, PerturbedSystem, rays_from_values
 
 
-def _require_normal(m: np.ndarray, name: str):
-    norm = numerics.opnorm(m)
-    residual = numerics.opnorm(m @ m.conj().T - m.conj().T @ m)
-    if residual > 1e-10 * max(norm**2, 1.0):
-        raise InputError("%s is not normal (commutator norm %.3e)" % (name, residual))
+def assemble_block(a, b, c, d, p: float) -> operators.PerturbedSystem:
+    """Assemble T = [[A, B], [C, D]] as the perturbed system G + S with
+    G = diag(A, D) and S = [[0, B], [C, 0]].
 
-
-def assemble_block(a, b, c, d, p: float) -> PerturbedSystem:
-    """Assemble T = [[A, B], [C, D]] as a perturbed system (G diagonal part).
-
-    A and D must be normal with ray-localized spectra.  Note G is block
-    diagonal (not necessarily diagonal), so the returned system carries the
-    derived ray spectrum explicitly.
+    A and D must each be normal, with spectra on rays; B must be
+    dim A x dim D and C dim D x dim A.
     """
     a = numerics.as_matrix(a)
     d = numerics.as_matrix(d)
-    b = np.array(b, dtype=complex)
-    c = np.array(c, dtype=complex)
-    if b.ndim != 2 or c.ndim != 2:
-        raise DimensionError("off-diagonal blocks must be matrices")
-    if not (np.all(np.isfinite(b.real)) and np.all(np.isfinite(b.imag))
-            and np.all(np.isfinite(c.real)) and np.all(np.isfinite(c.imag))):
-        raise InputError("off-diagonal blocks must be finite")
-    n1, n2 = a.shape[0], d.shape[0]
-    if b.shape != (n1, n2) or c.shape != (n2, n1):
-        raise DimensionError("off-diagonal blocks do not match A (%d) and D (%d)" % (n1, n2))
-    if n1 + n2 > MAX_DIMENSION:
-        raise DimensionError("dimension %d exceeds cap %d" % (n1 + n2, MAX_DIMENSION))
-    p = float(p)
-    if not (0.0 <= p < 1.0):
-        raise InputError("p must lie in [0, 1)")
-    _require_normal(a, "A")
-    _require_normal(d, "D")
-    g = scipy.linalg.block_diag(a, d).astype(complex)
-    s = np.zeros_like(g)
-    s[:n1, n1:] = b
-    s[n1:, :n1] = c
-    values = np.concatenate([np.linalg.eigvals(a), np.linalg.eigvals(d)])
-    return PerturbedSystem(g=g, s=s, t=g + s, p=p, ray_spec=rays_from_values(values))
+    s = operators.offdiagonal_block(b, c)
+    if np.shape(b) != (a.shape[0], d.shape[0]):
+        raise DimensionError("off-diagonal blocks do not match A (%d) and D (%d)"
+                             % (a.shape[0], d.shape[0]))
+    operators.require_normal(a, "A")
+    operators.require_normal(d, "D")
+    return operators.assemble(scipy.linalg.block_diag(a, d), s, p)
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +96,12 @@ class HamiltonianModel:
 def fundamental_symmetries(n: int):
     """J1 = [[0, -iI], [iI, 0]] and J2 = [[0, I], [I, 0]] on C^{2n}."""
     ident = np.eye(n, dtype=complex)
-    zero = np.zeros((n, n), dtype=complex)
-    j1 = np.block([[zero, -1j * ident], [1j * ident, zero]])
-    j2 = np.block([[zero, ident], [ident, zero]])
-    return j1, j2
+    return (operators.offdiagonal_block(-1j * ident, 1j * ident),
+            operators.offdiagonal_block(ident, ident))
 
 
-def build_hamiltonian(model: HamiltonianModel) -> PerturbedSystem:
+def build_hamiltonian(model: HamiltonianModel) -> operators.PerturbedSystem:
     """Assemble the Hamiltonian block system (p = 0)."""
-    n = model.n
-    if 2 * n > MAX_DIMENSION:
-        raise DimensionError("dimension %d exceeds cap %d" % (2 * n, MAX_DIMENSION))
     a = 1j * np.diag(np.asarray(model.r_seq, dtype=float)).astype(complex)
     return assemble_block(a, model.b_mat, model.c_mat, a, p=0.0)
 
@@ -148,7 +122,7 @@ class SymmetryReport:
                 and not self.disc_violations)
 
 
-def verify_hamiltonian(system: PerturbedSystem, model: HamiltonianModel,
+def verify_hamiltonian(system: operators.PerturbedSystem, model: HamiltonianModel,
                        tol: float = 1e-8) -> SymmetryReport:
     """Check the structural spectral properties of the Hamiltonian system.
 

@@ -27,7 +27,7 @@ from . import blockop as blockop_mod
 from . import contours as contours_mod
 from . import enclosure as enclosure_mod
 from . import instances, numerics, operators, projections, rieszbasis, spectra, subordination
-from .errors import InputError, SpeclocError
+from .errors import DimensionError, InputError, SpeclocError
 
 SCHEMA_VERSION = 1
 
@@ -92,22 +92,25 @@ def ray_spec_from_json(data: dict) -> operators.RaySpectrumSpec:
     return operators.RaySpectrumSpec(rays=tuple(rays))
 
 
-def perturbation_from_json(data: dict, n: int):
+def perturbation_from_json(data: dict, n: int) -> np.ndarray:
+    """The n x n matrix S of the spec's ``S`` section."""
     s = data.get("S")
     if not isinstance(s, dict) or "kind" not in s:
         raise InputError("spec needs S.kind")
     kind = s["kind"]
     if kind == "dense":
-        return operators.DensePerturbation(entries=_matrix_from_json(s["entries"]))
-    if kind == "randomGaussian":
-        return operators.RandomGaussianPerturbation(seed=int(s["seed"]), scale=float(s["scale"]))
-    if kind == "banded":
-        return operators.BandedPerturbation(seed=int(s["seed"]), scale=float(s["scale"]),
-                                            bandwidth=int(s["bandwidth"]))
-    if kind == "offdiagonalBlock":
-        return operators.OffDiagonalBlockPerturbation(b=_matrix_from_json(s["B"]),
-                                                      c=_matrix_from_json(s["C"]))
-    raise InputError("unknown perturbation kind %r" % kind)
+        m = _matrix_from_json(s["entries"])
+    elif kind == "randomGaussian":
+        m = operators.random_gaussian(n, int(s["seed"]), float(s["scale"]))
+    elif kind == "banded":
+        m = operators.banded(n, int(s["seed"]), float(s["scale"]), int(s["bandwidth"]))
+    elif kind == "offdiagonalBlock":
+        m = operators.offdiagonal_block(_matrix_from_json(s["B"]), _matrix_from_json(s["C"]))
+    else:
+        raise InputError("unknown perturbation kind %r" % kind)
+    if m.shape != (n, n):
+        raise DimensionError("S is %r, expected %dx%d" % (m.shape, n, n))
+    return m
 
 
 @_reading("system spec")
@@ -120,7 +123,7 @@ def system_from_json(data: dict) -> operators.PerturbedSystem:
     if "p" not in data:
         raise InputError("spec needs the subordination exponent p")
     g = operators.build_normal(ray_spec)
-    s = operators.build_perturbation(perturbation_from_json(data, n), n)
+    s = perturbation_from_json(data, n)
     return operators.assemble(g, s, float(data["p"]), ray_spec=ray_spec)
 
 
@@ -379,8 +382,7 @@ def cmd_demo(args) -> int:
     radii = (k**2).astype(float)
     ray_spec = operators.RaySpectrumSpec(rays=(operators.Ray(theta=0.0, radii=tuple(radii)),))
     g = operators.build_normal(ray_spec)
-    s = operators.build_perturbation(
-        operators.RandomGaussianPerturbation(seed=args.seed, scale=0.8), ray_spec.dimension)
+    s = operators.random_gaussian(ray_spec.dimension, args.seed, 0.8)
     system = operators.assemble(g, s, 0.5, ray_spec=ray_spec)
     b = subordination.subordination_bound(system.s, system.g, system.p).bound
     alpha = 1.5 * b

@@ -215,9 +215,13 @@ def enclose(system: PerturbedSystem, alpha_factor: float, epsilon: float | None 
     alpha_factor b (0.1 when b = 0); unless given, epsilon = (b/alpha + 1)/2
     and psi = min(pi/4, half the smallest ray separation).  r0 comes from
     ``certified_r0`` on exactly these values, and every eigenvalue of T is
-    checked against the region they define.
+    checked against the region they define.  An infinite b (S not vanishing
+    on ker G while p > 0) raises InputError.
     """
     b = float(subordination.subordination_bound(system.s, system.g, system.p).bound)
+    if math.isinf(b):
+        raise InputError("S is not p-subordinate to G (p = %g): S does not vanish on ker G"
+                         % system.p)
     alpha = float(alpha_factor) * b if b > 0.0 else 0.1
     if epsilon is None:
         epsilon = (b / alpha + 1.0) / 2.0

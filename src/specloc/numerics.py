@@ -9,6 +9,8 @@ and probe set is reproducible and independent of evaluation order.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,12 @@ def as_matrix(a) -> np.ndarray:
     if m.size and not np.all(np.isfinite(m)):
         raise InputError("matrix contains non-finite entries")
     return m
+
+
+def is_diagonal(m) -> bool:
+    """True when every off-diagonal entry of the square matrix ``m`` is exactly 0."""
+    m = np.asarray(m)
+    return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
 
 
 def opnorm(a) -> float | np.ndarray:
@@ -89,15 +97,19 @@ def svd_extremes(a) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues in deterministic order with matching unit eigenvectors.
-
-    ``condition_estimate`` is the 2-norm condition number of the eigenvector
-    matrix (infinite / huge for defective inputs).
-    """
+    """Eigenvalues in deterministic order with matching unit eigenvectors."""
 
     values: np.ndarray
     vectors: np.ndarray
-    condition_estimate: float
+
+    @functools.cached_property
+    def condition_estimate(self) -> float:
+        """2-norm condition number of the eigenvector matrix (infinite / huge
+        for defective inputs); its SVD runs on first read."""
+        if not self.vectors.size:
+            return 1.0
+        sv = np.linalg.svd(self.vectors, compute_uv=False)
+        return max(float(sv[0] / sv[-1]), 1.0) if sv[-1] > 0.0 else math.inf
 
 
 def _eig_order(values: np.ndarray) -> np.ndarray:
@@ -135,6 +147,4 @@ def eig(a) -> EigenDecomposition:
             "eigenpair residual %.3e exceeds %.1e * ||A||" % (worst, EIG_RESIDUAL_RTOL),
             residual=worst,
         )
-    sv = np.linalg.svd(vectors, compute_uv=False) if a.shape[0] else np.array([1.0])
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
-    return EigenDecomposition(values=values, vectors=vectors, condition_estimate=max(cond, 1.0))
+    return EigenDecomposition(values=values, vectors=vectors)

@@ -1,9 +1,11 @@
-"""Construction of normal operators with ray-localized spectra and their
-perturbations.
+"""Normal operators with ray-localized spectra, perturbation builders, and
+``assemble``, the one constructor of perturbed systems T = G + S.
 
-A normal model operator G is diagonal with eigenvalues e^{i theta_j} r on
-finitely many rays; perturbations S are dense/banded/random/block matrices.
-Everything is a finite matrix, capped at dimension 512.
+``build_normal`` gives the diagonal G with eigenvalues e^{i theta_j} r on
+finitely many rays; ``random_gaussian``, ``banded`` and ``offdiagonal_block``
+(the one writer of [[0, B], [C, 0]]) give S.  ``assemble`` accepts any normal
+G with its spectrum on rays, block-diagonal ones included.  Everything is a
+finite matrix, capped at dimension 512.
 """
 
 from __future__ import annotations
@@ -84,52 +86,24 @@ class RaySpectrumSpec:
         return float(gaps.min())
 
 
-def build_normal(spec: RaySpectrumSpec) -> np.ndarray:
-    """Diagonal matrix with the spec's eigenvalues, in declaration order."""
-    n = spec.dimension
+def _check_dimension(n: int):
     if n > MAX_DIMENSION:
         raise DimensionError("dimension %d exceeds cap %d" % (n, MAX_DIMENSION))
+
+
+def build_normal(spec: RaySpectrumSpec) -> np.ndarray:
+    """Diagonal matrix with the spec's eigenvalues, in declaration order."""
+    _check_dimension(spec.dimension)
     return np.diag(spec.eigenvalues())
 
 
 # ---------------------------------------------------------------------------
-# perturbation specifications
+# perturbation builders
 
 
-@dataclass(frozen=True)
-class DensePerturbation:
-    """Explicit complex entries."""
-
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
-class RandomGaussianPerturbation:
-    """Seeded complex Gaussian matrix, rescaled to operator norm ``scale``."""
-
-    seed: int
-    scale: float
-
-
-@dataclass(frozen=True)
-class BandedPerturbation:
-    """Seeded Gaussian entries restricted to a band, rescaled to ``scale``."""
-
-    seed: int
-    scale: float
-    bandwidth: int
-
-
-@dataclass(frozen=True)
-class OffDiagonalBlockPerturbation:
-    """S = [[0, B], [C, 0]] on a two-component space."""
-
-    b: np.ndarray
-    c: np.ndarray
-
-
-def _gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return numerics.gaussian(rng, shape) / np.sqrt(2.0)
+def _seeded_gaussian(n: int, seed: int) -> np.ndarray:
+    _check_dimension(n)
+    return numerics.gaussian(np.random.default_rng(int(seed)), (n, n)) / np.sqrt(2.0)
 
 
 def _rescaled(m: np.ndarray, scale: float) -> np.ndarray:
@@ -143,39 +117,39 @@ def _rescaled(m: np.ndarray, scale: float) -> np.ndarray:
     return m * (scale / norm)
 
 
-def build_perturbation(spec, n: int) -> np.ndarray:
-    """Materialize a perturbation spec as an n x n complex matrix."""
-    if n > MAX_DIMENSION:
-        raise DimensionError("dimension %d exceeds cap %d" % (n, MAX_DIMENSION))
-    if isinstance(spec, DensePerturbation):
-        m = numerics.as_matrix(spec.entries)
-        if m.shape[0] != n:
-            raise DimensionError("dense entries are %dx%d, expected %d" % (*m.shape, n))
-        return m
-    if isinstance(spec, RandomGaussianPerturbation):
-        rng = np.random.default_rng(int(spec.seed))
-        return _rescaled(_gaussian(rng, (n, n)), spec.scale)
-    if isinstance(spec, BandedPerturbation):
-        if spec.bandwidth < 0:
-            raise InputError("bandwidth must be non-negative")
-        rng = np.random.default_rng(int(spec.seed))
-        m = _gaussian(rng, (n, n))
-        i, j = np.indices((n, n))
-        m[np.abs(i - j) > spec.bandwidth] = 0.0
-        if not np.any(m):
-            return np.zeros((n, n), dtype=complex)
-        return _rescaled(m, spec.scale)
-    if isinstance(spec, OffDiagonalBlockPerturbation):
-        b = numerics.as_matrix(spec.b)
-        c = numerics.as_matrix(spec.c)
-        if b.shape != c.shape or 2 * b.shape[0] != n:
-            raise DimensionError("block shapes %r/%r incompatible with n=%d" % (b.shape, c.shape, n))
-        k = b.shape[0]
-        s = np.zeros((n, n), dtype=complex)
-        s[:k, k:] = b
-        s[k:, :k] = c
-        return s
-    raise InputError("unknown perturbation spec %r" % (type(spec).__name__,))
+def random_gaussian(n: int, seed: int, scale: float) -> np.ndarray:
+    """Seeded complex Gaussian n x n matrix, rescaled to operator norm ``scale``."""
+    return _rescaled(_seeded_gaussian(n, seed), scale)
+
+
+def banded(n: int, seed: int, scale: float, bandwidth: int) -> np.ndarray:
+    """Seeded Gaussian entries restricted to ``|i - j| <= bandwidth``, rescaled
+    to operator norm ``scale``."""
+    if bandwidth < 0:
+        raise InputError("bandwidth must be non-negative")
+    m = _seeded_gaussian(n, seed)
+    i, j = np.indices((n, n))
+    m[np.abs(i - j) > bandwidth] = 0.0
+    if not np.any(m):
+        return np.zeros((n, n), dtype=complex)
+    return _rescaled(m, scale)
+
+
+def offdiagonal_block(b, c) -> np.ndarray:
+    """S = [[0, B], [C, 0]] for finite blocks B (k x m) and C (m x k)."""
+    b = np.array(b, dtype=complex)
+    c = np.array(c, dtype=complex)
+    if b.ndim != 2 or c.shape != b.shape[::-1]:
+        raise DimensionError("blocks %r and %r do not form [[0, B], [C, 0]]"
+                             % (b.shape, c.shape))
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+        raise InputError("off-diagonal blocks must be finite")
+    k, n = b.shape[0], sum(b.shape)
+    _check_dimension(n)
+    s = np.zeros((n, n), dtype=complex)
+    s[:k, k:] = b
+    s[k:, :k] = c
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +158,14 @@ def build_perturbation(spec, n: int) -> np.ndarray:
 
 @dataclass
 class PerturbedSystem:
-    """T = G + S with G normal (diagonal in the standard basis here)."""
+    """T = G + S with G normal and its spectrum on the rays of ``ray_spec``;
+    built by ``assemble``."""
 
     g: np.ndarray
     s: np.ndarray
     t: np.ndarray = field(repr=False)
-    p: float = 0.0
-    ray_spec: RaySpectrumSpec | None = None
+    p: float
+    ray_spec: RaySpectrumSpec
 
     @property
     def dimension(self) -> int:
@@ -198,7 +173,7 @@ class PerturbedSystem:
 
     def sigma_g(self) -> np.ndarray:
         """Eigenvalues of G (diagonal entries for diagonal G)."""
-        if not np.any(self.g - np.diag(np.diag(self.g))):
+        if numerics.is_diagonal(self.g):
             return np.diag(self.g).copy()
         return numerics.eig(self.g).values
 
@@ -231,33 +206,48 @@ def rays_from_values(values) -> RaySpectrumSpec:
                                       for r in reps))
 
 
-def assemble(g, s, p: float, ray_spec: RaySpectrumSpec | None = None) -> PerturbedSystem:
-    """Validate and assemble T = G + S.
+def require_normal(m: np.ndarray, name: str):
+    """Raise InputError unless ||M M* - M* M|| <= 1e-10 max(||M||^2, 1);
+    a diagonal M passes without an SVD."""
+    if numerics.is_diagonal(m):
+        return
+    norm = numerics.opnorm(m)
+    residual = numerics.opnorm(m @ m.conj().T - m.conj().T @ m)
+    if residual > 1e-10 * max(norm**2, 1.0):
+        raise InputError("%s is not normal (commutator norm %.3e)" % (name, residual))
 
-    G must be diagonal with its entries on the declared (or inferred) rays;
-    the subordination exponent p must lie in [0, 1).
+
+def assemble(g, s, p: float, ray_spec: RaySpectrumSpec | None = None) -> PerturbedSystem:
+    """Validate and assemble T = G + S; the one constructor of PerturbedSystem.
+
+    G must be normal with its eigenvalues on the declared (or inferred) rays.
+    A diagonal G is its own eigendecomposition; any other G must pass
+    ``require_normal`` and its eigenvalues come from ``np.linalg.eigvals``.
+    The subordination exponent p must lie in [0, 1).
     """
     g = numerics.as_matrix(g)
     s = numerics.as_matrix(s)
     if g.shape != s.shape:
         raise DimensionError("G is %r but S is %r" % (g.shape, s.shape))
-    if g.shape[0] > MAX_DIMENSION:
-        raise DimensionError("dimension %d exceeds cap %d" % (g.shape[0], MAX_DIMENSION))
+    _check_dimension(g.shape[0])
     p = float(p)
     if not (0.0 <= p < 1.0):
         raise InputError("subordination exponent p must lie in [0, 1), got %r" % p)
-    diag = np.diag(g)
-    if numerics.opnorm(g - np.diag(diag)) > 1e-12 * max(numerics.opnorm(g), 1.0):
-        raise InputError("G must be diagonal in the standard basis")
+    if numerics.is_diagonal(g):
+        values = np.diag(g)
+    else:
+        require_normal(g, "G")
+        values = np.linalg.eigvals(g)
     if ray_spec is None:
-        ray_spec = rays_from_values(diag)
+        ray_spec = rays_from_values(values)
     else:
         if ray_spec.dimension != g.shape[0]:
             raise DimensionError(
                 "ray spec dimension %d != matrix dimension %d" % (ray_spec.dimension, g.shape[0])
             )
         want = np.sort_complex(ray_spec.eigenvalues())
-        got = np.sort_complex(diag)
-        if np.max(np.abs(want - got)) > 1e-10 * max(1.0, float(np.max(np.abs(diag), initial=0.0))):
-            raise InputError("diagonal of G does not match the declared ray spectrum")
+        got = np.sort_complex(values)
+        scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
+        if np.max(np.abs(want - got)) > 1e-10 * scale:
+            raise InputError("spectrum of G does not match the declared ray spectrum")
     return PerturbedSystem(g=g, s=s, t=g + s, p=p, ray_spec=ray_spec)

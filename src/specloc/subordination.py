@@ -35,8 +35,8 @@ from .errors import ConvergenceError, InputError
 #: relative width of the certified bracket: bound <= lower (1 + BRACKET_RTOL)
 BRACKET_RTOL = 1e-6
 
-#: relative rounding pad on the upper end.  For a diagonal G (every assembled
-#: system) the SVD returns sigma to a few ulps and V is a phase permutation, so
+#: relative rounding pad on the upper end.  For a diagonal G (as built from
+#: rays) the SVD returns sigma to a few ulps and V is a phase permutation, so
 #: each entry of the scaled pencil D^(-1/2) H D^(-1/2) is a dot product off by
 #: at most n eps times the norms of its two columns.  That moves the pencil by
 #: at most n^2 eps of its norm; eigh and the minorant's powers and logs add
@@ -186,7 +186,7 @@ def subordination_bound(s, g, p: float) -> SubordinationResult:
     v = vgh[~kernel].conj().T
     sigma2 = sg[~kernel] ** 2
     pad = ROUNDING_PAD
-    if np.any(g - np.diag(np.diagonal(g))):
+    if not numerics.is_diagonal(g):
         pad *= (sigma2[0] / sigma2[-1]) ** max(0.5, p)
     if pad >= BRACKET_RTOL:
         raise ConvergenceError("G is too ill-conditioned for a %g bracket: rounding pad %.3g"

@@ -53,6 +53,31 @@ class TestAssembleBlock:
         with pytest.raises(InputError):
             blockop.assemble_block(a, np.zeros((2, 1)), np.zeros((1, 2)), np.diag([1.0]), 0.0)
 
+    def test_normal_non_diagonal_block(self):
+        # A = Q diag(1, 2) Q* for a unitary Q: normal, not diagonal
+        q = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
+        a = q @ np.diag([1.0, 2.0]) @ q.conj().T
+        assert not numerics.is_diagonal(a)
+        d = np.diag([3.0j])
+        system = blockop.assemble_block(a, np.zeros((2, 1)), np.zeros((1, 2)), d, 0.0)
+        np.testing.assert_allclose(sorted(system.ray_spec.thetas), [0.0, np.pi / 2], atol=1e-12)
+        got = sorted(system.sigma_g(), key=lambda z: (z.real, z.imag))
+        np.testing.assert_allclose(got, [3.0j, 1.0, 2.0], atol=1e-12)
+
+    def test_normality_is_checked_per_block(self):
+        # diag(A, D) passes the commutator test at the scale of ||D|| = 100,
+        # but A alone is not normal at its own scale
+        a = np.array([[1.0, 1e-4], [0.0, 1.0]])
+        d = 100.0 * np.eye(2)
+        with pytest.raises(InputError):
+            blockop.assemble_block(a, np.zeros((2, 2)), np.zeros((2, 2)), d, 0.0)
+
+    def test_rejects_wrong_block_split(self):
+        # total size 3 either way, but B must be 1x2 for A 1x1 and D 2x2
+        with pytest.raises(DimensionError):
+            blockop.assemble_block(np.eye(1), np.zeros((2, 1)), np.zeros((1, 2)),
+                                   np.eye(2), 0.0)
+
 
 class TestHamiltonianModel:
     def model(self, **kw):

@@ -285,6 +285,28 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith("specloc: input error: ")
         assert not (tmp_path / "report.json").exists()
 
+    def test_infinite_bound_blames_the_kernel(self, tmp_path, capsys):
+        # G has the eigenvalue 0 and p > 0: S does not vanish on ker G
+        spec = write_json(tmp_path / "kernel.json", {
+            "G": {"rays": [{"theta": 0.0, "radii": [0.0, 1.0, 4.0]}]},
+            "S": {"kind": "randomGaussian", "seed": 1, "scale": 0.3},
+            "p": 0.5,
+        })
+        assert cli.main(["enclosure", "--input", spec]) == 2
+        err = capsys.readouterr().err
+        assert "not p-subordinate" in err and "ker G" in err
+        assert "alpha" not in err
+
+    @pytest.mark.parametrize("s", [
+        {"kind": "dense", "entries": np.eye(3).tolist()},
+        {"kind": "offdiagonalBlock", "B": [[1.0]], "C": [[1.0]]},
+    ], ids=["dense", "offdiagonal-block"])
+    def test_perturbation_size_must_match_rays(self, tmp_path, capsys, s):
+        spec = write_json(tmp_path / "size.json", {
+            "G": {"rays": [{"theta": 0.0, "radii": [1.0, 4.0, 9.0, 16.0]}]}, "S": s, "p": 0.5})
+        assert cli.main(["subord", "--input", spec]) == 2
+        assert capsys.readouterr().err.startswith("specloc: input error: ")
+
     def test_unknown_flag(self, basic_spec):
         assert cli.main(["subord", "--input", basic_spec, "--bogus"]) == 2
 

@@ -53,9 +53,38 @@ class TestEig:
         with pytest.raises(InputError):
             numerics.eig(np.ones((2, 3)))
 
+    def test_condition_svd_runs_only_when_read(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        a = np.array([[1.0, 2.0], [0.0, 3.0]])
+        dec = numerics.eig(a)
+        assert len(calls) == 1  # the opnorm of the residual scale
+        cond = dec.condition_estimate
+        assert len(calls) == 2
+        assert dec.condition_estimate == cond
+        assert len(calls) == 2
+        sv = svd(dec.vectors, compute_uv=False)
+        assert cond == max(float(sv[0] / sv[-1]), 1.0)
+
     def test_rejects_nan(self):
         with pytest.raises(InputError):
             numerics.eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+class TestIsDiagonal:
+    def test_exact_zeros_only(self):
+        assert numerics.is_diagonal(np.diag([1.0, 2.0j, 0.0]))
+        assert numerics.is_diagonal(np.zeros((3, 3)))
+        assert numerics.is_diagonal(np.zeros((0, 0)))
+        off = np.diag([1.0, 2.0]).astype(complex)
+        off[1, 0] = 1e-300j
+        assert not numerics.is_diagonal(off)
 
 
 class TestSvdExtremes:

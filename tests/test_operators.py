@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from specloc import numerics, operators
+from specloc import cli, numerics, operators
 from specloc.errors import DimensionError, InputError
 
 
@@ -54,27 +54,24 @@ class TestBuildNormal:
 class TestBuildPerturbation:
     def test_dense_passthrough(self):
         m = np.array([[0.0, 1.0], [2.0, 0.0]])
-        s = operators.build_perturbation(operators.DensePerturbation(entries=m), 2)
+        s = cli.perturbation_from_json({"S": {"kind": "dense", "entries": m.tolist()}}, 2)
         np.testing.assert_array_equal(s, m.astype(complex))
 
     def test_gaussian_norm_matches_scale(self):
-        spec = operators.RandomGaussianPerturbation(seed=42, scale=0.37)
-        s = operators.build_perturbation(spec, 16)
+        s = operators.random_gaussian(16, seed=42, scale=0.37)
         np.testing.assert_allclose(numerics.opnorm(s), 0.37, atol=1e-10)
 
     def test_gaussian_deterministic(self):
-        spec = operators.RandomGaussianPerturbation(seed=9, scale=1.0)
-        s1 = operators.build_perturbation(spec, 8)
-        s2 = operators.build_perturbation(spec, 8)
+        s1 = operators.random_gaussian(8, seed=9, scale=1.0)
+        s2 = operators.random_gaussian(8, seed=9, scale=1.0)
         np.testing.assert_array_equal(s1, s2)
 
     def test_gaussian_zero_scale(self):
-        s = operators.build_perturbation(operators.RandomGaussianPerturbation(seed=1, scale=0.0), 4)
+        s = operators.random_gaussian(4, seed=1, scale=0.0)
         assert not np.any(s)
 
     def test_banded_pattern(self):
-        spec = operators.BandedPerturbation(seed=3, scale=1.0, bandwidth=1)
-        s = operators.build_perturbation(spec, 6)
+        s = operators.banded(6, seed=3, scale=1.0, bandwidth=1)
         i, j = np.indices((6, 6))
         assert not np.any(s[np.abs(i - j) > 1])
         assert np.all(s[np.abs(i - j) <= 1] != 0.0)
@@ -83,12 +80,12 @@ class TestBuildPerturbation:
     def test_offdiagonal_block_layout(self):
         b = np.array([[1.0]])
         c = np.array([[2.0]])
-        s = operators.build_perturbation(operators.OffDiagonalBlockPerturbation(b=b, c=c), 2)
+        s = operators.offdiagonal_block(b, c)
         np.testing.assert_array_equal(s, [[0.0, 1.0], [2.0, 0.0]])
 
     def test_dense_wrong_shape(self):
         with pytest.raises(DimensionError):
-            operators.build_perturbation(operators.DensePerturbation(entries=np.eye(3)), 2)
+            cli.perturbation_from_json({"S": {"kind": "dense", "entries": np.eye(3).tolist()}}, 2)
 
 
 class TestAssemble:
@@ -125,6 +122,24 @@ class TestAssemble:
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DimensionError):
             operators.assemble(np.diag([1.0, 2.0]), np.zeros((3, 3)), 0.5)
+
+    def test_accepts_normal_non_diagonal_g(self):
+        # G = Q diag(1, 2, 3i) Q* with a real rotation Q in the first two coordinates
+        c, s = np.cos(0.3), np.sin(0.3)
+        q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        g = q @ np.diag([1.0, 2.0, 3.0j]) @ q.T
+        system = operators.assemble(g, np.zeros((3, 3)), 0.5)
+        np.testing.assert_allclose(sorted(system.ray_spec.thetas), [0.0, np.pi / 2], atol=1e-12)
+        got = sorted(system.sigma_g(), key=lambda z: (z.real, z.imag))
+        np.testing.assert_allclose(got, [3.0j, 1.0, 2.0], atol=1e-12)
+
+    def test_diagonal_g_takes_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("assemble took an SVD of a diagonal G")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        system = operators.assemble(np.diag([1.0, 2.0, 3.0j]), np.ones((3, 3)), 0.5)
+        np.testing.assert_array_equal(system.sigma_g(), [1.0, 2.0, 3.0j])
 
     def test_rejects_non_diagonal_g(self):
         g = np.array([[1.0, 0.5], [0.0, 2.0]])
