@@ -13,7 +13,7 @@ kept away from the imaginary axis by the positivity floor gamma of B and C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -56,6 +56,8 @@ class HamiltonianModel:
     c_mat: np.ndarray
     gamma: float
     l: float
+    #: b = max(||B||, ||C||), computed once in __post_init__
+    subordination_norm: float = field(init=False)
 
     def __post_init__(self):
         r = tuple(float(x) for x in self.r_seq)
@@ -66,15 +68,17 @@ class HamiltonianModel:
         n = len(r)
         if bm.shape != (n, n) or cm.shape != (n, n):
             raise DimensionError("B and C must be %dx%d" % (n, n))
+        norms = []
         for name, m in (("B", bm), ("C", cm)):
-            if numerics.opnorm(m - m.conj().T) > 1e-12 * max(numerics.opnorm(m), 1.0):
+            norms.append(numerics.opnorm(m))
+            if numerics.opnorm(m - m.conj().T) > 1e-12 * max(norms[-1], 1.0):
                 raise InputError("%s must be self-adjoint" % name)
             low = float(np.min(np.linalg.eigvalsh(m)))
             if low < float(self.gamma) - 1e-12:
                 raise InputError("%s has eigenvalue %.6g below gamma=%.6g" % (name, low, self.gamma))
         if float(self.gamma) <= 0.0:
             raise InputError("gamma must be positive")
-        bound = max(numerics.opnorm(bm), numerics.opnorm(cm))
+        bound = max(norms)
         if not (float(self.l) > bound):
             raise InputError("need l > max(||B||, ||C||) = %.6g" % bound)
         offenders = [k for k in range(n - 1) if r[k + 1] - r[k] < 2.0 * float(self.l) - 1e-12]
@@ -83,14 +87,11 @@ class HamiltonianModel:
         object.__setattr__(self, "r_seq", r)
         object.__setattr__(self, "b_mat", bm)
         object.__setattr__(self, "c_mat", cm)
+        object.__setattr__(self, "subordination_norm", bound)
 
     @property
     def n(self) -> int:
         return len(self.r_seq)
-
-    @property
-    def subordination_norm(self) -> float:
-        return max(numerics.opnorm(self.b_mat), numerics.opnorm(self.c_mat))
 
 
 def fundamental_symmetries(n: int):

@@ -7,7 +7,8 @@ S is p-subordinate to G with bound b when
 By weighted AM-GM, ||u||^(2-2p) ||G u||^(2p) is the minimum over t > 0 of
 u* ((1-p) t^p + p t^(p-1) G*G) u, attained at t = ||G u||^2 / ||u||^2.
 Swapping the two suprema turns the minimal b into a one-parameter pencil
-problem.  With G = U diag(sigma) V* and H = (S V)* (S V),
+problem.  With G = U diag(sigma) V* (for a diagonal G, sigma = |g_ii| and V
+a permutation, with no SVD) and H = (S V)* (S V),
 
     b^2 = max over t in [sigma_min^2, sigma_max^2] of lambda_max(H, D(t)),
     D(t) = diag((1-p) t^p + p t^(p-1) sigma_i^2).
@@ -17,9 +18,10 @@ In log t each diagonal entry d_i of D is convex with its minimum at sigma_i^2,
 so on a cell [a, c] its tangent at clip(sigma_i^2, a, c) is a minorant that is
 linear in log t and never below the cell minimum.  lambda_max(H, D) decreases
 as D grows, so lambda_max of the minorant pencil at the two cell ends bounds
-the whole cell from above, to second order in the cell width.  Top
-eigenvectors of the same pencils are witnesses; the best witness's ratio,
-evaluated directly, is the lower end.
+the whole cell from above, to second order in the cell width.  Only the top
+eigenpair of each scaled pencil is computed, one LAPACK zheevr call each.
+Its eigenvectors are witnesses; the best witness's ratio, evaluated directly
+and rounded down by 4 (n + 1) eps, is the lower end.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import numerics
 from .errors import ConvergenceError, InputError
@@ -36,11 +39,13 @@ from .errors import ConvergenceError, InputError
 BRACKET_RTOL = 1e-6
 
 #: relative rounding pad on the upper end.  For a diagonal G (as built from
-#: rays) the SVD returns sigma to a few ulps and V is a phase permutation, so
-#: each entry of the scaled pencil D^(-1/2) H D^(-1/2) is a dot product off by
-#: at most n eps times the norms of its two columns.  That moves the pencil by
-#: at most n^2 eps of its norm; eigh and the minorant's powers and logs add
-#: O(n eps).  At the dimension cap n = 512 the sum stays below 6e-11.
+#: rays) sigma is |g_ii| to an ulp and V is a permutation, so each entry of the
+#: scaled pencil D^(-1/2) H D^(-1/2) is a dot product off by at most n eps
+#: times the norms of its two columns.  That moves the pencil by at most
+#: n^2 eps of its norm.  zheevr reduces the pencil with the same zhetrd as a
+#: full eigh, and its top eigenvalue carries the same O(n eps) backward error;
+#: with the minorant's powers and logs that adds O(n eps).  At the dimension
+#: cap n = 512 the sum stays below 6e-11.
 #: For any other G, H carries an absolute error of order n eps ||S||^2, which
 #: the scaling by D >= sigma_min^(2p) and b^2 >= ||S||^2 / sigma_max^(2p) turn
 #: into n eps cond(G)^(2p) relative; the SVD's backward error n eps ||G|| adds
@@ -51,6 +56,9 @@ ROUNDING_PAD = 1e-10
 #: in log t, or when a level would hold more than MAX_CELLS cells
 MAX_DEPTH = 60
 MAX_CELLS = 4096
+
+#: LAPACK's MRRR Hermitian eigensolver, asked for the top eigenpair only
+_HEEVR = scipy.linalg.get_lapack_funcs("heevr", dtype=complex)
 
 
 def _check_pair(s, g):
@@ -90,9 +98,23 @@ class SubordinationResult:
     p: float
     #: certified upper end of the bracket [lower, bound] around the minimal b
     bound: float
-    #: subordination_ratio of the witness: lower <= b <= bound <= lower (1 + BRACKET_RTOL)
+    #: subordination_ratio of the witness rounded down by 4 (n + 1) eps:
+    #: lower <= b <= bound <= lower (1 + BRACKET_RTOL)
     lower: float
     witness: np.ndarray | None
+
+
+def _round_down(ratio: float, n: int) -> float:
+    """A computed witness ratio on C^n, rounded down to a lower end for b.
+
+    With unit roundoff eps/2, the norm of an n-term matrix-vector product
+    whose terms do not cancel is within (3n/2) eps/2 of the exact one, so
+    ||S u||, ||G u||^p and ||u||^(1-p) put the ratio within (7n/4 + O(1)) eps.
+    The pad 4 (n + 1) eps covers that and is 4.6e-13 at n = 512.  Where b is
+    known exactly (diagonal S and G, where nothing cancels) that is a bound;
+    for any other witness it is the usual forward-error allowance.
+    """
+    return ratio * (1.0 - 4.0 * (n + 1) * np.finfo(float).eps)
 
 
 def _column_ratios(s, g, p, u):
@@ -130,16 +152,19 @@ def _minorant(sigma2, p, a, c):
 def _pencil_tops(h, sigma2, p, diags):
     """Top eigenpairs of the pencils (H, diag(d)) for the rows d of diags.
 
-    Batched eigh over ``numerics.batches`` of the pencils.  Returns
-    (lam, u, ratio2): the largest eigenvalues, their eigenvectors u in V
-    coordinates, and the squared subordination ratio of each u.
+    One zheevr call per scaled pencil D^(-1/2) H D^(-1/2), asking for the
+    largest eigenpair only.  Returns (lam, u, ratio2): the largest
+    eigenvalues, their eigenvectors u in V coordinates, and the squared
+    subordination ratio of each u.
     """
+    n = len(sigma2)
     scale = diags**-0.5
     lam, u = np.empty(len(diags)), np.empty(diags.shape, dtype=complex)
-    for batch in numerics.batches(len(diags), h.size):
-        sc = scale[batch]
-        w, vec = np.linalg.eigh(sc[:, :, None] * h * sc[:, None, :])
-        lam[batch], u[batch] = w[:, -1], sc * vec[:, :, -1]
+    for i, sc in enumerate(scale):
+        w, z, _, _, info = _HEEVR(sc[:, None] * h * sc, range="I", lower=1, il=n, iu=n)
+        if info:
+            raise ConvergenceError("zheevr failed with info %d" % info)
+        lam[i], u[i] = w[0], sc * z[:, 0]
     w = np.abs(u) ** 2
     # u* diag(d) u = 1, so ||S V u||^2 = u* H u = lam
     return lam, u, lam / (w.sum(axis=1) ** (1.0 - p) * (w @ sigma2) ** p)
@@ -171,11 +196,17 @@ def subordination_bound(s, g, p: float) -> SubordinationResult:
     if p == 0.0:
         _, sv, vh = np.linalg.svd(s)
         witness = vh[0].conj()
-        lower = subordination_ratio(s, g, p, witness)
-        return SubordinationResult(p, max(float(sv[0]), lower), lower, witness)
+        ratio = subordination_ratio(s, g, p, witness)
+        return SubordinationResult(p, max(float(sv[0]), ratio), _round_down(ratio, n), witness)
 
     # unboundedness: S must vanish on ker G when p > 0
-    _, sg, vgh = np.linalg.svd(g)
+    diagonal = numerics.is_diagonal(g)
+    if diagonal:
+        # a diagonal G is its own SVD: sigma = |g_ii| and V a permutation
+        order = np.argsort(-np.abs(np.diagonal(g)), kind="stable")
+        sg, vgh = np.abs(np.diagonal(g))[order], np.eye(n)[order]
+    else:
+        _, sg, vgh = np.linalg.svd(g)
     kernel = sg <= 1e-12 * max(sg[0], 1.0)
     if np.any(kernel):
         kvecs = vgh[kernel].conj().T
@@ -186,7 +217,7 @@ def subordination_bound(s, g, p: float) -> SubordinationResult:
     v = vgh[~kernel].conj().T
     sigma2 = sg[~kernel] ** 2
     pad = ROUNDING_PAD
-    if not numerics.is_diagonal(g):
+    if not diagonal:
         pad *= (sigma2[0] / sigma2[-1]) ** max(0.5, p)
     if pad >= BRACKET_RTOL:
         raise ConvergenceError("G is too ill-conditioned for a %g bracket: rounding pad %.3g"
@@ -200,7 +231,7 @@ def subordination_bound(s, g, p: float) -> SubordinationResult:
         # a cell end and there bounds lambda_max(H, D(t)) over the whole cell
         lam, u, ratio2 = _pencil_tops(h, sigma2, p, _minorant(sigma2, p, cells[:, 0], cells[:, 1]))
         k = int(np.argmax(ratio2))
-        cand = subordination_ratio(s, g, p, v @ u[k])
+        cand = _round_down(subordination_ratio(s, g, p, v @ u[k]), n)
         if cand > lower:
             lower, best = cand, u[k]
         lam = np.maximum(lam[:len(cells)], lam[len(cells):])

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from specloc import cli, enclosure, rieszbasis, subordination
+from specloc import cli, enclosure, numerics, rieszbasis, subordination
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
 
@@ -163,11 +163,8 @@ class TestRieszConst:
         assert report["cHat"] <= report["cUpper"] + 1e-12
         assert report["basisConstant"] >= 1.0
 
-    def test_one_riesz_constant(self, triple_spec, tmp_path, monkeypatch):
-        calls = []
-        riesz_constant = rieszbasis.riesz_constant
-        monkeypatch.setattr(rieszbasis, "riesz_constant",
-                            lambda f: calls.append(1) or riesz_constant(f))
+    def test_one_riesz_constant(self, triple_spec, tmp_path, count_calls):
+        calls = count_calls(rieszbasis, "riesz_constant")
         assert cli.main(["rieszconst", "--input", triple_spec, "--out", str(tmp_path / "r.json"),
                          "--abscissas", "3,7,11", "--alpha", "1.0"]) == 0
         assert len(calls) == 1
@@ -195,6 +192,18 @@ class TestBlockop:
         })
         out = tmp_path / "report.json"
         assert cli.main(["blockop", "--input", spec, "--out", str(out)]) == 0
+
+    def test_one_norm_each_of_b_and_c(self, tmp_path, count_calls):
+        b, c = np.diag([1.0, 1.2, 0.9]), np.diag([0.8, 0.7, 1.1])
+        spec = write_json(tmp_path / "ham.json", {
+            "hamiltonian": {"rSeq": [10.0, 20.0, 30.0], "B": b.tolist(), "C": c.tolist(),
+                            "gamma": 0.5, "l": 1.5},
+        })
+        normed = count_calls(numerics, "opnorm")
+        out = tmp_path / "report.json"
+        assert cli.main(["blockop", "--input", spec, "--out", str(out)]) == 0
+        assert [sum(np.array_equal(args[0], m) for args, _ in normed) for m in (b, c)] == [1, 1]
+        assert read_report(out)["b"] == 1.2
 
 
 class TestSweepAndDemo:

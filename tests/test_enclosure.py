@@ -221,24 +221,13 @@ class TestResolventDiagnostic:
         assert diag.applicable and diag.t_bound_ok and diag.st_bound_ok
         np.testing.assert_allclose(diag.norm_t_resolvent, 1.0, rtol=1e-12)
 
-    def test_one_svd_of_t_minus_z_and_no_solve_against_t(self, monkeypatch):
+    def test_one_svd_of_t_minus_z_and_no_solve_against_t(self, count_calls):
         system = self.system()
         tz = system.t - 5.0 * np.eye(2)
-        svd, solve = np.linalg.svd, np.linalg.solve
-        full_svds, solved = [], []
-
-        def counting_svd(a, *args, compute_uv=True, **kwargs):
-            if compute_uv:
-                full_svds.append(np.array(a))
-            return svd(a, *args, compute_uv=compute_uv, **kwargs)
-
-        def recording_solve(a, b):
-            solved.append(np.array(a))
-            return solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        svds, solves = count_calls(np.linalg, "svd"), count_calls(np.linalg, "solve")
         assert enclosure.resolvent_diagnostic(system, 5.0, 0.25).applicable
+        full_svds = [args[0] for args, kw in svds if kw.get("compute_uv", True)]
+        solved = [args[0] for args, _ in solves]
         assert len(full_svds) == 1 and np.array_equal(full_svds[0], tz)
         assert not any(np.array_equal(a, tz) for a in solved)
 

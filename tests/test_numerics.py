@@ -53,15 +53,9 @@ class TestEig:
         with pytest.raises(InputError):
             numerics.eig(np.ones((2, 3)))
 
-    def test_condition_svd_runs_only_when_read(self, monkeypatch):
-        calls = []
+    def test_condition_svd_runs_only_when_read(self, count_calls):
         svd = np.linalg.svd
-
-        def counting_svd(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        calls = count_calls(np.linalg, "svd")
         a = np.array([[1.0, 2.0], [0.0, 3.0]])
         dec = numerics.eig(a)
         assert len(calls) == 1  # the opnorm of the residual scale

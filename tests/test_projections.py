@@ -106,11 +106,8 @@ class TestTriangularPath:
             assert len(margins) == len(margins_ref)
             np.testing.assert_allclose(margins, margins_ref, rtol=1e-12, atol=0.0)
 
-    def test_one_schur_form_per_family(self, monkeypatch):
-        calls = []
-        schur = scipy.linalg.schur
-        monkeypatch.setattr(scipy.linalg, "schur",
-                            lambda *a, **kw: calls.append(1) or schur(*a, **kw))
+    def test_one_schur_form_per_family(self, count_calls):
+        calls = count_calls(scipy.linalg, "schur")
         t = np.diag([1.0, 5.0, 9.0, 13.0])
         family = projections.family_from_gaps(t, [3.0, 7.0, 11.0, 15.0], 1.0, 0.5)
         assert len(family.entries) == 3
@@ -157,14 +154,11 @@ class TestMakeFamily:
         assert family.cross_talk <= 1e-10
         assert sum(normed) == 4 + 4 * 3
 
-    def test_one_svd_per_projection_gives_the_range_frame(self, monkeypatch):
+    def test_one_svd_per_projection_gives_the_range_frame(self, count_calls):
         # opnorm's singular-value-only SVDs are counted apart from the frames
-        uv_flags = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd",
-                            lambda *a, **kw: uv_flags.append(kw.get("compute_uv", True))
-                            or svd(*a, **kw))
+        svds = count_calls(np.linalg, "svd")
         family = projections.make_family(skew_projections(3, 7, 4))
+        uv_flags = [kw.get("compute_uv", True) for _, kw in svds]
         assert uv_flags.count(True) == 3
         # and one singular-value-only opnorm per idempotency residual
         assert uv_flags.count(False) == 3

@@ -288,17 +288,11 @@ class TestVerifyEstimate:
         assert [f.shape[1] for f in ranges.frames] == [2, 2, 2]
         assert rieszbasis.riesz_constant(ranges).complete
 
-    def test_range_family_reuses_the_frames(self, monkeypatch):
+    def test_range_family_reuses_the_frames(self, count_calls):
         family = self.family()
-        svd = np.linalg.svd
-        uv_flags = []
-
-        def counted(a, compute_uv=True, **kw):
-            uv_flags.append(compute_uv)
-            return svd(a, compute_uv=compute_uv, **kw)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        svds = count_calls(np.linalg, "svd")
         ranges = rieszbasis.range_family(family)
+        uv_flags = [kw.get("compute_uv", True) for _, kw in svds]
         assert all(f is e.frame for f, e in zip(ranges.frames, family.entries))
         # no frame SVD: only SubspaceFamily's orthonormality opnorm per frame
         assert uv_flags == [False] * len(family.entries)

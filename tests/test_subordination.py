@@ -31,6 +31,18 @@ def multiscale_instance(seed, p, n=24):
     return w[:, None] * low * w[None, :], g
 
 
+def closed_form_case(seed, p):
+    """S = c |G|^p with diagonal G, so b = c exactly; odd seeds tie moduli."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 33))
+    moduli = np.exp(rng.uniform(0.0, np.log(1e4), n))
+    if seed % 2:
+        moduli = rng.choice(moduli[:max(1, n // 3)], size=n)
+    g = np.diag(moduli * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)))
+    c = float(rng.uniform(0.1, 2.0))
+    return c * np.diag(np.abs(np.diag(g)) ** p), g, c
+
+
 class TestRatio:
     def test_analytic_two_by_two(self):
         # max of ||Su|| / (||u||^(1/2) ||Gu||^(1/2)) sits at u = e2
@@ -119,6 +131,34 @@ class TestBound:
         assert res.lower <= c <= res.bound
         assert res.bound <= res.lower * (1.0 + subordination.BRACKET_RTOL)
 
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.8])
+    def test_closed_form_bracket_holds_with_tied_moduli(self, p):
+        # the witness ratio is rounded down, so ties broken at rounding level
+        # cannot lift the lower end above b = c
+        for seed in range(60):
+            s, g, c = closed_form_case(seed, p)
+            res = subordination.subordination_bound(s, g, p)
+            assert res.lower <= c <= res.bound, seed
+
+    def test_diagonal_g_takes_no_svd(self, count_calls):
+        s, g = multiscale_instance(3, 0.5, n=12)
+        svds = count_calls(np.linalg, "svd")
+        res = subordination.subordination_bound(s, g, 0.5)
+        assert svds == []
+        assert_certified(res, s, g, 0.5)
+
+    def test_rotated_g_brackets_overlap(self):
+        # b(Q S Q*, Q G Q*) = b(S, G); the rotated G takes the SVD route and
+        # the pad widened by cond(G)^max(1, 2p)
+        s, g = multiscale_instance(4, 0.5, n=12)
+        g = np.diag(1.0 + np.abs(np.diag(g)) ** 0.25)
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
+        direct = subordination.subordination_bound(s, g, 0.5)
+        rotated = subordination.subordination_bound(q @ s @ q.conj().T, q @ g @ q.conj().T, 0.5)
+        assert max(direct.lower, rotated.lower) <= min(direct.bound, rotated.bound)
+        assert rotated.bound - rotated.lower > direct.bound - direct.lower
+
     def test_non_diagonal_g_widens_rounding_pad(self):
         # S = c |G|^p gives b = c for any G; a non-diagonal G scales the
         # rounding pad by cond(G)^max(1, 2p), here 100 at p = 1/2
@@ -172,3 +212,31 @@ class TestVerifyBound:
 
     def test_zero_samples(self):
         assert subordination.verify_bound(E12, np.eye(2), 0.5, 1.0, sample_count=0) == []
+
+
+class TestPencilTops:
+    @pytest.mark.parametrize("n", [1, 2, 16, 64])
+    def test_agrees_with_full_eigh(self, n):
+        rng = np.random.default_rng(n)
+        s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        sigma = np.exp(rng.uniform(0.0, np.log(1e3), n))
+        p = 0.4
+        h = s.conj().T @ s
+        diags = rng.uniform(0.1, 10.0, (5, n))
+        lam, u, ratio2 = subordination._pencil_tops(h, sigma**2, p, diags)
+        for d, top, vec, r2 in zip(diags, lam, u, ratio2):
+            scaled = h / np.sqrt(np.outer(d, d))
+            ref = np.linalg.eigh(scaled)[0][-1]
+            assert abs(top - ref) <= 1e-14 * ref
+            # u is the pencil eigenvector, z = D^(1/2) u the unit one of the scaled matrix
+            z = np.sqrt(d) * vec
+            np.testing.assert_allclose(np.linalg.norm(z), 1.0, rtol=1e-14)
+            assert np.linalg.norm(scaled @ z - top * z) <= 1e-13 * numerics.opnorm(scaled)
+            ratio = subordination.subordination_ratio(s, np.diag(sigma), p, vec)
+            np.testing.assert_allclose(r2, ratio**2, rtol=1e-12)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        heevr = subordination._HEEVR
+        monkeypatch.setattr(subordination, "_HEEVR", lambda *a, **kw: (*heevr(*a, **kw)[:4], 3))
+        with pytest.raises(ConvergenceError, match="info 3"):
+            subordination.subordination_bound(E12, np.diag([1.0, 4.0]), 0.5)
