@@ -5,12 +5,16 @@ conventions: eigenvalues come back in a fixed order with a residual check,
 and eigenvectors have unit columns.  Seeded randomness comes from
 ``subrng``: one independent stream per (seed, spawn key), so every instance
 and probe set is reproducible and independent of evaluation order.
+Independent batches of stacked work run through ``map_batches``, on one
+worker thread per usable core.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +70,29 @@ def batches(count: int, matrix_entries: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    """The batch pool: one worker per usable core, built on first use."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return ThreadPoolExecutor(max_workers=cores or 1, thread_name_prefix="specloc-batch")
+
+
+def map_batches(fn, count: int, matrix_entries: int) -> list:
+    """``[fn(b) for b in batches(count, matrix_entries)]``, in batch order.
+
+    More than one batch runs on the module's pool, one worker thread per
+    usable core; NumPy releases the GIL inside LAPACK and BLAS, so the
+    batches' SVDs and GEMMs overlap.  Each worker multiplies with BLAS's own
+    threads, so keep BLAS at one thread.  A single batch runs inline.  An
+    exception raised by ``fn`` reaches the caller.  ``fn`` must not itself
+    call ``map_batches``: a worker waiting on its own pool can deadlock.
+    """
+    parts = batches(count, matrix_entries)
+    if len(parts) <= 1:
+        return [fn(b) for b in parts]
+    return list(_pool().map(fn, parts))
+
+
 def subrng(seed: int, *key: int) -> np.random.Generator:
     """Counter-based splitter: independent stream for (seed, key...)."""
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(key)))
@@ -84,15 +111,6 @@ def unit_columns(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     norms = np.linalg.norm(z, axis=0)
     norms[norms == 0.0] = 1.0
     return z / norms
-
-
-def svd_extremes(a) -> tuple[float, float]:
-    """Largest and smallest singular value of a square matrix."""
-    a = as_matrix(a)
-    if a.shape[0] == 0:
-        return 0.0, 0.0
-    s = np.linalg.svd(a, compute_uv=False)
-    return float(s[0]), float(s[-1])
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,11 @@ def sign_pattern_constant(family: ProjectionFamily, seed: int = 0) -> float:
     patterns with eps_0 = +1 since ||-A|| = ||A||; randomized (SIGN_SAMPLES
     patterns) beyond that.  The patterns form one (P, m) array; each batch of
     at most numerics.BATCH_ENTRIES stacked entries is one GEMM for its sums
-    and one stacked ``numerics.opnorm``.
+    and one stacked ``numerics.opnorm``.  The batches run through
+    ``numerics.map_batches`` on one worker thread per usable core, and the
+    maximum does not depend on their order, so the result is the same bit
+    for bit.  The workers multiply with BLAS's own threads: keep BLAS at one
+    thread.
     """
     mats = family.matrices
     if not mats:
@@ -149,8 +153,9 @@ def sign_pattern_constant(family: ProjectionFamily, seed: int = 0) -> float:
     else:
         patterns = numerics.subrng(seed, 4).choice((1.0, -1.0), size=(SIGN_SAMPLES, m))
     stack = np.stack(mats)
-    return max(float(numerics.opnorm(np.tensordot(patterns[b], stack, 1)).max())
-               for b in numerics.batches(len(patterns), stack[0].size))
+    return max(numerics.map_batches(
+        lambda b: float(numerics.opnorm(np.tensordot(patterns[b], stack, 1)).max()),
+        len(patterns), stack[0].size))
 
 
 @dataclass(frozen=True)

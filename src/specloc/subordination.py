@@ -117,6 +117,13 @@ def _round_down(ratio: float, n: int) -> float:
     return ratio * (1.0 - 4.0 * (n + 1) * np.finfo(float).eps)
 
 
+def _round_up(x: float, n: int) -> float:
+    """A computed norm on C^n, rounded up to an upper end for b: the mirror of
+    ``_round_down``, the same 4 (n + 1) eps allowance for gesdd's O(n eps)
+    error in sigma_1 (for S = cI at n = 26..28, sigma_1 came out an ulp below c)."""
+    return x * (1.0 + 4.0 * (n + 1) * np.finfo(float).eps)
+
+
 def _column_ratios(s, g, p, u):
     """Ratio for each unit column of u (columns assumed normalized)."""
     su = np.linalg.norm(s @ u, axis=0)
@@ -173,7 +180,8 @@ def _pencil_tops(h, sigma2, p, diags):
 def subordination_bound(s, g, p: float) -> SubordinationResult:
     """Certified bracket lower <= b <= bound around the minimal constant b.
 
-    p = 0 reduces to the operator norm of S.  When p > 0 and G has a
+    p = 0 reduces to the operator norm of S, whose upper end is sigma_1
+    rounded up by 4 (n + 1) eps (``_round_up``).  When p > 0 and G has a
     numerical kernel that S does not annihilate, the bound is infinite.
     The upper end carries the rounding pad ROUNDING_PAD for a diagonal G and
     ROUNDING_PAD cond(G)^max(1, 2p) for any other G.  Raises ConvergenceError
@@ -197,7 +205,8 @@ def subordination_bound(s, g, p: float) -> SubordinationResult:
         _, sv, vh = np.linalg.svd(s)
         witness = vh[0].conj()
         ratio = subordination_ratio(s, g, p, witness)
-        return SubordinationResult(p, max(float(sv[0]), ratio), _round_down(ratio, n), witness)
+        return SubordinationResult(p, max(_round_up(float(sv[0]), n), ratio),
+                                   _round_down(ratio, n), witness)
 
     # unboundedness: S must vanish on ker G when p > 0
     diagonal = numerics.is_diagonal(g)

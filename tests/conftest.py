@@ -1,6 +1,14 @@
 """Fixtures shared by the test modules."""
 
+import os
+
 import pytest
+
+# one BLAS thread, set before any test module imports numpy: OpenBLAS's own
+# threads cost more than they give at these sizes, and they multiply with
+# the workers of numerics.map_batches
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 
 @pytest.fixture

@@ -17,6 +17,8 @@ import numpy as np
 from specloc import (blockop, cli, contours, enclosure, instances, numerics,
                      operators, projections, rieszbasis, spectra, subordination)
 
+from reference_linalg import svd_extremes
+
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
     line = "ACCEPTANCE %2d %-34s %s" % (num, name, "PASS" if ok else "FAIL")
@@ -74,7 +76,7 @@ class TestAcceptance:
                 y = float(rng.uniform(1.2, 1.6)) * res.bound * x**system.p
                 if not enclosure._refined_excluded(res.bound, system.p, x, y):
                     continue
-                _, smin = numerics.svd_extremes(system.t - complex(x, y) * ident)
+                _, smin = svd_extremes(system.t - complex(x, y) * ident)
                 min_sigma = min(min_sigma, smin / (1.0 + abs(complex(x, y))))
                 checked += 1
         _verdict(3, "refined rejections are resolvent",
@@ -103,7 +105,7 @@ class TestAcceptance:
                 if norm_sg >= 0.9:
                     continue
                 eps = 0.9
-                _, smin_t = numerics.svd_extremes(system.t - z * ident)
+                _, smin_t = svd_extremes(system.t - z * ident)
                 norm_t = 1.0 / smin_t
                 norm_st = numerics.opnorm(s @ np.linalg.inv(system.t - z * ident))
                 bound_t = (1.0 / dist) / (1.0 - eps)

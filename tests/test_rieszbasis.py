@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -203,6 +205,18 @@ class TestSignPatterns:
         sizes = [len(range(count)[b]) for b in numerics.batches(count, 16 * 16)]
         assert sizes[-1] < sizes[0] == step
         assert rieszbasis.sign_pattern_constant(family) == norms[best]
+
+    def test_threaded_batches_match_per_pattern_loop(self, monkeypatch):
+        family = skew_family(16, 16, 5)
+        expect = max(self.sampled_norms(family, 0))
+        monkeypatch.setattr(numerics, "BATCH_ENTRIES", 8 * 16 * 16)
+        threads = set()
+        opnorm = numerics.opnorm
+        monkeypatch.setattr(numerics, "opnorm",
+                            lambda a: threads.add(threading.get_ident()) or opnorm(a))
+        assert rieszbasis.sign_pattern_constant(family) == expect
+        assert threading.get_ident() not in threads
+        assert len(threads) > 1 or len(os.sched_getaffinity(0)) == 1
 
     def test_rejects_overlapping_projections(self):
         mats = [np.diag([1.0, 0.0]), np.diag([1.0, 0.0])]

@@ -140,6 +140,15 @@ class TestBound:
             res = subordination.subordination_bound(s, g, p)
             assert res.lower <= c <= res.bound, seed
 
+    def test_p_zero_upper_end_is_padded(self):
+        # S = cI with n = 28, 27, 26: gesdd's sigma_1 has been seen an ulp below c
+        for seed in (0, 2, 10):
+            s, g, c = closed_form_case(seed, 0.0)
+            sigma1 = float(np.linalg.svd(s)[1][0])
+            res = subordination.subordination_bound(s, g, 0.0)
+            assert res.bound >= subordination._round_up(sigma1, len(s)), seed
+            assert c <= res.bound <= c * (1.0 + subordination.BRACKET_RTOL), seed
+
     def test_diagonal_g_takes_no_svd(self, count_calls):
         s, g = multiscale_instance(3, 0.5, n=12)
         svds = count_calls(np.linalg, "svd")
