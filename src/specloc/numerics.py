@@ -50,7 +50,7 @@ def is_diagonal(m) -> bool:
 
 def opnorm(a) -> float | np.ndarray:
     """Spectral (operator 2-) norm of ``a``: a float for one matrix, an array
-    of norms for a stack ``(k, n, n)``.
+    of norms for a stack ``(..., m, n)``.
 
     The same LAPACK gesdd call as ``np.linalg.norm(a, 2)``, so the values agree
     bit for bit.

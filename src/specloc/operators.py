@@ -103,7 +103,7 @@ def build_normal(spec: RaySpectrumSpec) -> np.ndarray:
 
 def _seeded_gaussian(n: int, seed: int) -> np.ndarray:
     _check_dimension(n)
-    return numerics.gaussian(np.random.default_rng(int(seed)), (n, n)) / np.sqrt(2.0)
+    return numerics.gaussian(numerics.subrng(seed, 40), (n, n)) / np.sqrt(2.0)
 
 
 def _rescaled(m: np.ndarray, scale: float) -> np.ndarray:

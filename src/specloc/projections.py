@@ -10,6 +10,7 @@ route (``spectral_projector_oracle``) provides the independent cross-check.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,8 +121,14 @@ class ProjectionEntry:
     label: str
     matrix: np.ndarray
     idempotency_residual: float
-    #: orthonormal range frame: left singular vectors with singular value above 1/2
+    #: orthonormal range frame U_r: left singular vectors with singular value above 1/2
     frame: np.ndarray
+    #: those r singular values S_r and their right singular vectors V_r: P~ = U_r S_r V_r*
+    singular_values: np.ndarray
+    coframe: np.ndarray
+    #: sigma_1(P) and the tail sigma_{r+1}(P) = ||P - P~|| (0 at full rank), for the pad
+    norm: float
+    tail: float
 
     @property
     def rank(self) -> int:
@@ -136,31 +143,29 @@ class ProjectionFamily:
     def matrices(self) -> list[np.ndarray]:
         return [e.matrix for e in self.entries]
 
-    def _cross_products(self):
-        """The products P_j P_k, k != j, per row j in stacked batches."""
-        mats = self.matrices
-        for j, a in enumerate(mats):
-            others = mats[:j] + mats[j + 1:]
-            for b in numerics.batches(len(others), a.size):
-                yield a @ np.stack(others[b])
-
     @property
     def cross_talk(self) -> float:
-        """max over j != k of ||P_j P_k||; k(k-1) norms on every read, taken
-        as stacked opnorms over the batches of ``_cross_products``."""
-        return max((float(numerics.opnorm(c).max()) for c in self._cross_products()),
-                   default=0.0)
+        """Bound on max_{j != k} ||P_j P_k||: ||S_j V_j* U_k S_k||, a block of one GEMM of the
+        stacked factors (one stacked opnorm per pair of ranks, no padding), plus the pad tail_j
+        ||P_k|| + ||P_j|| tail_k; the GEMM rounding margin, ~n eps ||P_j|| ||P_k||, is not added."""
+        es = self.entries
+        if len(es) < 2:
+            return 0.0
+        ranks = np.array([e.rank for e in es])
+        start = np.cumsum(ranks) - ranks
+        gram = (np.hstack([e.coframe * e.singular_values for e in es]).conj().T
+                @ np.hstack([e.frame * e.singular_values for e in es]))
+        norm, tail = np.array([(e.norm, e.tail) for e in es]).T
+        bound = np.outer(tail, norm) + np.outer(norm, tail)
+        for a, b in itertools.product(np.unique(ranks), repeat=2):
+            j, k = np.flatnonzero(ranks == a), np.flatnonzero(ranks == b)
+            rows, cols = start[j, None] + np.arange(a), start[k, None] + np.arange(b)
+            bound[np.ix_(j, k)] += numerics.opnorm(gram[rows[:, None, :, None], cols[:, None, :]])
+        return float(bound[~np.eye(len(es), dtype=bool)].max())
 
     def disjoint(self, tol: float) -> bool:
-        """Whether cross_talk <= tol, without SVDs when the Frobenius norms
-        ||P_j P_k||_F (upper bounds) of the same products already are.
-
-        The Frobenius pass is conclusive only below tol (1 - 1e-12), a margin
-        for the rounding of both norms; above it the exact cross_talk decides.
-        """
-        fro = max((float(np.linalg.norm(c, axis=(1, 2)).max()) for c in self._cross_products()),
-                  default=0.0)
-        return fro <= tol * (1.0 - 1e-12) or self.cross_talk <= tol
+        """Whether ``cross_talk`` <= tol: pads included, GEMM rounding margin not."""
+        return self.cross_talk <= tol
 
     @property
     def sum_residual(self) -> float:
@@ -172,20 +177,16 @@ class ProjectionFamily:
 
 
 def make_family(labelled_projections) -> ProjectionFamily:
-    """Entries for a list of (label, matrix) pairs: one SVD each gives the
-    rank and the range frame."""
+    """Entries for (label, matrix) pairs: one SVD each gives rank, thin factors, norm, tail."""
     entries = []
     for label, mat in labelled_projections:
         mat = numerics.as_matrix(mat)
-        u, s, _ = np.linalg.svd(mat)
-        entries.append(
-            ProjectionEntry(
-                label=str(label),
-                matrix=mat,
-                idempotency_residual=numerics.opnorm(mat @ mat - mat),
-                frame=u[:, s > 0.5],
-            )
-        )
+        u, s, vh = np.linalg.svd(mat)
+        top = s > 0.5
+        entries.append(ProjectionEntry(
+            label=str(label), matrix=mat, idempotency_residual=numerics.opnorm(mat @ mat - mat),
+            frame=u[:, top], singular_values=s[top], coframe=vh[top].conj().T,
+            norm=float(np.max(s, initial=0.0)), tail=float(np.max(s[~top], initial=0.0))))
     return ProjectionFamily(entries=tuple(entries))
 
 
@@ -217,7 +218,7 @@ def family_from_gaps(t_mat, gap_abscissae, alpha: float, p: float, theta: float 
 def projection_sum_bound(family: ProjectionFamily, probe_count: int = 256, seed: int = 0):
     """Probe estimate and norm upper bound for C = sup sum_k |(P_k x | y)|.
 
-    Returns (c_hat, c_upper) with c_hat <= c_upper = sum_k ||P_k||.
+    Returns (c_hat, c_upper) with c_hat <= c_upper = sum_k ||P_k||, from make_family's SVDs.
     """
     mats = family.matrices
     if not mats:
@@ -229,6 +230,6 @@ def projection_sum_bound(family: ProjectionFamily, probe_count: int = 256, seed:
     total = np.zeros(probe_count)
     for mat in mats:
         total += np.abs(np.einsum("ij,ij->j", y.conj(), mat @ x))
-    c_upper = float(sum(numerics.opnorm(m) for m in mats))
+    c_upper = float(sum(e.norm for e in family.entries))
     c_hat = min(float(total.max()), c_upper)
     return c_hat, c_upper

@@ -1,11 +1,12 @@
 """Tests for Riesz projections and projection families."""
 
-import itertools
+import dataclasses
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from reference_linalg import cross_talk_pad, max_cross_product_norm
 from specloc import contours, instances, numerics, projections
 from specloc.errors import AmbiguousClusterError, ContourSpectrumError, InputError
 
@@ -143,16 +144,45 @@ def skew_projections(k, n, seed):
     return [(str(j), v[:, j::k] @ vi[j::k, :]) for j in range(k)]
 
 
+def assert_cross_talk_brackets(family):
+    """exact <= cross_talk <= exact + pad + 1e-13 max ||P_k||^2, the last term
+    the scale of the rounding in forming either side."""
+    mats = family.matrices
+    exact = max_cross_product_norm(mats)
+    scale = max(np.linalg.svd(a, compute_uv=False)[0] for a in mats) ** 2
+    assert exact <= family.cross_talk <= exact + cross_talk_pad(mats) + 1e-13 * scale
+    return exact
+
+
+def hamiltonian_gap_family(n, seed):
+    """Gap family of T = [[iR, B], [C, iR]], R = diag(4, ..., 4n), with B and C
+    Hermitian of norm about 1, cut at 4k + 2 (every gap holds two eigenvalues)."""
+    rng = np.random.default_rng(seed)
+
+    def hermitian():
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return (a + a.conj().T) / (2.0 * np.sqrt(n))
+
+    r = np.diag(4.0 * np.arange(1, n + 1))
+    t = np.block([[1j * r, hermitian()], [hermitian(), 1j * r]])
+    return projections.family_from_gaps(t, [4.0 * k + 2.0 for k in range(n + 1)], 2.0, 0.0,
+                                        theta=np.pi / 2.0)
+
+
 class TestMakeFamily:
     def test_one_opnorm_per_projection_until_cross_talk_is_read(self, monkeypatch):
-        normed = []
+        shapes = []
         opnorm = numerics.opnorm
-        monkeypatch.setattr(numerics, "opnorm",
-                            lambda a: normed.append(len(a) if np.ndim(a) == 3 else 1) or opnorm(a))
+        monkeypatch.setattr(numerics, "opnorm", lambda a: shapes.append(np.shape(a)) or opnorm(a))
         family = projections.make_family(skew_projections(4, 8, 2))
-        assert sum(normed) == 4
-        assert family.cross_talk <= 1e-10
-        assert sum(normed) == 4 + 4 * 3
+        assert shapes == [(8, 8)] * 4
+        # the cross talk reads only the factors, never an n x n matrix: every
+        # rank is 2, so one stacked norm of the 4 x 4 rank-2 blocks
+        factors_only = projections.ProjectionFamily(
+            tuple(dataclasses.replace(e, matrix=None) for e in family.entries))
+        assert factors_only.cross_talk <= 1e-10
+        assert shapes[4:] == [(4, 4, 2, 2)]
+        assert factors_only.cross_talk == family.cross_talk
 
     def test_one_svd_per_projection_gives_the_range_frame(self, count_calls):
         # opnorm's singular-value-only SVDs are counted apart from the frames
@@ -166,6 +196,11 @@ class TestMakeFamily:
         for e in family.entries:
             np.testing.assert_allclose(e.frame.conj().T @ e.frame, np.eye(e.rank), atol=1e-12)
             np.testing.assert_allclose(e.matrix @ e.frame, e.frame, atol=1e-10)
+            # the thin factors are within the tail of P, and the norm is sigma_1
+            s = np.linalg.svd(e.matrix, compute_uv=False)
+            thin = (e.frame * e.singular_values) @ e.coframe.conj().T
+            assert np.linalg.norm(e.matrix - thin, 2) <= e.tail + 1e-13 * s[0]
+            np.testing.assert_allclose([e.norm, e.tail], [s[0], s[e.rank]], rtol=1e-13)
 
     @pytest.mark.parametrize("budget", [numerics.BATCH_ENTRIES, 2 * 8 * 8])
     @pytest.mark.parametrize("position", [0, 3])
@@ -176,12 +211,46 @@ class TestMakeFamily:
         u, w = rng.standard_normal((2, 8, 1)) + 1j * rng.standard_normal((2, 8, 1))
         labelled = skew_projections(3, 8, 5)
         labelled.insert(position, ("overlap", u @ w.conj().T / (w.conj().T @ u)))
+        unbatched = projections.make_family(labelled).cross_talk
         family = projections.make_family(labelled)
+        # the cross talk reads no batch budget: a small one leaves it as it was
         monkeypatch.setattr(numerics, "BATCH_ENTRIES", budget)
-        expect = max(numerics.opnorm(a @ b)
-                     for a, b in itertools.permutations(family.matrices, 2))
-        assert expect > 0.1
-        assert family.cross_talk == expect
+        assert family.cross_talk == unbatched
+        assert assert_cross_talk_brackets(family) > 0.1
+        assert not family.disjoint(1e-6)
+
+    def test_unbalanced_family_norms_no_padding(self, monkeypatch):
+        # one rank-6 member beside six rank-1 members: the stacked blocks hold
+        # the 12 x 12 GEMM entries once, not 7 * 6 blocks padded to 6 x 6
+        rng = np.random.default_rng(4)
+        v = np.eye(12) + 0.2 * rng.standard_normal((12, 12))
+        vi = np.linalg.inv(v)
+        groups = [list(range(6))] + [[k] for k in range(6, 12)]
+        family = projections.make_family([(str(k), v[:, g] @ vi[g, :])
+                                          for k, g in enumerate(groups)])
+        shapes = []
+        opnorm = numerics.opnorm
+        monkeypatch.setattr(numerics, "opnorm", lambda a: shapes.append(np.shape(a)) or opnorm(a))
+        assert assert_cross_talk_brackets(family) <= 1e-12
+        assert sum(np.prod(s) for s in shapes) == 12 * 12
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cross_talk_brackets_exact_on_hamiltonian_family(self, seed):
+        family = hamiltonian_gap_family(8, seed)
+        assert [e.rank for e in family.entries] == [2] * 8
+        assert assert_cross_talk_brackets(family) <= 1e-12
+        assert family.disjoint(1e-6)
+
+    def test_tail_enters_the_pad(self):
+        # diag(0, 0.4) has rank 0 and tail 0.4; P_a P_b = 0 exactly, but the
+        # pad ||P_a|| tail_b = 0.4 is the cross talk
+        family = projections.make_family([("a", np.diag([1.0, 0.0])),
+                                          ("b", np.diag([0.0, 0.4]))])
+        assert [(e.rank, e.norm, e.tail) for e in family.entries] == [(1, 1.0, 0.0),
+                                                                      (0, 0.4, 0.4)]
+        assert max_cross_product_norm(family.matrices) == 0.0
+        assert family.cross_talk == 0.4
+        assert not family.disjoint(1e-6)
 
     def test_empty_family_diagnostics(self):
         family = projections.make_family([])
@@ -243,4 +312,12 @@ class TestSumBound:
     def test_empty_family(self):
         family = projections.make_family([])
         assert projections.projection_sum_bound(family) == (0.0, 0.0)
+
+    def test_upper_from_the_family_svds(self, count_calls):
+        family = hamiltonian_gap_family(8, 0)
+        svds = count_calls(np.linalg, "svd")
+        _, c_upper = projections.projection_sum_bound(family)
+        assert svds == []
+        expect = sum(np.linalg.svd(a, compute_uv=False)[0] for a in family.matrices)
+        np.testing.assert_allclose(c_upper, expect, rtol=1e-13)
 

@@ -169,14 +169,16 @@ class TestSignPatterns:
 
     def test_exhaustive_search_opnorms(self, monkeypatch):
         family = skew_family(5, 7, 15)
-        normed = []
+        shapes = []
         opnorm = numerics.opnorm
-        monkeypatch.setattr(numerics, "opnorm",
-                            lambda a: normed.append(len(a) if np.ndim(a) == 3 else 1) or opnorm(a))
+        monkeypatch.setattr(numerics, "opnorm", lambda a: shapes.append(np.shape(a)) or opnorm(a))
         rieszbasis.sign_pattern_constant(family)
-        # matrices normed: the Frobenius pass settles the disjointness check
-        # without opnorms, then 2^4 pattern sums
-        assert sum(normed) == 2**4
+        # the cross talk norms the 5 x 5 blocks in one stack per pair of ranks
+        # (ranks 2, 2, 1, 1, 1), then come the 2^4 pattern sums
+        assert [e.rank for e in family.entries] == [2, 2, 1, 1, 1]
+        assert sorted(shapes[:4]) == [(2, 2, 2, 2), (2, 3, 2, 1), (3, 2, 1, 2), (3, 3, 1, 1)]
+        assert [s[1:] for s in shapes[4:]] == [(7, 7)] * (len(shapes) - 4)
+        assert sum(s[0] for s in shapes[4:]) == 2**4
 
     @staticmethod
     def sampled_norms(family, seed):
@@ -210,13 +212,17 @@ class TestSignPatterns:
         family = skew_family(16, 16, 5)
         expect = max(self.sampled_norms(family, 0))
         monkeypatch.setattr(numerics, "BATCH_ENTRIES", 8 * 16 * 16)
-        threads = set()
+        threads = {}
         opnorm = numerics.opnorm
-        monkeypatch.setattr(numerics, "opnorm",
-                            lambda a: threads.add(threading.get_ident()) or opnorm(a))
+        monkeypatch.setattr(numerics, "opnorm", lambda a: threads.setdefault(
+            np.shape(a)[-2:], set()).add(threading.get_ident()) or opnorm(a))
         assert rieszbasis.sign_pattern_constant(family) == expect
-        assert threading.get_ident() not in threads
-        assert len(threads) > 1 or len(os.sched_getaffinity(0)) == 1
+        # the disjointness check norms the rank-1 cross-talk blocks inline;
+        # every pattern sum is normed on a worker
+        assert threads.pop((1, 1)) == {threading.get_ident()}
+        workers = threads.pop((16, 16))
+        assert not threads and threading.get_ident() not in workers
+        assert len(workers) > 1 or len(os.sched_getaffinity(0)) == 1
 
     def test_rejects_overlapping_projections(self):
         mats = [np.diag([1.0, 0.0]), np.diag([1.0, 0.0])]
@@ -227,22 +233,32 @@ class TestSignPatterns:
     @pytest.mark.parametrize("eps, disjoint", [(0.9e-6, True), (1.1e-6, False)])
     def test_inconclusive_frobenius_falls_back_to_exact(self, monkeypatch, eps, disjoint):
         # P_a P_b = [[0, eps I], [0, 0]] has ||.|| = eps but ||.||_F = eps sqrt(2)
-        # > 1e-6, and P_b P_a = 0: the exact cross talk decides either way
+        # > 1e-6, and P_b P_a = 0: the cross talk of the factors decides either
+        # way, in one stacked norm of the 2 x 2 rank-2 blocks
         e = np.eye(2)
         family = projections.make_family([
             ("a", np.block([[e, 0 * e], [0 * e, 0 * e]])),
             ("b", np.block([[0 * e, eps * e], [0 * e, e]]))])
-        normed = []
+        shapes = []
         opnorm = numerics.opnorm
-        monkeypatch.setattr(numerics, "opnorm",
-                            lambda a: normed.append(len(a) if np.ndim(a) == 3 else 1) or opnorm(a))
+        monkeypatch.setattr(numerics, "opnorm", lambda a: shapes.append(np.shape(a)) or opnorm(a))
         if disjoint:
             np.testing.assert_allclose(rieszbasis.sign_pattern_constant(family), 1.0, rtol=1e-5)
-            assert sum(normed) == 2 * 1 + 2**1
+            assert shapes == [(2, 2, 2, 2), (2**1, 4, 4)]
         else:
             with pytest.raises(InputError, match="not pairwise disjoint"):
                 rieszbasis.sign_pattern_constant(family)
-            assert sum(normed) == 2 * 1
+            assert shapes == [(2, 2, 2, 2)]
+
+    def test_rejects_a_tail_in_the_pad(self):
+        # diag(0, 0.4) has no singular value above 1/2; its tail 0.4 pads the
+        # cross talk although the product with diag(1, 0) is exactly 0
+        family = projections.make_family([("a", np.diag([1.0, 0.0])),
+                                          ("b", np.diag([0.0, 0.4]))])
+        assert not np.any(family.matrices[0] @ family.matrices[1])
+        assert not family.disjoint(1e-6)
+        with pytest.raises(InputError, match="not pairwise disjoint"):
+            rieszbasis.sign_pattern_constant(family)
 
     def test_accepts_overlap_below_tolerance(self):
         # P_a P_b = [[0, 1e-8], [0, 0]] and P_b P_a = 0: the cross talk 1e-8
