@@ -314,11 +314,14 @@ def cmd_project(args) -> int:
 def cmd_rieszconst(args) -> int:
     _, _, _, family = _gap_family(args)
     c_hat, c_upper = projections.projection_sum_bound(family, seed=args.seed)
-    estimate = rieszbasis.verify_projection_estimate(
-        family, rieszbasis.sign_pattern_constant(family, seed=args.seed), seed=args.seed)
+    search = rieszbasis.sign_pattern_constant(family, seed=args.seed, report=True)
+    estimate = rieszbasis.verify_projection_estimate(family, search.constant, seed=args.seed,
+                                                     basis=search.basis)
     write_report({
         "cHat": c_hat, "cUpper": c_upper,
         "signPatternConstant": estimate.constant,
+        "signPatternUpper": search.upper,
+        "signPatternsNormed": search.normed,
         "twoSidedHolds": estimate.two_sided_holds,
         "basisConstant": estimate.basis_constant,
         "complete": estimate.complete,

@@ -8,7 +8,10 @@ constant c with
 x_k ranging over the subspaces.  For stacked frames W = [F_1 ... F_m] this is
 c = max(sigma_max(W)^2, sigma_min(W)^-2).  Families of pairwise-disjoint
 projections are quantified through the sign-pattern norm
-C = max_eps || sum eps_k P_k || and the derived basis constant 4 C^2.
+C = max_eps || sum eps_k P_k || and the derived basis constant 4 C^2; a
+screen built from the stacked range frames W bounds every pattern's norm,
+so only the patterns that can be the maximum are normed exactly, and
+kappa(W) bounds them all.
 """
 
 from __future__ import annotations
@@ -128,18 +131,177 @@ def join_constant_check(outer: SubspaceFamily, inners) -> JoinCheck:
 # sign patterns for disjoint projection families
 
 
-def sign_pattern_constant(family: ProjectionFamily, seed: int = 0) -> float:
-    """C = max over sign vectors eps of || sum_k eps_k P_k ||.
+@dataclass(frozen=True)
+class SignPatternSearch:
+    #: the largest exact norm || sum eps_k P_k || over the searched patterns
+    constant: float
+    #: above every sign pattern's computed norm (``_Screen.upper``); None
+    #: without a screen
+    upper: float | None
+    #: exact pattern norms taken
+    normed: int
+    #: the range frames' Riesz constant, from the SVD that sized the screen;
+    #: None when the family is incomplete or has a rank-zero member
+    basis: RieszConstantReport | None
+
+
+@dataclass(frozen=True)
+class _Screen:
+    m_gram: np.ndarray
+    n_gram: np.ndarray
+    rho: float
+    tau: float
+    r: float
+    delta: float
+    upper: float
+
+
+def _screen(family: ProjectionFamily, basis: RieszConstantReport) -> _Screen | None:
+    """Rounding-error bounds for every sign pattern of a complete family.
+
+    W = [U_1 ... U_m] stacks the range frames (square, as the ranks sum to n),
+    Y = W^-1, and Q_k = U_k Y_k (Y_k the rows of member k) are disjoint
+    projections summing to I.  For a pattern eps, let S be the columns of its
+    smaller sign side: sum eps_k Q_k = +-(2 Q_S - I) with Q_S = W_S Y_S
+    idempotent, so its norm is est(x) = x + sqrt(x^2 - 1) with x = ||Q_S||
+    (Szyld 2006), and x^2 = lambda_max(M_SS N_SS) with M = W*W, N = YY*.
+
+    The computed lambda~ (``_pattern_bounds``) is bounded step by step, with
+    u = 2^-52 (twice the unit roundoff, so the first-order bounds below also
+    cover the second-order terms, each relative term being kept below 1e-3,
+    and the few extra roundings of complex arithmetic and of the norms),
+    g = gamma_{n+2} = (n+2)u / (1 - (n+2)u), the bound for complex inner
+    products of length n (Higham, Lemma 3.5 and section 3.6), w = ||W||_F^2,
+    y = ||Y~||_F^2, and 2-norms of |A||B| bounded by ||A||_F ||B||_F:
+
+    * Y~ = inv(W) leaves R = W Y~ - I with ||R|| <= r, the computed Frobenius
+      norm plus g sqrt(w y); Y~ = Y (I + R), so N_SS <= (Y~Y~*)_SS / (1 - r)^2;
+    * N~ = fl(Y~Y~*) is off by at most g y; lambda moves by ||M|| g y <= g w y;
+    * M~ = fl(W*W) is off by at most g w; lambda moves by ||N~|| g w <= g w y;
+    * the Cholesky factor has L L* = M~_SS + E, |E| <= g |L||L*| (Higham,
+      Theorem 10.3) and ||L||_F^2 <= w: at most g w y;
+    * H = L* (N~_SS L) is two products, off by at most 2 g |L*||N~||L|: 2 g w y;
+    * eigvalsh, and the gesdd of ``numerics.opnorm`` later on, are backward
+      stable with error p(n) eps ||A|| for LAPACK's "modestly growing" p(n),
+      taken here as n^2: rho = n^2 u.
+
+    So x^2 <= ((1 + rho) lambda~ + tau) / (1 - r)^2 with tau = 5 g w y.  For
+    the stored P_k, sum eps_k U_k Y~_k = (sum eps_k Q_k)(I + R), so
+    ||sum eps_k P_k|| <= (1 + r) est(x) + sum_k ||P_k - U_k Y~_k||; the
+    products eps_k P_k are exact and their sum rounds by at most
+    gamma_m sum_k ||P_k||_F.  delta = (1 + rho) sum_k d_k + g' (sqrt(w y) +
+    2 sum_k ||P_k||_F), with d_k the computed ||P_k - U_k Y~_k||_F and
+    g' = gamma_{n+m+2}, covers both and the rounding of the d_k, and a
+    pattern's computed norm is at most (1 + rho)((1 + r) est + delta).  Every
+    ||sum eps_k Q_k|| = ||W D Y|| is at most kappa(W), which the computed
+    singular values give within kappa (1 + rho) / (1 - rho kappa): ``upper``
+    is that in place of est.
+
+    None unless W is invertible and r, rho kappa and tau are below 1e-3.
+    """
+    w = np.hstack([e.frame for e in family.entries])
+    n = w.shape[0]
+    if not basis.sigma_min > 0.0:
+        return None
+    try:
+        y = np.linalg.inv(w)
+    except np.linalg.LinAlgError:
+        return None
+    u = float(np.finfo(float).eps)
+
+    def gamma(k):
+        return k * u / (1.0 - k * u)
+
+    g = gamma(n + 2)
+    w2 = float(np.linalg.norm(w)) ** 2
+    y2 = float(np.linalg.norm(y)) ** 2
+    r = float(np.linalg.norm(w @ y - np.eye(n))) + g * math.sqrt(w2 * y2)
+    rho = n * n * u
+    kappa = basis.sigma_max / basis.sigma_min
+    tau = 5.0 * g * w2 * y2
+    if max(r, rho * kappa, tau) >= 1e-3:
+        return None
+    rows = np.cumsum([0] + [e.rank for e in family.entries])
+    d = sum(float(np.linalg.norm(e.matrix - e.frame @ y[a:b]))
+            for e, a, b in zip(family.entries, rows, rows[1:]))
+    p2 = sum(float(np.linalg.norm(e.matrix)) for e in family.entries)
+    delta = (1.0 + rho) * d + gamma(n + len(family.entries) + 2) * (math.sqrt(w2 * y2) + 2.0 * p2)
+    top = kappa * (1.0 + rho) / (1.0 - rho * kappa)
+    return _Screen(m_gram=w.conj().T @ w, n_gram=y @ y.conj().T, rho=rho, tau=tau, r=r,
+                   delta=delta, upper=(1.0 + rho) * ((1.0 + r) * top + delta))
+
+
+def _pattern_bounds(patterns, ranks, screen: _Screen) -> np.ndarray | None:
+    """An upper bound on each pattern's computed norm (``_screen``), or None
+    when a Cholesky or eigvalsh fails or a bound is not finite.
+
+    With M_SS = LL*, lambda~ = lambda_max(L* N_SS L): one batched Cholesky and
+    eigvalsh per size of S (at most n/2), in batches of
+    ``numerics.map_batches``.
+    """
+    minus = np.repeat(patterns < 0.0, ranks, axis=1)
+    n = minus.shape[1]
+    side = np.where((minus.sum(1) * 2 <= n)[:, None], minus, ~minus)
+    size = side.sum(1)
+    lam = np.ones(len(patterns))
+    try:
+        for s in np.unique(size[size > 0]):
+            group = np.flatnonzero(size == s)
+            cols = np.nonzero(side[group])[1].reshape(-1, s)
+
+            def lam_max(b, cols=cols):
+                c = cols[b, :, None], cols[b, None, :]
+                chol = np.linalg.cholesky(screen.m_gram[c])
+                h = screen.n_gram[c] @ chol
+                return np.linalg.eigvalsh(np.conj(chol, out=chol).transpose(0, 2, 1) @ h)[:, -1]
+
+            lam[group] = np.concatenate(numerics.map_batches(lam_max, len(group), s * s))
+    except np.linalg.LinAlgError:
+        return None
+    x2 = ((1.0 + screen.rho) * lam + screen.tau) / (1.0 - screen.r) ** 2
+    x = np.sqrt(x2)
+    bound = (1.0 + screen.rho) * ((1.0 + screen.r) * (x + np.sqrt(np.maximum(x2 - 1.0, 0.0)))
+                                  + screen.delta)
+    return bound if np.all(np.isfinite(bound)) else None
+
+
+def _pattern_sums(rows, stack) -> np.ndarray:
+    """sum_k eps_k P_k for each row of ``rows``.  The products eps_k P_k are
+    exact, so only the order of the additions sets the bits: the batched GEMM
+    adds in member order, and so does the loop for a single row, where
+    tensordot would run a GEMV that adds in another order."""
+    if len(rows) > 1:
+        return np.tensordot(rows, stack, 1)
+    acc = rows[0, 0] * stack[0]
+    for e, p in zip(rows[0, 1:], stack[1:]):
+        acc += e * p
+    return acc[None]
+
+
+def _pattern_norms(rows, stack) -> np.ndarray:
+    """|| sum_k eps_k P_k || for each row, one stacked ``numerics.opnorm`` per
+    batch of at most numerics.BATCH_ENTRIES entries on the per-core pool."""
+    return np.concatenate([np.zeros(0)] + numerics.map_batches(
+        lambda b: numerics.opnorm(_pattern_sums(rows[b], stack)), len(rows), stack[0].size))
+
+
+def sign_pattern_constant(family: ProjectionFamily, seed: int = 0, report: bool = False):
+    """C = max over sign vectors eps of || sum_k eps_k P_k ||; with ``report``,
+    the ``SignPatternSearch`` holding C, its upper end and the count of exact
+    norms.
 
     Exhaustive for at most SIGN_EXHAUSTIVE_MAX projections, over the 2^(m-1)
     patterns with eps_0 = +1 since ||-A|| = ||A||; randomized (SIGN_SAMPLES
-    patterns) beyond that.  The patterns form one (P, m) array; each batch of
-    at most numerics.BATCH_ENTRIES stacked entries is one GEMM for its sums
-    and one stacked ``numerics.opnorm``.  The batches run through
-    ``numerics.map_batches`` on one worker thread per usable core, and the
-    maximum does not depend on their order, so the result is the same bit
-    for bit.  The workers multiply with BLAS's own threads: keep BLAS at one
-    thread.
+    patterns) beyond that.  For a complete family (``_screen``),
+    ``_pattern_bounds`` bounds every pattern's norm, the pattern with the top
+    bound is normed exactly, and then only the patterns whose bound reaches
+    that norm.  Without a screen (an incomplete family, a singular frame, a
+    failed Cholesky or a non-finite bound), or when a normed pattern exceeds
+    its own bound, every pattern is normed.  Either way C is the maximum of
+    exact norms taken by ``_pattern_norms``, the same bit for bit as norming
+    every pattern.  The batches of both stages run through
+    ``numerics.map_batches`` on one worker thread per usable core: keep BLAS
+    at one thread.
     """
     mats = family.matrices
     if not mats:
@@ -153,9 +315,29 @@ def sign_pattern_constant(family: ProjectionFamily, seed: int = 0) -> float:
     else:
         patterns = numerics.subrng(seed, 4).choice((1.0, -1.0), size=(SIGN_SAMPLES, m))
     stack = np.stack(mats)
-    return max(numerics.map_batches(
-        lambda b: float(numerics.opnorm(np.tensordot(patterns[b], stack, 1)).max()),
-        len(patterns), stack[0].size))
+    ranks = [e.rank for e in family.entries]
+    basis = screen = bound = None
+    if sum(ranks) == stack.shape[1] and min(ranks) > 0:
+        basis = riesz_constant(range_family(family))
+        screen = _screen(family, basis)
+    if screen is not None:
+        bound = _pattern_bounds(patterns, ranks, screen)
+    norms = np.full(len(patterns), -1.0)  # -1: not normed
+    if bound is not None:
+        top = int(np.argmax(bound))
+        norms[top] = _pattern_norms(patterns[top:top + 1], stack)[0]
+        keep = np.flatnonzero(bound >= norms[top])
+        keep = keep[keep != top]
+        norms[keep] = _pattern_norms(patterns[keep], stack)
+        if np.any(norms > bound):  # a normed pattern above its bound voids the screen
+            bound = None
+    if bound is None:
+        rest = np.flatnonzero(norms < 0.0)
+        norms[rest] = _pattern_norms(patterns[rest], stack)
+    search = SignPatternSearch(constant=float(norms.max()),
+                               upper=None if screen is None else screen.upper,
+                               normed=int(np.count_nonzero(norms >= 0.0)), basis=basis)
+    return search if report else search.constant
 
 
 @dataclass(frozen=True)
@@ -179,13 +361,15 @@ def range_family(family: ProjectionFamily) -> SubspaceFamily:
 
 
 def verify_projection_estimate(family: ProjectionFamily, constant: float, probe_count: int = 1000,
-                               seed: int = 0) -> ProjectionEstimateReport:
+                               seed: int = 0,
+                               basis: RieszConstantReport | None = None) -> ProjectionEstimateReport:
     """Probe the two-sided estimate
 
         C^-2 sum ||P_k x||^2 <= || sum P_k x ||^2 <= C^2 sum ||P_k x||^2
 
     on random unit vectors, and check the derived basis-constant chain
-    c(ranges) <= 4 C^2.
+    c(ranges) <= 4 C^2; ``basis`` is c(ranges) when already at hand (the
+    ``SignPatternSearch.basis`` of the same family).
     """
     mats = family.matrices
     if not mats:
@@ -206,7 +390,8 @@ def verify_projection_estimate(family: ProjectionFamily, constant: float, probe_
     upper_slack = c**2 * sq - mid
     scale = np.maximum(sq, 1e-300)
     ok = np.all(lower_slack >= -1e-9 * scale) and np.all(upper_slack >= -1e-9 * scale)
-    basis = riesz_constant(range_family(family))
+    if basis is None:
+        basis = riesz_constant(range_family(family))
     return ProjectionEstimateReport(
         constant=c,
         two_sided_holds=bool(ok),

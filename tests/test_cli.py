@@ -163,6 +163,25 @@ class TestRieszConst:
         assert report["cHat"] <= report["cUpper"] + 1e-12
         assert report["basisConstant"] >= 1.0
 
+    def test_sign_pattern_bracket(self, hamiltonian_spec, tmp_path):
+        out = tmp_path / "report.json"
+        assert cli.main(["rieszconst", "--input", hamiltonian_spec, "--out", str(out),
+                         *HAMILTONIAN_GAPS]) == 0
+        report = read_report(out)
+        assert report["complete"] is True
+        assert 1.0 <= report["signPatternConstant"] <= report["signPatternUpper"]
+        # three gaps: 2^2 patterns, of which the screen norms the top one
+        assert report["signPatternsNormed"] == 1
+
+    def test_incomplete_family_has_no_upper(self, triple_spec, tmp_path):
+        out = tmp_path / "report.json"
+        assert cli.main(["rieszconst", "--input", triple_spec, "--out", str(out),
+                         "--abscissas", "3,7", "--alpha", "1.0"]) == 0
+        report = read_report(out)
+        assert report["complete"] is False
+        assert report["signPatternUpper"] is None
+        assert report["signPatternsNormed"] == 1
+
     def test_one_riesz_constant(self, triple_spec, tmp_path, count_calls):
         calls = count_calls(rieszbasis, "riesz_constant")
         assert cli.main(["rieszconst", "--input", triple_spec, "--out", str(tmp_path / "r.json"),

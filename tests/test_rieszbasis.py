@@ -10,6 +10,7 @@ import pytest
 
 from specloc import numerics, projections, rieszbasis
 from specloc.errors import InputError
+from test_projections import hamiltonian_gap_family
 
 
 def coordinate_family(splits, n):
@@ -29,11 +30,12 @@ def skew_projection_pair(t):
     return projections.make_family([("p1", p1), ("p2", p2)])
 
 
-def skew_family(k, n, seed):
-    """k disjoint skew projections of C^n onto spans of eigenvector blocks."""
+def skew_family(k, n, seed, scale=0.4):
+    """k disjoint skew projections of C^n onto spans of eigenvector blocks of
+    v = I + scale G."""
     rng = np.random.default_rng(seed)
-    v = np.eye(n, dtype=complex) + 0.4 * (rng.standard_normal((n, n))
-                                          + 1j * rng.standard_normal((n, n)))
+    v = np.eye(n, dtype=complex) + scale * (rng.standard_normal((n, n))
+                                            + 1j * rng.standard_normal((n, n)))
     vi = np.linalg.inv(v)
     return projections.make_family([(str(j), v[:, j::k] @ vi[j::k, :]) for j in range(k)])
 
@@ -168,26 +170,106 @@ class TestSignPatterns:
         assert rieszbasis.sign_pattern_constant(family) == expect
 
     def test_exhaustive_search_opnorms(self, monkeypatch):
-        family = skew_family(5, 7, 15)
+        # four of the five members span 6 of 7 dimensions: an incomplete
+        # family has no screen, so every one of the 2^3 patterns is normed
+        family = projections.ProjectionFamily(entries=skew_family(5, 7, 15).entries[:4])
         shapes = []
         opnorm = numerics.opnorm
         monkeypatch.setattr(numerics, "opnorm", lambda a: shapes.append(np.shape(a)) or opnorm(a))
-        rieszbasis.sign_pattern_constant(family)
+        search = rieszbasis.sign_pattern_constant(family, report=True)
         # the cross talk norms the 5 x 5 blocks in one stack per pair of ranks
-        # (ranks 2, 2, 1, 1, 1), then come the 2^4 pattern sums
-        assert [e.rank for e in family.entries] == [2, 2, 1, 1, 1]
-        assert sorted(shapes[:4]) == [(2, 2, 2, 2), (2, 3, 2, 1), (3, 2, 1, 2), (3, 3, 1, 1)]
+        # (ranks 2, 2, 1, 1), then come the 2^3 pattern sums
+        assert [e.rank for e in family.entries] == [2, 2, 1, 1]
+        assert sorted(shapes[:4]) == [(2, 2, 1, 1), (2, 2, 1, 2), (2, 2, 2, 1), (2, 2, 2, 2)]
         assert [s[1:] for s in shapes[4:]] == [(7, 7)] * (len(shapes) - 4)
-        assert sum(s[0] for s in shapes[4:]) == 2**4
+        assert sum(s[0] for s in shapes[4:]) == search.normed == 2**3
+        assert search.upper is None
 
     @staticmethod
-    def sampled_norms(family, seed):
-        """Reference: the per-pattern loop, one draw of m signs per pattern."""
-        mats = family.matrices
+    def sampled_patterns(m, seed):
+        """Reference draw: one draw of m signs per pattern."""
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(4,)))
-        return [numerics.opnorm(sum(e * p for e, p in zip(rng.choice((1.0, -1.0), size=len(mats)),
-                                                          mats)))
-                for _ in range(rieszbasis.SIGN_SAMPLES)]
+        return np.array([rng.choice((1.0, -1.0), size=m) for _ in range(rieszbasis.SIGN_SAMPLES)])
+
+    @staticmethod
+    def pattern_norms(family, patterns):
+        """Reference: the per-pattern loop."""
+        mats = family.matrices
+        return [numerics.opnorm(sum(e * p for e, p in zip(eps, mats))) for eps in patterns]
+
+    def sampled_norms(self, family, seed):
+        return self.pattern_norms(family, self.sampled_patterns(len(family.entries), seed))
+
+    def searched_patterns(self, family, seed=0):
+        m = len(family.entries)
+        if m > rieszbasis.SIGN_EXHAUSTIVE_MAX:
+            return self.sampled_patterns(m, seed)
+        return np.array([(1.0,) + rest for rest in itertools.product((1.0, -1.0), repeat=m - 1)])
+
+    def assert_screen_certified(self, family, seed=0):
+        """The search equals the per-pattern loop bit for bit, every pattern's
+        norm lies below its screen bound, and C <= signPatternUpper."""
+        patterns = self.searched_patterns(family, seed)
+        norms = np.array(self.pattern_norms(family, patterns))
+        search = rieszbasis.sign_pattern_constant(family, seed, report=True)
+        assert search.constant == norms.max()
+        screen = rieszbasis._screen(family, search.basis)
+        bound = rieszbasis._pattern_bounds(patterns, [e.rank for e in family.entries], screen)
+        assert np.all(norms <= bound)
+        assert search.constant <= search.upper == screen.upper
+        return search, len(patterns)
+
+    @pytest.mark.parametrize("scale", [0.4, 2.0, 10.0, 50.0])
+    @pytest.mark.parametrize("k, n, seed", [(5, 7, 15), (6, 8, 0), (14, 16, 3)])
+    def test_ill_conditioned_families_are_screened(self, k, n, seed, scale):
+        # v = I + scale G: kappa(W) runs from 5.8 to 138 over these families,
+        # and the screen still norms only a few of the patterns
+        search, count = self.assert_screen_certified(skew_family(k, n, seed, scale))
+        assert search.normed < count
+
+    def test_sampled_hamiltonian_family_is_screened(self):
+        family = hamiltonian_gap_family(16, 0)
+        assert len(family.entries) > rieszbasis.SIGN_EXHAUSTIVE_MAX
+        search, count = self.assert_screen_certified(family)
+        assert search.normed < count
+
+    @pytest.mark.parametrize("breaks", ["incomplete", "cholesky", "eigvalsh"])
+    def test_without_a_screen_every_pattern_is_normed(self, monkeypatch, breaks):
+        family = skew_family(5, 7, 15)
+        if breaks == "incomplete":
+            family = projections.ProjectionFamily(entries=family.entries[:4])
+        elif breaks == "cholesky":
+            def fail(a):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            monkeypatch.setattr(np.linalg, "cholesky", fail)
+        else:
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(np.shape(a)[:-1], np.nan))
+        patterns = self.searched_patterns(family)
+        search = rieszbasis.sign_pattern_constant(family, report=True)
+        assert search.constant == max(self.pattern_norms(family, patterns))
+        assert search.normed == len(patterns)
+        assert (search.upper is None) == (breaks == "incomplete")
+
+    @pytest.mark.parametrize("low", ["top", "survivor"])
+    def test_a_norm_above_its_bound_voids_the_screen(self, monkeypatch, low):
+        family = skew_family(6, 8, 0)
+        patterns = self.searched_patterns(family)
+        norms = np.array(self.pattern_norms(family, patterns))
+        order = np.argsort(norms)
+        # every bound below its norm, the top pattern's first
+        bound = norms / 2
+        if low == "survivor":
+            # the smallest norm has the top bound and the largest is dropped;
+            # the runner-up survives at the top norm and exceeds its bound,
+            # the only sign that the screen is wrong
+            bound = np.zeros(len(norms))
+            bound[order[0]] = 10.0 * norms.max()
+            bound[order[-2]] = norms[order[0]]
+            assert norms[order[0]] < norms[order[-2]] < norms.max()
+        monkeypatch.setattr(rieszbasis, "_pattern_bounds", lambda *args: bound)
+        search = rieszbasis.sign_pattern_constant(family, report=True)
+        assert search.normed == len(patterns)
+        assert search.constant == norms.max()
 
     @pytest.mark.parametrize("seed", [0, 7919])
     def test_sampled_search_matches_per_pattern_loop(self, seed):
@@ -208,20 +290,31 @@ class TestSignPatterns:
         assert sizes[-1] < sizes[0] == step
         assert rieszbasis.sign_pattern_constant(family) == norms[best]
 
+    def test_maximum_in_last_partial_batch_without_a_screen(self, monkeypatch):
+        # 13 of the 14 members span 15 of 16 dimensions: every sampled pattern
+        # is summed and normed, in batches of exact norms
+        family = projections.ProjectionFamily(entries=skew_family(14, 16, 3).entries[:13])
+        norms = self.sampled_norms(family, 0)
+        best, count = int(np.argmax(norms)), len(norms)
+        step = next(c for c in range(2, count) if count % c and count - count % c <= best)
+        monkeypatch.setattr(numerics, "BATCH_ENTRIES", step * 16 * 16)
+        search = rieszbasis.sign_pattern_constant(family, report=True)
+        assert search.constant == norms[best]
+        assert search.normed == count and search.upper is None
+
     def test_threaded_batches_match_per_pattern_loop(self, monkeypatch):
         family = skew_family(16, 16, 5)
         expect = max(self.sampled_norms(family, 0))
         monkeypatch.setattr(numerics, "BATCH_ENTRIES", 8 * 16 * 16)
         threads = {}
-        opnorm = numerics.opnorm
-        monkeypatch.setattr(numerics, "opnorm", lambda a: threads.setdefault(
-            np.shape(a)[-2:], set()).add(threading.get_ident()) or opnorm(a))
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: threads.setdefault(
+            np.shape(a)[-1], set()).add(threading.get_ident()) or cholesky(a))
         assert rieszbasis.sign_pattern_constant(family) == expect
-        # the disjointness check norms the rank-1 cross-talk blocks inline;
-        # every pattern sum is normed on a worker
-        assert threads.pop((1, 1)) == {threading.get_ident()}
-        workers = threads.pop((16, 16))
-        assert not threads and threading.get_ident() not in workers
+        # the screen's largest group, |S| = n/2 = 8, spans many batches of at
+        # most 32 patterns, and every one of them runs on a worker
+        workers = threads[8]
+        assert threading.get_ident() not in workers
         assert len(workers) > 1 or len(os.sched_getaffinity(0)) == 1
 
     def test_rejects_overlapping_projections(self):
@@ -244,7 +337,12 @@ class TestSignPatterns:
         monkeypatch.setattr(numerics, "opnorm", lambda a: shapes.append(np.shape(a)) or opnorm(a))
         if disjoint:
             np.testing.assert_allclose(rieszbasis.sign_pattern_constant(family), 1.0, rtol=1e-5)
-            assert shapes == [(2, 2, 2, 2), (2**1, 4, 4)]
+            # then range_family checks the two rank-2 frames (the screen is
+            # sized by their Riesz constant), then come the top pattern
+            # (+1, -1) and (+1, +1) after it: the family lies 9e-7 sqrt(2)
+            # (Frobenius) from the exact projections onto its ranges, and
+            # that pad lifts the bound of (+1, +1) above the top norm 1 + 9e-7
+            assert shapes == [(2, 2, 2, 2), (2, 2), (2, 2), (1, 4, 4), (1, 4, 4)]
         else:
             with pytest.raises(InputError, match="not pairwise disjoint"):
                 rieszbasis.sign_pattern_constant(family)
