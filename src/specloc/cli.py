@@ -322,6 +322,7 @@ def cmd_rieszconst(args) -> int:
         "signPatternConstant": estimate.constant,
         "signPatternUpper": search.upper,
         "signPatternsNormed": search.normed,
+        "signPatternEigensolves": search.eigensolves,
         "twoSidedHolds": estimate.two_sided_holds,
         "basisConstant": estimate.basis_constant,
         "complete": estimate.complete,

@@ -10,6 +10,7 @@ route (``spectral_projector_oracle``) provides the independent cross-check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -88,15 +89,21 @@ def spectral_projector_oracle(t_mat, region_predicate) -> np.ndarray:
     Eigenvalues are clustered through chains of neighbours within 1e-8; a
     cluster whose members disagree about membership raises AmbiguousClusterError.
     """
-    # scipy.sparse costs about 5 MB and 30 ms to import; only the oracle uses it
-    from scipy.sparse.csgraph import connected_components
-
     dec = numerics.eig(t_mat)
     values = dec.values
-    count, labels = connected_components(np.abs(values[:, None] - values) <= 1e-8,
-                                         directed=False)
+    root = list(range(len(values)))  # union-find: each cluster's root is its first member
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i, j in zip(*np.nonzero(np.triu(np.abs(values[:, None] - values) <= 1e-8, 1))):
+        a, b = find(i), find(j)
+        root[max(a, b)] = min(a, b)
+    labels = np.array([find(i) for i in range(len(values))], dtype=int)
     indicator = np.zeros(len(values))
-    for c in range(count):
+    for c in np.unique(labels):
         members = np.flatnonzero(labels == c)
         flags = {bool(region_predicate(values[i])) for i in members}
         if len(flags) > 1:
@@ -120,7 +127,6 @@ def rank_of_projection(p_mat) -> int:
 class ProjectionEntry:
     label: str
     matrix: np.ndarray
-    idempotency_residual: float
     #: orthonormal range frame U_r: left singular vectors with singular value above 1/2
     frame: np.ndarray
     #: those r singular values S_r and their right singular vectors V_r: P~ = U_r S_r V_r*
@@ -133,6 +139,11 @@ class ProjectionEntry:
     @property
     def rank(self) -> int:
         return self.frame.shape[1]
+
+    @functools.cached_property
+    def idempotency_residual(self) -> float:
+        """||P^2 - P||; its SVD runs on first read."""
+        return numerics.opnorm(self.matrix @ self.matrix - self.matrix)
 
 
 @dataclass(frozen=True)
@@ -184,8 +195,8 @@ def make_family(labelled_projections) -> ProjectionFamily:
         u, s, vh = np.linalg.svd(mat)
         top = s > 0.5
         entries.append(ProjectionEntry(
-            label=str(label), matrix=mat, idempotency_residual=numerics.opnorm(mat @ mat - mat),
-            frame=u[:, top], singular_values=s[top], coframe=vh[top].conj().T,
+            label=str(label), matrix=mat, frame=u[:, top], singular_values=s[top],
+            coframe=vh[top].conj().T,
             norm=float(np.max(s, initial=0.0)), tail=float(np.max(s[~top], initial=0.0))))
     return ProjectionFamily(entries=tuple(entries))
 

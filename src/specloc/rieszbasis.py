@@ -9,9 +9,10 @@ x_k ranging over the subspaces.  For stacked frames W = [F_1 ... F_m] this is
 c = max(sigma_max(W)^2, sigma_min(W)^-2).  Families of pairwise-disjoint
 projections are quantified through the sign-pattern norm
 C = max_eps || sum eps_k P_k || and the derived basis constant 4 C^2; a
-screen built from the stacked range frames W bounds every pattern's norm,
-so only the patterns that can be the maximum are normed exactly, and
-kappa(W) bounds them all.
+screen built from the stacked range frames W bounds every pattern's norm
+(most of them by a Cholesky test in place of an eigensolve), so only the
+patterns that can be the maximum are normed exactly, and kappa(W) bounds
+them all.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import numerics
 from .errors import InputError
@@ -31,6 +33,21 @@ SIGN_EXHAUSTIVE_MAX = 12
 
 #: sampled sign patterns above the exhaustive cap
 SIGN_SAMPLES = 4096
+
+#: the screen caps bounds only from this many patterns on (``_pattern_bounds``);
+#: below it, a sample of every CAP_STRIDE-th pattern is too small to pay
+CAP_MIN_PATTERNS = 1024
+
+#: the screen's exact sample for the cap level: every CAP_STRIDE-th pattern
+CAP_STRIDE = 32
+
+#: the cap level sits this far below the largest sampled lambda~, relatively:
+#: far above a bound's slack over its norm (about 1.4e-9 on the Hamiltonian
+#: families), so the caps stay below the top norm
+CAP_RTOL = 1e-6
+
+#: LAPACK's Cholesky factorization, one matrix per call with its own info
+_POTRF = scipy.linalg.get_lapack_funcs("potrf", dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -140,6 +157,9 @@ class SignPatternSearch:
     upper: float | None
     #: exact pattern norms taken
     normed: int
+    #: exact lambda~ the screen took by eigvalsh (``_pattern_bounds``); 0
+    #: without a screen
+    eigensolves: int
     #: the range frames' Riesz constant, from the SVD that sized the screen;
     #: None when the family is incomplete or has a rank-zero member
     basis: RieszConstantReport | None
@@ -231,38 +251,125 @@ def _screen(family: ProjectionFamily, basis: RieszConstantReport) -> _Screen | N
                    delta=delta, upper=(1.0 + rho) * ((1.0 + r) * top + delta))
 
 
-def _pattern_bounds(patterns, ranks, screen: _Screen) -> np.ndarray | None:
-    """An upper bound on each pattern's computed norm (``_screen``), or None
-    when a Cholesky or eigvalsh fails or a bound is not finite.
+def _bound(lam, screen: _Screen):
+    """The bound on a computed norm (``_screen``) for lambda~ = ``lam``; it
+    does not decrease as lam grows, every step being a monotone rounding."""
+    x2 = ((1.0 + screen.rho) * lam + screen.tau) / (1.0 - screen.r) ** 2
+    x = np.sqrt(x2)
+    return (1.0 + screen.rho) * ((1.0 + screen.r) * (x + np.sqrt(np.maximum(x2 - 1.0, 0.0)))
+                                 + screen.delta)
 
-    With M_SS = LL*, lambda~ = lambda_max(L* N_SS L): one batched Cholesky and
-    eigvalsh per size of S (at most n/2), in batches of
-    ``numerics.map_batches``.
+
+def _grams(cols, screen: _Screen) -> np.ndarray:
+    """H = L* N_SS L with M_SS = LL*, one for each row of column indices S."""
+    c = cols[:, :, None], cols[:, None, :]
+    chol = np.linalg.cholesky(screen.m_gram[c])
+    h = screen.n_gram[c] @ chol
+    return np.conj(chol, out=chol).transpose(0, 2, 1) @ h
+
+
+def _below(h, level: float, rho: float) -> np.ndarray:
+    """Whether a Cholesky factorization of (level - pad) I - H certifies that
+    eigvalsh puts lambda~ below ``level``, for each H of the stack ``h``
+    (``_pattern_bounds``); H is read from its lower triangle, as eigvalsh
+    and LAPACK potrf read it."""
+    s = h.shape[-1]
+    u = float(np.finfo(float).eps)
+    g = (s + 1) * u / (1.0 - (s + 1) * u)
+    pad = 2.0 * rho * (s + 1) * abs(level)
+    shift = level - pad
+    a = np.negative(h)
+    d = np.arange(s)
+    a[:, d, d] += shift
+    diag = a[:, d, d].real
+    info = np.array([_POTRF(ai, lower=1, clean=0)[1] for ai in a])
+    r2 = diag.sum(axis=1) / (1.0 - g)
+    e = g * r2 + u * np.abs(diag).max(axis=1)
+    return (info == 0) & (e + rho * (abs(shift) + r2 + e) + u * abs(level) < pad)
+
+
+def _pattern_bounds(patterns, ranks, screen: _Screen,
+                    cap: bool = True) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """An upper bound on each pattern's computed norm (``_screen``), with the
+    mask of the bounds that are caps and the count of eigvalsh calls; None
+    when a Cholesky factorization of M_SS or an eigvalsh fails, or a bound is
+    not finite.
+
+    With M_SS = LL*, the exact bound comes from lambda~ = lambda_max(H) by
+    eigvalsh, H = L* N_SS L: one batched Cholesky and eigvalsh per size of S
+    (at most n/2), in batches of ``numerics.map_batches``.  With ``cap`` and
+    at least CAP_MIN_PATTERNS patterns, eigvalsh runs only on every
+    CAP_STRIDE-th pattern and on the patterns that LAPACK potrf cannot cap:
+    mu' = (1 - CAP_RTOL) mu sits below the largest sampled lambda~ mu, and a
+    pattern whose factorization (mu' - pad) I - H = R*R succeeds gets the
+    bound of lambda~ = mu', which is at least its exact bound.  In the
+    conventions of ``_screen`` (u = 2^-52, gamma_k = ku / (1 - ku)), with
+    H = cI - A + D, c = fl(mu' - pad) and |D_ii| <= u |a_ii| the rounding of
+    the shifted diagonal:
+
+    * R*R = A + dA with |dA| <= gamma_{s+1} |R*||R| (Higham, Theorem 10.3),
+      so ||dA|| <= gamma_{s+1} ||R||_F^2, and on the diagonal
+      ||R||_F^2 = tr(A + dA) <= tr A + gamma_{s+1} ||R||_F^2: ||R||_F^2 is at
+      most t = tr A / (1 - gamma_{s+1}), read without R;
+    * A + dA >= 0 gives lambda_max(H) <= c + e, e = gamma_{s+1} t
+      + u max |a_ii|, and ||H|| <= |c| + ||A|| + ||D|| <= |c| + t + e;
+      eigvalsh's backward error moves lambda_max by at most rho ||H||
+      (``_screen``), so every lambda~ it can return is at most
+      c + e + rho (|c| + t + e);
+    * the cap holds when e + rho (|c| + t + e) + u |mu'| < pad, checked
+      after the factorization; u |mu'| covers the rounding of c, of tr A and
+      of the check.
+
+    The eigenvalues of H are the squared nonzero singular values of the
+    idempotent Q_S, at least 1, so tr A <= s c nearly, and
+    pad = 2 rho (s + 1) |mu'| passes the check.  The top pattern is never
+    capped: its lambda~ is at least mu > mu'.  No cap when the bound of mu'
+    does not lie below the bound of mu (a NaN sample included).
     """
     minus = np.repeat(patterns < 0.0, ranks, axis=1)
     n = minus.shape[1]
     side = np.where((minus.sum(1) * 2 <= n)[:, None], minus, ~minus)
     size = side.sum(1)
-    lam = np.ones(len(patterns))
-    try:
-        for s in np.unique(size[size > 0]):
-            group = np.flatnonzero(size == s)
-            cols = np.nonzero(side[group])[1].reshape(-1, s)
+
+    def tops(idx, level=None):
+        """lambda~ of the patterns ``idx``, or ``level`` where it is capped."""
+        lam, capped = np.empty(len(idx)), np.zeros(len(idx), dtype=bool)
+        for s in np.unique(size[idx]):
+            at = np.flatnonzero(size[idx] == s)
+            cols = np.nonzero(side[idx[at]])[1].reshape(-1, s)
 
             def lam_max(b, cols=cols):
-                c = cols[b, :, None], cols[b, None, :]
-                chol = np.linalg.cholesky(screen.m_gram[c])
-                h = screen.n_gram[c] @ chol
-                return np.linalg.eigvalsh(np.conj(chol, out=chol).transpose(0, 2, 1) @ h)[:, -1]
+                h = _grams(cols[b], screen)
+                if level is None:
+                    return np.linalg.eigvalsh(h)[:, -1], np.zeros(len(h), dtype=bool)
+                low = _below(h, level, screen.rho)
+                top = np.full(len(h), level)
+                top[~low] = np.linalg.eigvalsh(h[~low])[:, -1]
+                return top, low
 
-            lam[group] = np.concatenate(numerics.map_batches(lam_max, len(group), s * s))
+            parts = numerics.map_batches(lam_max, len(at), s * s)
+            lam[at] = np.concatenate([top for top, _ in parts])
+            capped[at] = np.concatenate([low for _, low in parts])
+        return lam, capped
+
+    lam, capped = np.ones(len(patterns)), np.zeros(len(patterns), dtype=bool)
+    todo = np.flatnonzero(size > 0)
+    level = None
+    try:
+        if cap and len(patterns) >= CAP_MIN_PATTERNS:
+            sample = todo[todo % CAP_STRIDE == 0]
+            lam[sample] = tops(sample)[0]
+            todo = todo[todo % CAP_STRIDE != 0]
+            mu = lam[sample].max() if sample.size else np.nan
+            if _bound((1.0 - CAP_RTOL) * mu, screen) < _bound(mu, screen):
+                level = (1.0 - CAP_RTOL) * mu
+        lam[todo], capped[todo] = tops(todo, level)
     except np.linalg.LinAlgError:
         return None
-    x2 = ((1.0 + screen.rho) * lam + screen.tau) / (1.0 - screen.r) ** 2
-    x = np.sqrt(x2)
-    bound = (1.0 + screen.rho) * ((1.0 + screen.r) * (x + np.sqrt(np.maximum(x2 - 1.0, 0.0)))
-                                  + screen.delta)
-    return bound if np.all(np.isfinite(bound)) else None
+    bound = _bound(lam, screen)
+    if not np.all(np.isfinite(bound)):
+        return None
+    return bound, capped, int(np.count_nonzero(size > 0) - np.count_nonzero(capped))
 
 
 def _pattern_sums(rows, stack) -> np.ndarray:
@@ -295,7 +402,9 @@ def sign_pattern_constant(family: ProjectionFamily, seed: int = 0, report: bool 
     patterns) beyond that.  For a complete family (``_screen``),
     ``_pattern_bounds`` bounds every pattern's norm, the pattern with the top
     bound is normed exactly, and then only the patterns whose bound reaches
-    that norm.  Without a screen (an incomplete family, a singular frame, a
+    that norm; a capped bound that reaches it first gives way to the exact
+    one, so the normed patterns are those of exact bounds throughout.
+    Without a screen (an incomplete family, a singular frame, a
     failed Cholesky or a non-finite bound), or when a normed pattern exceeds
     its own bound, every pattern is normed.  Either way C is the maximum of
     exact norms taken by ``_pattern_norms``, the same bit for bit as norming
@@ -316,27 +425,37 @@ def sign_pattern_constant(family: ProjectionFamily, seed: int = 0, report: bool 
         patterns = numerics.subrng(seed, 4).choice((1.0, -1.0), size=(SIGN_SAMPLES, m))
     stack = np.stack(mats)
     ranks = [e.rank for e in family.entries]
-    basis = screen = bound = None
+    basis = screen = screened = None
     if sum(ranks) == stack.shape[1] and min(ranks) > 0:
         basis = riesz_constant(range_family(family))
         screen = _screen(family, basis)
     if screen is not None:
-        bound = _pattern_bounds(patterns, ranks, screen)
+        screened = _pattern_bounds(patterns, ranks, screen)
     norms = np.full(len(patterns), -1.0)  # -1: not normed
-    if bound is not None:
+    eigensolves = 0
+    if screened is not None:
+        bound, capped, eigensolves = screened
         top = int(np.argmax(bound))
         norms[top] = _pattern_norms(patterns[top:top + 1], stack)[0]
+        reach = np.flatnonzero(capped & (bound >= norms[top]))
+        if reach.size:  # caps that reach the top norm give way to exact bounds
+            screened = _pattern_bounds(patterns[reach], ranks, screen, cap=False)
+            if screened is not None:
+                bound[reach], _, more = screened
+                eigensolves += more
+    if screened is not None:
         keep = np.flatnonzero(bound >= norms[top])
         keep = keep[keep != top]
         norms[keep] = _pattern_norms(patterns[keep], stack)
         if np.any(norms > bound):  # a normed pattern above its bound voids the screen
-            bound = None
-    if bound is None:
+            screened = None
+    if screened is None:
         rest = np.flatnonzero(norms < 0.0)
         norms[rest] = _pattern_norms(patterns[rest], stack)
     search = SignPatternSearch(constant=float(norms.max()),
                                upper=None if screen is None else screen.upper,
-                               normed=int(np.count_nonzero(norms >= 0.0)), basis=basis)
+                               normed=int(np.count_nonzero(norms >= 0.0)),
+                               eigensolves=eigensolves, basis=basis)
     return search if report else search.constant
 
 

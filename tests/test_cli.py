@@ -170,8 +170,10 @@ class TestRieszConst:
         report = read_report(out)
         assert report["complete"] is True
         assert 1.0 <= report["signPatternConstant"] <= report["signPatternUpper"]
-        # three gaps: 2^2 patterns, of which the screen norms the top one
+        # three gaps: 2^2 patterns, of which the screen norms the top one;
+        # too few to cap, so each pattern but (+, +, +) = I takes an eigvalsh
         assert report["signPatternsNormed"] == 1
+        assert report["signPatternEigensolves"] == 3
 
     def test_incomplete_family_has_no_upper(self, triple_spec, tmp_path):
         out = tmp_path / "report.json"
@@ -181,6 +183,7 @@ class TestRieszConst:
         assert report["complete"] is False
         assert report["signPatternUpper"] is None
         assert report["signPatternsNormed"] == 1
+        assert report["signPatternEigensolves"] == 0
 
     def test_one_riesz_constant(self, triple_spec, tmp_path, count_calls):
         calls = count_calls(rieszbasis, "riesz_constant")

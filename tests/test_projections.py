@@ -129,6 +129,16 @@ class TestOracle:
             projections.spectral_projector_oracle(t, lambda z: z.real < 1.0 + 1e-8)
         assert str(info.value).count("+0j)") == 3
 
+    def test_chain_across_the_eigenvalue_order(self):
+        # 1 - 0.6e-8 j sorts last (its angle is just below 2 pi), after 3j; it
+        # reaches 1 + 0.6e-8 j, 1.2e-8 away, only through 1
+        t = np.diag([1.0 + 0.6e-8j, 3.0j, 1.0 - 0.6e-8j, 1.0])
+        with pytest.raises(AmbiguousClusterError) as info:
+            projections.spectral_projector_oracle(t, lambda z: z.imag > 0.0)
+        assert str(info.value).count("j)") == 3
+        p = projections.spectral_projector_oracle(t, lambda z: abs(z) < 2.0)
+        np.testing.assert_allclose(p, np.diag([1.0, 0.0, 1.0, 1.0]), atol=1e-12)
+
     def test_rank(self):
         t = np.diag([1.0, 2.0, 5.0])
         p = projections.spectral_projector_oracle(t, lambda z: z.real < 3.0)
@@ -170,28 +180,33 @@ def hamiltonian_gap_family(n, seed):
 
 
 class TestMakeFamily:
-    def test_one_opnorm_per_projection_until_cross_talk_is_read(self, monkeypatch):
+    def test_residual_on_first_read_and_cross_talk_from_the_factors(self, monkeypatch):
         shapes = []
         opnorm = numerics.opnorm
         monkeypatch.setattr(numerics, "opnorm", lambda a: shapes.append(np.shape(a)) or opnorm(a))
         family = projections.make_family(skew_projections(4, 8, 2))
-        assert shapes == [(8, 8)] * 4
+        assert shapes == []
         # the cross talk reads only the factors, never an n x n matrix: every
         # rank is 2, so one stacked norm of the 4 x 4 rank-2 blocks
         factors_only = projections.ProjectionFamily(
             tuple(dataclasses.replace(e, matrix=None) for e in family.entries))
         assert factors_only.cross_talk <= 1e-10
-        assert shapes[4:] == [(4, 4, 2, 2)]
+        assert shapes == [(4, 4, 2, 2)]
         assert factors_only.cross_talk == family.cross_talk
+        # each idempotency residual is one opnorm of P^2 - P, on first read only
+        for e in family.entries * 2:
+            assert e.idempotency_residual == opnorm(e.matrix @ e.matrix - e.matrix) <= 1e-10
+        assert shapes[3:] == [(8, 8)] * 4
 
     def test_one_svd_per_projection_gives_the_range_frame(self, count_calls):
         # opnorm's singular-value-only SVDs are counted apart from the frames
         svds = count_calls(np.linalg, "svd")
         family = projections.make_family(skew_projections(3, 7, 4))
         uv_flags = [kw.get("compute_uv", True) for _, kw in svds]
-        assert uv_flags.count(True) == 3
-        # and one singular-value-only opnorm per idempotency residual
-        assert uv_flags.count(False) == 3
+        assert uv_flags == [True] * 3
+        # the idempotency residual's singular-value-only opnorm runs on first read
+        assert all(e.idempotency_residual <= 1e-10 for e in family.entries)
+        assert [kw.get("compute_uv", True) for _, kw in svds[3:]] == [False] * 3
         assert [e.rank for e in family.entries] == [3, 2, 2]
         for e in family.entries:
             np.testing.assert_allclose(e.frame.conj().T @ e.frame, np.eye(e.rank), atol=1e-12)

@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+import reference_linalg
 from specloc import numerics, projections, rieszbasis
 from specloc.errors import InputError
 from test_projections import hamiltonian_gap_family
@@ -206,36 +207,171 @@ class TestSignPatterns:
             return self.sampled_patterns(m, seed)
         return np.array([(1.0,) + rest for rest in itertools.product((1.0, -1.0), repeat=m - 1)])
 
-    def assert_screen_certified(self, family, seed=0):
-        """The search equals the per-pattern loop bit for bit, every pattern's
-        norm lies below its screen bound, and C <= signPatternUpper."""
-        patterns = self.searched_patterns(family, seed)
-        norms = np.array(self.pattern_norms(family, patterns))
+    @staticmethod
+    def record_search(monkeypatch, family, seed=0):
+        """The search's report, the first (bound, capped, eigensolves) of
+        ``_pattern_bounds`` and the patterns it normed, one row each."""
+        screened, normed = [], []
+        pattern_bounds, pattern_norms = rieszbasis._pattern_bounds, rieszbasis._pattern_norms
+        monkeypatch.setattr(rieszbasis, "_pattern_bounds", lambda *args, **kwargs: screened.append(
+            pattern_bounds(*args, **kwargs)) or screened[-1])
+        monkeypatch.setattr(rieszbasis, "_pattern_norms", lambda rows, stack: normed.append(
+            rows) or pattern_norms(rows, stack))
         search = rieszbasis.sign_pattern_constant(family, seed, report=True)
-        assert search.constant == norms.max()
+        return search, screened[0], np.concatenate(normed)
+
+    def assert_reference_flow(self, monkeypatch, family, seed=0, norms=None):
+        """Against the all-eigvalsh reference bounds: every bound the search
+        uses is at least the reference (equal where it took an eigvalsh), no
+        capped pattern is normed, and C, its upper end and the count of exact
+        norms are those of the reference flow (norm the top pattern, then
+        every pattern whose bound reaches that norm, or every pattern when
+        one exceeds its bound)."""
+        patterns = self.searched_patterns(family, seed)
+        ranks = [e.rank for e in family.entries]
+        search, (bound, capped, eigensolves), rows = self.record_search(monkeypatch, family, seed)
         screen = rieszbasis._screen(family, search.basis)
-        bound = rieszbasis._pattern_bounds(patterns, [e.rank for e in family.entries], screen)
-        assert np.all(norms <= bound)
-        assert search.constant <= search.upper == screen.upper
-        return search, len(patterns)
+        reference = reference_linalg.pattern_bounds(patterns, ranks, screen)
+        assert np.all(bound >= reference)
+        assert np.array_equal(bound[~capped], reference[~capped])
+        normed_rows = (patterns[:, None, :] == rows[None]).all(axis=2).any(axis=1)
+        assert not np.any(normed_rows & capped)
+        known = np.full(len(patterns), np.nan) if norms is None else norms
+
+        def norms_of(mask):
+            todo = np.flatnonzero(mask & np.isnan(known))
+            known[todo] = self.pattern_norms(family, patterns[todo])
+            return known[mask]
+
+        top = int(np.argmax(reference))
+        normed = reference >= norms_of(np.arange(len(patterns)) == top)[0]
+        normed[top] = True
+        if np.any(norms_of(normed) > reference[normed]):
+            normed[:] = True
+        assert (search.constant, search.upper, search.normed) == (
+            norms_of(normed).max(), screen.upper, np.count_nonzero(normed))
+        # an eigvalsh for every uncapped pattern but +-(1, ..., 1), whose sum is +-I
+        plain = np.all(patterns == patterns[:, :1], axis=1)
+        assert eigensolves == np.count_nonzero(~capped & ~plain)
+        assert search.eigensolves >= eigensolves
+        return search, capped, reference
+
+    def assert_screen_certified(self, monkeypatch, family, seed=0):
+        """The search equals the per-pattern loop bit for bit, every pattern's
+        norm lies below its reference bound, the search keeps the reference
+        flow, and C <= signPatternUpper."""
+        norms = np.array(self.pattern_norms(family, self.searched_patterns(family, seed)))
+        search, capped, reference = self.assert_reference_flow(monkeypatch, family, seed,
+                                                               norms.copy())
+        assert np.all(norms <= reference)
+        assert search.constant == norms.max()
+        assert search.constant <= search.upper
+        return search, len(norms), capped
 
     @pytest.mark.parametrize("scale", [0.4, 2.0, 10.0, 50.0])
     @pytest.mark.parametrize("k, n, seed", [(5, 7, 15), (6, 8, 0), (14, 16, 3)])
-    def test_ill_conditioned_families_are_screened(self, k, n, seed, scale):
+    def test_ill_conditioned_families_are_screened(self, monkeypatch, k, n, seed, scale):
         # v = I + scale G: kappa(W) runs from 5.8 to 138 over these families,
-        # and the screen still norms only a few of the patterns
-        search, count = self.assert_screen_certified(skew_family(k, n, seed, scale))
+        # and the screen still norms only a few of the patterns; the 16 and 32
+        # patterns of the small families are capped here from a sample of
+        # every fourth pattern, below CAP_MIN_PATTERNS
+        monkeypatch.setattr(rieszbasis, "CAP_MIN_PATTERNS", 2)
+        if k < rieszbasis.SIGN_EXHAUSTIVE_MAX:
+            monkeypatch.setattr(rieszbasis, "CAP_STRIDE", 4)
+        search, count, capped = self.assert_screen_certified(monkeypatch,
+                                                             skew_family(k, n, seed, scale))
         assert search.normed < count
 
-    def test_sampled_hamiltonian_family_is_screened(self):
+    def test_sampled_hamiltonian_family_is_screened(self, monkeypatch):
         family = hamiltonian_gap_family(16, 0)
         assert len(family.entries) > rieszbasis.SIGN_EXHAUSTIVE_MAX
-        search, count = self.assert_screen_certified(family)
+        search, count, capped = self.assert_screen_certified(monkeypatch, family)
         assert search.normed < count
+        # eigvalsh on the 128 sampled patterns and on fewer than 100 others
+        assert np.count_nonzero(capped) > count - count // rieszbasis.CAP_STRIDE - 100
+
+    @pytest.mark.parametrize("seed", [0, 3, 7919])
+    def test_caps_keep_the_reference_flow_at_n24(self, monkeypatch, seed):
+        search, _, _ = self.assert_reference_flow(monkeypatch, hamiltonian_gap_family(24, seed),
+                                                  seed)
+        assert search.normed == 1
+        assert search.eigensolves < rieszbasis.SIGN_SAMPLES // 10
+
+    def test_caps_that_reach_the_top_norm_give_way(self, monkeypatch):
+        # caps lifted between the top norm and the top bound: every capped
+        # pattern takes its exact bound before the survivors are chosen, and
+        # the search still keeps the reference flow
+        family = skew_family(14, 16, 3)
+        patterns = self.searched_patterns(family)
+        ranks = [e.rank for e in family.entries]
+        screen = rieszbasis._screen(family, rieszbasis.riesz_constant(
+            rieszbasis.range_family(family)))
+        reference = reference_linalg.pattern_bounds(patterns, ranks, screen)
+        top = int(np.argmax(reference))
+        lifted = (self.pattern_norms(family, patterns[top:top + 1])[0] + reference[top]) / 2
+        calls = []
+        pattern_bounds = rieszbasis._pattern_bounds
+
+        def lift(rows, ranks, screen, cap=True):
+            bound, capped, eigensolves = pattern_bounds(rows, ranks, screen, cap)
+            calls.append((len(rows), np.count_nonzero(capped)))
+            bound[capped] = lifted
+            return bound, capped, eigensolves
+
+        monkeypatch.setattr(rieszbasis, "_pattern_bounds", lift)
+        search = rieszbasis.sign_pattern_constant(family, report=True)
+        assert calls[0][1] > 0 and calls[1:] == [(calls[0][1], 0)]
+        assert search.eigensolves == len(patterns) - np.count_nonzero(
+            np.all(patterns == patterns[:, :1], axis=1))
+        normed = reference >= self.pattern_norms(family, patterns[top:top + 1])[0]
+        normed[top] = True
+        assert search.normed == np.count_nonzero(normed)
+        assert search.constant == max(self.pattern_norms(family, patterns[normed]))
+
+    def test_small_families_are_not_capped(self, monkeypatch):
+        # 2^(6-1) patterns, below CAP_MIN_PATTERNS: eigvalsh for all but (1, ..., 1)
+        search, capped, _ = self.assert_reference_flow(monkeypatch, skew_family(6, 8, 0))
+        assert not capped.any()
+        assert search.eigensolves == 2**5 - 1
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-15, 1e-12, 1e-9])
+    def test_a_top_eigenvalue_at_or_above_the_level_is_never_capped(self, offset):
+        # H = V diag(1, ..., 1.2, lambda) V* with lambda at or just above the
+        # level, and the exact diagonal one: no Cholesky certifies them
+        rng = np.random.default_rng(3)
+        level, rho = 1.25, 48**2 * np.finfo(float).eps
+        v, _ = np.linalg.qr(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
+        top = level * (1.0 + offset)
+        diag = np.append(np.linspace(1.0, 1.2, 11), top)
+        h = np.stack([np.diag(diag).astype(complex), (v * diag) @ v.conj().T])
+        assert not rieszbasis._below(h, level, rho).any()
+        # well below the level, the same matrices are capped
+        low = np.append(np.linspace(1.0, 1.2, 11), level * (1.0 - 1e-9))
+        h = np.stack([np.diag(low).astype(complex), (v * low) @ v.conj().T])
+        assert rieszbasis._below(h, level, rho).all()
+
+    def test_caps_lie_above_every_eigvalsh(self):
+        # top eigenvalues spread across the level: whatever is capped has its
+        # eigvalsh below the level, and the caps stop within 1e-10 of it
+        rng = np.random.default_rng(5)
+        level, rho = 1.25, 48**2 * np.finfo(float).eps
+        tops = level * (1.0 + np.linspace(-1e-9, 1e-9, 201))
+        v, _ = np.linalg.qr(rng.standard_normal((201, 16, 16))
+                            + 1j * rng.standard_normal((201, 16, 16)))
+        diag = np.concatenate([np.tile(np.linspace(1.0, 1.2, 15), (201, 1)), tops[:, None]], 1)
+        h = (v * diag[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        capped = rieszbasis._below(h, level, rho)
+        assert np.all(np.linalg.eigvalsh(h[capped])[:, -1] < level)
+        assert capped[tops < level * (1.0 - 1e-10)].all()
+        assert not capped[tops >= level].any()
 
     @pytest.mark.parametrize("breaks", ["incomplete", "cholesky", "eigvalsh"])
     def test_without_a_screen_every_pattern_is_normed(self, monkeypatch, breaks):
         family = skew_family(5, 7, 15)
+        # every other pattern in the cap sample: a failed Cholesky of M_SS or
+        # a NaN sample must not cap anything
+        monkeypatch.setattr(rieszbasis, "CAP_MIN_PATTERNS", 2)
+        monkeypatch.setattr(rieszbasis, "CAP_STRIDE", 2)
         if breaks == "incomplete":
             family = projections.ProjectionFamily(entries=family.entries[:4])
         elif breaks == "cholesky":
@@ -248,6 +384,7 @@ class TestSignPatterns:
         search = rieszbasis.sign_pattern_constant(family, report=True)
         assert search.constant == max(self.pattern_norms(family, patterns))
         assert search.normed == len(patterns)
+        assert search.eigensolves == 0
         assert (search.upper is None) == (breaks == "incomplete")
 
     @pytest.mark.parametrize("low", ["top", "survivor"])
@@ -266,7 +403,8 @@ class TestSignPatterns:
             bound[order[0]] = 10.0 * norms.max()
             bound[order[-2]] = norms[order[0]]
             assert norms[order[0]] < norms[order[-2]] < norms.max()
-        monkeypatch.setattr(rieszbasis, "_pattern_bounds", lambda *args: bound)
+        monkeypatch.setattr(rieszbasis, "_pattern_bounds",
+                            lambda *args: (bound, np.zeros(len(bound), dtype=bool), 0))
         search = rieszbasis.sign_pattern_constant(family, report=True)
         assert search.normed == len(patterns)
         assert search.constant == norms.max()
@@ -306,15 +444,17 @@ class TestSignPatterns:
         family = skew_family(16, 16, 5)
         expect = max(self.sampled_norms(family, 0))
         monkeypatch.setattr(numerics, "BATCH_ENTRIES", 8 * 16 * 16)
-        threads = {}
+        factored = {}
         cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: threads.setdefault(
-            np.shape(a)[-1], set()).add(threading.get_ident()) or cholesky(a))
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.setdefault(
+            (np.shape(a)[-1], threading.get_ident()), []).append(len(a)) or cholesky(a))
         assert rieszbasis.sign_pattern_constant(family) == expect
         # the screen's largest group, |S| = n/2 = 8, spans many batches of at
-        # most 32 patterns, and every one of them runs on a worker
-        workers = threads[8]
-        assert threading.get_ident() not in workers
+        # most 32 patterns, and every one of them runs on a worker; only the
+        # cap sample, every CAP_STRIDE-th pattern, is factored inline first
+        inline = factored.pop((8, threading.get_ident()), [])
+        assert sum(inline) <= rieszbasis.SIGN_SAMPLES // rieszbasis.CAP_STRIDE
+        workers = {thread for size, thread in factored if size == 8}
         assert len(workers) > 1 or len(os.sched_getaffinity(0)) == 1
 
     def test_rejects_overlapping_projections(self):
