@@ -292,16 +292,16 @@ def _gap_family(args):
         abscissae = [float(x) for x in args.abscissas.split(",")]
     theta = args.theta if args.theta is not None else float(system.ray_spec.rays[0].theta)
     family = projections.family_from_gaps(system.t, abscissae, args.alpha, system.p,
-                                          theta=theta, tol=args.tol)
+                                          theta=theta)
     return system.t, abscissae, theta, family
 
 
 def cmd_project(args) -> int:
     t, abscissae, theta, family = _gap_family(args)
-    # ||T P - P T|| on the original T checks the Schur-coordinate quadrature
+    # ||T P - P T|| on the original T checks the Schur-coordinate route
     write_report({
         "abscissas": abscissae, "alpha": args.alpha, "theta": theta,
-        "projections": [{"label": e.label, "rank": e.rank,
+        "projections": [{"label": e.label, "rank": e.rank, "gateMargin": e.gate_margin,
                          "idempotencyResidual": e.idempotency_residual,
                          "commutatorResidual": numerics.opnorm(t @ e.matrix - e.matrix @ t)}
                         for e in family.entries],
@@ -433,9 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     def seed(p):
         p.add_argument("--seed", type=int, default=0)
 
-    def tol(p):
-        p.add_argument("--tol", type=float, default=1e-8)
-
     p = sub.add_parser("subord", help="p-subordination bound")
     common(p)
     seed(p)
@@ -456,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("project", help="Riesz projections over gap contours")
     common(p)
-    tol(p)
     p.add_argument("--abscissas", required=True, help="comma list of cut abscissae")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--theta", type=float, default=None)
@@ -465,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rieszconst", help="Riesz basis constants of a gap family")
     common(p)
     seed(p)
-    tol(p)
     p.add_argument("--abscissas", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--theta", type=float, default=None)
@@ -473,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blockop", help="Hamiltonian block operator checks")
     common(p)
-    tol(p)
+    p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_blockop)
 
     p = sub.add_parser("sweep", help="randomized verification sweep")

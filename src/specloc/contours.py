@@ -13,11 +13,16 @@ smooth arc away from the spectrum, so composite Gauss-Legendre panels of
 treatment of the corners; refinement doubles the panel count, never the
 order.  ``riesz_projection`` gates every node and panel endpoint (``gate_points``,
 corners included) on the quadrature's own resolvents, triangular resolvents from
-one Schur form, on every refinement pass.
+one Schur form, on every refinement pass.  A ``GapRegion`` holds a gap's
+geometry in ray coordinates without any nodes: the predicate ``contains`` and
+``distance_bound``, a lower bound on the distance to its contour, with which
+``projections.family_from_gaps`` gates the whole contour at once; it builds
+the contour (``GapRegion.contour``) only where that bound is too small.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,6 +164,66 @@ def circle(center: complex, radius: float, node_count: int = 64) -> Contour:
     return _build("circle", {"center": complex(center), "radius": float(radius)}, int(node_count))
 
 
+@dataclass(frozen=True)
+class GapRegion:
+    """The gap region { x_left < x < x_right, |y| < alpha x^p } in ray
+    coordinates w = x + i y = e^{-i theta} z."""
+
+    x_left: float
+    x_right: float
+    alpha: float
+    p: float
+    theta: float = 0.0
+
+    def __post_init__(self):
+        if not (0.0 < self.x_left < self.x_right):
+            raise InputError("need 0 < x_left < x_right")
+        if self.alpha < 0.0 or not (0.0 <= float(self.p) < 1.0):
+            raise InputError("need alpha >= 0 and p in [0, 1)")
+        if self.alpha == 0.0:
+            raise InputError("alpha must be positive for a non-degenerate contour")
+
+    def contour(self, nodes_per_segment: int = 32) -> Contour:
+        """Its boundary, traversed counterclockwise (``gap_contour``)."""
+        params = {k: float(v) for k, v in dataclasses.asdict(self).items()}
+        return _build("gap", params, int(nodes_per_segment))
+
+    def _ray_coordinates(self, z):
+        """(x, |y|) of w = e^{-i theta} z."""
+        w = np.asarray(z, dtype=complex) * np.exp(-1j * self.theta)
+        return w.real, np.abs(w.imag)
+
+    def contains(self, z) -> np.ndarray:
+        """The region's predicate: x_left < x < x_right and |y| < alpha x^p."""
+        x, y = self._ray_coordinates(z)
+        xl, xr = self.x_left, self.x_right
+        return (xl < x) & (x < xr) & (y < self.alpha * np.clip(x, xl, xr) ** self.p)
+
+    def distance_bound(self, z) -> np.ndarray:
+        """Lower bound on the distance from each point to the region's contour.
+
+        Exact for the two sides, and for the arcs at p = 0.  Folding y to |y|
+        leaves the upper arc y = f(x) = alpha x^p (the nearer one).  Every arc
+        point lies in the box [x_left, x_right] x [f(x_left), f(x_right)], and
+        f is s-Lipschitz there, s = alpha p x_left^(p-1), so with c the nearest
+        point of [x_left, x_right] to x the distance is at least
+        |y - f(c)| / sqrt(1 + s^2); the larger bound counts.  The rounding of
+        these formulas, a few u = 2^-52 of the coordinates, is covered by
+        subtracting 8 u (|z| + x_right + f(x_right)).
+        """
+        x, y = self._ray_coordinates(z)
+        xl, xr, alpha, p = self.x_left, self.x_right, self.alpha, self.p
+        hl, hr = alpha * xl**p, alpha * xr**p
+        sides = np.minimum(np.hypot(x - xl, np.maximum(y - hl, 0.0)),
+                           np.hypot(x - xr, np.maximum(y - hr, 0.0)))
+        arc = np.hypot(np.maximum(np.maximum(xl - x, x - xr), 0.0),
+                       np.maximum(np.maximum(hl - y, y - hr), 0.0))
+        slope = alpha * p * xl ** (p - 1.0)
+        graph = np.abs(y - alpha * np.clip(x, xl, xr) ** p) / np.sqrt(1.0 + slope * slope)
+        pad = 8.0 * numerics.EPS * (np.abs(z) + xr + hr)
+        return np.minimum(sides, np.maximum(arc, graph)) - pad
+
+
 def gap_contour(x_left: float, x_right: float, alpha: float, p: float,
                 theta: float = 0.0, nodes_per_segment: int = 32) -> Contour:
     """Closed contour between two parabola cross-cuts, rotated by theta.
@@ -166,15 +231,7 @@ def gap_contour(x_left: float, x_right: float, alpha: float, p: float,
     In ray coordinates it bounds { x_left <= x <= x_right, |y| <= alpha x^p },
     traversed counterclockwise.
     """
-    if not (0.0 < x_left < x_right):
-        raise InputError("need 0 < x_left < x_right")
-    if alpha < 0.0 or not (0.0 <= float(p) < 1.0):
-        raise InputError("need alpha >= 0 and p in [0, 1)")
-    if alpha == 0.0:
-        raise InputError("alpha must be positive for a non-degenerate contour")
-    return _build("gap", {"x_left": float(x_left), "x_right": float(x_right),
-                          "alpha": float(alpha), "p": float(p), "theta": float(theta)},
-                  int(nodes_per_segment))
+    return GapRegion(x_left, x_right, alpha, p, theta).contour(nodes_per_segment)
 
 
 def winding_number(contour: Contour, w: complex) -> complex:

@@ -31,6 +31,10 @@ EIG_RESIDUAL_RTOL = 1e-10
 #: complex entries in one stacked batch of matrices (512 KB)
 BATCH_ENTRIES = 1 << 15
 
+#: u = 2^-52, twice the unit roundoff, so first-order rounding bounds in u also
+#: cover their second-order terms and the few extra roundings of complex arithmetic
+EPS = float(np.finfo(float).eps)
+
 
 def as_matrix(a) -> np.ndarray:
     """Validate ``a`` as a finite square complex matrix and return a copy."""
@@ -61,6 +65,12 @@ def opnorm(a) -> float | np.ndarray:
     else:
         norms = np.linalg.svd(a, compute_uv=False)[..., 0]
     return float(norms) if a.ndim == 2 else norms
+
+
+def gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u) with u = EPS (Higham, section 3.1); a complex
+    inner product of length n rounds within gamma_{n+2} (Lemma 3.5, section 3.6)."""
+    return k * EPS / (1.0 - k * EPS)
 
 
 def batches(count: int, matrix_entries: int) -> list[slice]:

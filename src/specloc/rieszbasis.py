@@ -227,16 +227,11 @@ def _screen(family: ProjectionFamily, basis: RieszConstantReport) -> _Screen | N
         y = np.linalg.inv(w)
     except np.linalg.LinAlgError:
         return None
-    u = float(np.finfo(float).eps)
-
-    def gamma(k):
-        return k * u / (1.0 - k * u)
-
-    g = gamma(n + 2)
+    g = numerics.gamma(n + 2)
     w2 = float(np.linalg.norm(w)) ** 2
     y2 = float(np.linalg.norm(y)) ** 2
     r = float(np.linalg.norm(w @ y - np.eye(n))) + g * math.sqrt(w2 * y2)
-    rho = n * n * u
+    rho = n * n * numerics.EPS
     kappa = basis.sigma_max / basis.sigma_min
     tau = 5.0 * g * w2 * y2
     if max(r, rho * kappa, tau) >= 1e-3:
@@ -245,7 +240,8 @@ def _screen(family: ProjectionFamily, basis: RieszConstantReport) -> _Screen | N
     d = sum(float(np.linalg.norm(e.matrix - e.frame @ y[a:b]))
             for e, a, b in zip(family.entries, rows, rows[1:]))
     p2 = sum(float(np.linalg.norm(e.matrix)) for e in family.entries)
-    delta = (1.0 + rho) * d + gamma(n + len(family.entries) + 2) * (math.sqrt(w2 * y2) + 2.0 * p2)
+    delta = ((1.0 + rho) * d
+             + numerics.gamma(n + len(family.entries) + 2) * (math.sqrt(w2 * y2) + 2.0 * p2))
     top = kappa * (1.0 + rho) / (1.0 - rho * kappa)
     return _Screen(m_gram=w.conj().T @ w, n_gram=y @ y.conj().T, rho=rho, tau=tau, r=r,
                    delta=delta, upper=(1.0 + rho) * ((1.0 + r) * top + delta))
@@ -274,8 +270,8 @@ def _below(h, level: float, rho: float) -> np.ndarray:
     (``_pattern_bounds``); H is read from its lower triangle, as eigvalsh
     and LAPACK potrf read it."""
     s = h.shape[-1]
-    u = float(np.finfo(float).eps)
-    g = (s + 1) * u / (1.0 - (s + 1) * u)
+    u = numerics.EPS
+    g = numerics.gamma(s + 1)
     pad = 2.0 * rho * (s + 1) * abs(level)
     shift = level - pad
     a = np.negative(h)

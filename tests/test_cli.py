@@ -149,6 +149,26 @@ class TestProject:
         for p in report["projections"]:
             assert p["idempotencyResidual"] <= 1e-8
             assert p["commutatorResidual"] <= 1e-8
+            # every contour passes the closed-form gate and reports its bound
+            assert 0.25 < p["gateMargin"] < 1.0
+
+    def test_sampled_gate_reports_no_margin(self, tmp_path):
+        # diag(1, 5, 9) with 3 above the diagonal: ||N|| about 4.2 exceeds the distance 2
+        spec = write_json(tmp_path / "nonnormal.json", {
+            "G": {"rays": [{"theta": 0.0, "radii": [1.0, 5.0, 9.0]}]},
+            "S": {"kind": "dense", "entries": [[0.0, 3.0, 0.0], [0.0, 0.0, 3.0], [0.0] * 3]},
+            "p": 0.0,
+        })
+        out = tmp_path / "report.json"
+        assert cli.main(["project", "--input", spec, "--out", str(out),
+                         "--abscissas", "3,7,11", "--alpha", "1.0"]) == 0
+        report = read_report(out)
+        assert [(p["rank"], p["gateMargin"]) for p in report["projections"]] == [(1, None)] * 2
+
+    @pytest.mark.parametrize("command", ["project", "rieszconst"])
+    def test_no_tolerance_flag(self, hamiltonian_spec, command):
+        assert cli.main([command, "--input", hamiltonian_spec, *HAMILTONIAN_GAPS,
+                         "--tol", "1e-8"]) == 2
 
 
 class TestRieszConst:
@@ -204,6 +224,8 @@ class TestBlockop:
         assert report["perDiscCounts"] == [2, 2, 2]
         assert report["pairingDefects"] == []
         assert report["j1SkewResidual"] <= 1e-12
+        # blockop is the one subcommand with a tolerance
+        assert cli.main(["blockop", "--input", spec, "--out", str(out), "--tol", "1e-6"]) == 0
 
     def test_random_spd_blocks(self, tmp_path):
         spec = write_json(tmp_path / "ham.json", {

@@ -111,6 +111,61 @@ class TestGapContour:
         assert len(fine.gate_points) == 256 + 4 * 4
 
 
+def dense_points(contour, m=1024):
+    """The contour traced by 4 m points, 1 / m of each segment apart."""
+    return contour.refined(m // contour.nodes_per_segment).nodes
+
+
+class TestGapRegion:
+    @pytest.mark.parametrize("p, theta", [(0.0, 0.0), (0.0, np.pi / 2.0), (0.5, 0.0),
+                                          (0.5, 2.0), (0.9, -1.0)])
+    def test_distance_bound_below_the_distance(self, p, theta):
+        region = contours.GapRegion(3.0, 7.0, 1.5, p, theta)
+        rng = np.random.default_rng(5)
+        z = (rng.uniform(0.0, 10.0, 500) + 1j * rng.uniform(-6.0, 6.0, 500)) * np.exp(1j * theta)
+        traced = np.min(np.abs(z[:, None] - dense_points(region.contour())[None, :]), axis=1)
+        bound = region.distance_bound(z)
+        assert np.all(bound <= traced)
+        # exact at p = 0, up to the tracing's resolution; for x in [3, 7],
+        # within the slope factor sqrt(1 + s^2) otherwise
+        if p == 0.0:
+            assert np.all(traced <= bound + 1e-2)
+        else:
+            x = (z * np.exp(-1j * theta)).real
+            slope = 1.5 * p * 3.0 ** (p - 1.0)
+            within = (3.0 <= x) & (x <= 7.0)
+            assert np.all(traced[within] <= np.sqrt(1.0 + slope**2) * bound[within] + 1e-2)
+
+    def test_distance_bound_exact_values(self):
+        region = contours.GapRegion(3.0, 7.0, 1.0, 0.0)
+        z = np.array([5.0, 3.0, 1.0 + 1.0j, 8.0 - 3.0j, 5.0 + 4.0j])
+        np.testing.assert_allclose(region.distance_bound(z),
+                                   [1.0, 0.0, 2.0, np.hypot(1.0, 2.0), 3.0], rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("p, theta", [(0.0, 0.3), (0.5, 0.0), (0.5, -2.5)])
+    def test_contains_matches_the_winding_number(self, p, theta):
+        region = contours.GapRegion(3.0, 7.0, 1.5, p, theta)
+        rng = np.random.default_rng(8)
+        z = (rng.uniform(0.0, 10.0, 400) + 1j * rng.uniform(-6.0, 6.0, 400)) * np.exp(1j * theta)
+        z = z[region.distance_bound(z) > 0.05]
+        winding = np.array([contours.winding_number(region.contour(), w).real for w in z])
+        np.testing.assert_array_equal(region.contains(z), np.round(winding) == 1.0)
+
+    def test_contour_is_the_gap_contour(self):
+        region = contours.GapRegion(3.0, 7.0, 1.5, 0.5, 0.4)
+        reference = contours.gap_contour(3.0, 7.0, 1.5, 0.5, theta=0.4, nodes_per_segment=48)
+        contour = region.contour(48)
+        assert contour.params == reference.params
+        np.testing.assert_array_equal(contour.nodes, reference.nodes)
+        np.testing.assert_array_equal(contour.weights, reference.weights)
+
+    @pytest.mark.parametrize("args", [(5.0, 3.0, 1.0, 0.5), (0.0, 3.0, 1.0, 0.5),
+                                      (1.0, 3.0, 0.0, 0.5), (1.0, 3.0, 1.0, 1.0)])
+    def test_rejects_what_gap_contour_rejects(self, args):
+        with pytest.raises(InputError):
+            contours.GapRegion(*args)
+
+
 class TestMargin:
     def test_diagonal_example(self):
         t = np.diag([1.0, 5.0])

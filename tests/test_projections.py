@@ -179,6 +179,24 @@ def hamiltonian_gap_family(n, seed):
                                         theta=np.pi / 2.0)
 
 
+def shifted_hamiltonian(n, seed):
+    """T = [[iR, B], [C, iR]], R = diag(4, ..., 4n), with B and C Hermitian with
+    spectrum in [0.5, 1.3], as in the benchmark's Hamiltonian: every gap contour
+    at 4k + 2, alpha 2, passes the closed-form gate."""
+    rng = np.random.default_rng(seed)
+
+    def hermitian():
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        m = (q * rng.uniform(0.5, 1.3, n)) @ q.conj().T
+        return 0.5 * (m + m.conj().T)
+
+    r = np.diag(4.0 * np.arange(1, n + 1))
+    return np.block([[1j * r, hermitian()], [hermitian(), 1j * r]])
+
+
+HAMILTONIAN_REGION = dict(alpha=2.0, p=0.0, theta=np.pi / 2.0)
+
+
 class TestMakeFamily:
     def test_residual_on_first_read_and_cross_talk_from_the_factors(self, monkeypatch):
         shapes = []
@@ -298,6 +316,83 @@ class TestFamilyFromGaps:
         t += 0.1 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         family = projections.family_from_gaps(t, [3.0, 7.0, 11.0], 1.0, 0.5)
         assert [e.rank for e in family.entries] == [1, 1]
+
+    def test_eigenvalue_on_a_side_raises_at_once(self, count_calls):
+        # 5 + 0.3j lies on the left side x = 5, between the sampled gate points
+        resolvents = count_calls(projections, "_triangular_resolvent")
+        with pytest.raises(ContourSpectrumError) as info:
+            projections.family_from_gaps(np.diag([1.0, 5.0 + 0.3j, 9.0]), [5.0, 7.0], 1.0, 0.5)
+        assert info.value.abscissae == (5.0, 7.0)
+        assert info.value.margin <= projections.MARGIN_GATE
+        assert resolvents == []
+
+    @pytest.mark.parametrize("offset", [-1e-12, 0.0, 1e-12])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_eigenvalue_next_to_an_arc_raises(self, offset, sign):
+        # next to the arc y = +-sqrt(x) at x = 6.3, inside, on or outside it
+        z = 6.3 + sign * 1j * np.sqrt(6.3) * (1.0 + offset)
+        with pytest.raises(ContourSpectrumError) as info:
+            projections.family_from_gaps(np.diag([1.0, z, 9.0]), [3.0, 5.0, 7.0], 1.0, 0.5)
+        assert info.value.abscissae == (5.0, 7.0)
+
+    @pytest.mark.parametrize("n", [8, 24])
+    def test_closed_form_gate_matches_the_quadrature(self, count_calls, n):
+        t = shifted_hamiltonian(n, 0)
+        cuts = [4.0 * k + 2.0 for k in range(n + 1)]
+        resolvents = count_calls(projections, "_triangular_resolvent")
+        family = projections.family_from_gaps(t, cuts, **HAMILTONIAN_REGION)
+        assert resolvents == []
+        assert [e.rank for e in family.entries] == [2] * n
+        assert all(e.gate_margin > 0.25 for e in family.entries)
+        for e, xl, xr in zip(family.entries, cuts, cuts[1:]):
+            contour = contours.gap_contour(xl, xr, **HAMILTONIAN_REGION)
+            p_quad = projections.riesz_projection(t, contour)
+            assert np.linalg.norm(e.matrix - p_quad, 2) <= 1e-12 * np.linalg.norm(e.matrix, 2)
+
+    def test_non_normal_form_takes_the_sampled_gate(self, count_calls):
+        # diag R sits 2 away from every contour, but ||N|| is about 4.2
+        t = np.array([[1.0, 3.0, 0.0], [0.0, 5.0, 3.0], [0.0, 0.0, 9.0]])
+        cuts = [3.0, 7.0, 11.0]
+        resolvents = count_calls(projections, "_triangular_resolvent")
+        family = projections.family_from_gaps(t, cuts, 1.0, 0.5)
+        assert [e.gate_margin for e in family.entries] == [None, None]
+        gate_points = [contours.gap_contour(xl, xr, 1.0, 0.5).gate_points
+                       for xl, xr in zip(cuts, cuts[1:])]
+        assert [z for (_, z), _ in resolvents] == list(np.concatenate(gate_points))
+        for e, xl, xr in zip(family.entries, cuts, cuts[1:]):
+            p_quad = projections.riesz_projection(t, contours.gap_contour(xl, xr, 1.0, 0.5))
+            assert e.rank == 1
+            assert np.linalg.norm(e.matrix - p_quad, 2) <= 1e-10 * np.linalg.norm(e.matrix, 2)
+
+    def test_empty_gap_and_whole_spectrum(self, count_calls):
+        lapack = [count_calls(scipy.linalg.lapack, name) for name in ("ztrsen", "ztrsyl")]
+        t = np.array([[1.0, 0.2, 0.0], [0.0, 5.0, 0.2], [0.0, 0.0, 9.0]])
+        (empty,) = projections.family_from_gaps(t, [10.0, 12.0], 20.0, 0.0).entries
+        (whole,) = projections.family_from_gaps(t, [0.5, 10.0], 20.0, 0.0).entries
+        assert lapack == [[], []]
+        assert empty.gate_margin > 0.5 and whole.gate_margin > 0.1
+        assert (empty.rank, empty.norm, empty.tail) == (0, 0.0, 0.0)
+        assert not np.any(empty.matrix)
+        assert whole.rank == 3
+        np.testing.assert_allclose(whole.matrix, np.eye(3), atol=1e-14)
+
+    def test_factored_entries(self, count_calls):
+        svds = count_calls(np.linalg, "svd")
+        reorders = count_calls(scipy.linalg.lapack, "ztrsen")
+        family = projections.family_from_gaps(shifted_hamiltonian(8, 1),
+                                              [4.0 * k + 2.0 for k in range(9)],
+                                              **HAMILTONIAN_REGION)
+        # one reordering and one thin SVD of Y_k per gap, and one
+        # singular-value SVD of N for the gate
+        assert len(reorders) == 8
+        assert sorted(a[0].shape for a, _ in svds) == [(2, 16)] * 8 + [(16, 16)]
+        for e in family.entries:
+            np.testing.assert_allclose(e.frame.conj().T @ e.frame, np.eye(2), atol=1e-13)
+            np.testing.assert_allclose(e.matrix @ e.frame, e.frame, atol=1e-13)
+            s = np.linalg.svd(e.matrix, compute_uv=False)
+            np.testing.assert_allclose(e.norm, s[0], rtol=1e-13)
+            assert e.tail == 0.0
+        assert assert_cross_talk_brackets(family) <= 1e-12
 
 
 class TestSumBound:
