@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -299,12 +300,13 @@ def _gap_family(args):
 def cmd_project(args) -> int:
     t, abscissae, theta, family = _gap_family(args)
     # ||T P - P T|| on the original T checks the Schur-coordinate route
+    commutators = family.commutator_residuals(t)
     write_report({
         "abscissas": abscissae, "alpha": args.alpha, "theta": theta,
         "projections": [{"label": e.label, "rank": e.rank, "gateMargin": e.gate_margin,
                          "idempotencyResidual": e.idempotency_residual,
-                         "commutatorResidual": numerics.opnorm(t @ e.matrix - e.matrix @ t)}
-                        for e in family.entries],
+                         "commutatorResidual": commutator}
+                        for e, commutator in zip(family.entries, commutators)],
         "crossTalk": family.cross_talk,
         "sumResidual": family.sum_residual,
     }, args)
@@ -418,7 +420,9 @@ def cmd_demo(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: argparse keeps no state between parses."""
     parser = argparse.ArgumentParser(prog="specloc",
                                      description="spectral localization laboratory")
     sub = parser.add_subparsers(dest="command", required=True)

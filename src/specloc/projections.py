@@ -172,25 +172,62 @@ class ProjectionFamily:
     def matrices(self) -> list[np.ndarray]:
         return [e.matrix for e in self.entries]
 
+    @functools.cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stacked frames F = [F_1 ... F_m] and weighted coframes
+        C = [V_1 S_1 ... V_m S_m] of the entries, so P~_k = F_k C_k*; stacked on first read."""
+        es = self.entries
+        return (np.hstack([e.frame for e in es]),
+                np.hstack([e.coframe * e.singular_values for e in es]))
+
+    @functools.cached_property
+    def owners(self) -> np.ndarray:
+        """The m x sum(r_k) 0/1 matrix whose row k marks member k's columns of ``factors``
+        (a zero row for rank 0)."""
+        return np.repeat(np.eye(len(self.entries)), [e.rank for e in self.entries], axis=1)
+
+    def _rank_blocks(self):
+        """(members, columns) for each nonzero rank r: the indices of the members of rank r
+        and, one row each, their r columns of ``factors``."""
+        ranks = np.array([e.rank for e in self.entries])
+        start = np.cumsum(ranks) - ranks
+        for r in np.unique(ranks[ranks > 0]):
+            k = np.flatnonzero(ranks == r)
+            yield k, start[k, None] + np.arange(r)
+
     @property
     def cross_talk(self) -> float:
-        """Bound on max_{j != k} ||P_j P_k||: ||S_j V_j* U_k S_k||, a block of one GEMM of the
-        stacked factors (one stacked opnorm per pair of ranks, no padding), plus the pad tail_j
-        ||P_k|| + ||P_j|| tail_k; the GEMM rounding margin, ~n eps ||P_j|| ||P_k||, is not added."""
+        """Bound on max_{j != k} ||P_j P_k||: ||S_j V_j* U_k S_k||, a block of the GEMM C* F of
+        ``factors`` with its columns scaled by S (one stacked opnorm per pair of ranks, no
+        padding), plus the pad tail_j ||P_k|| + ||P_j|| tail_k; the GEMM rounding margin,
+        ~n eps ||P_j|| ||P_k||, is not added."""
         es = self.entries
         if len(es) < 2:
             return 0.0
-        ranks = np.array([e.rank for e in es])
-        start = np.cumsum(ranks) - ranks
-        gram = (np.hstack([e.coframe * e.singular_values for e in es]).conj().T
-                @ np.hstack([e.frame * e.singular_values for e in es]))
+        f, c = self.factors
+        gram = c.conj().T @ f * np.concatenate([e.singular_values for e in es])
         norm, tail = np.array([(e.norm, e.tail) for e in es]).T
         bound = np.outer(tail, norm) + np.outer(norm, tail)
-        for a, b in itertools.product(np.unique(ranks), repeat=2):
-            j, k = np.flatnonzero(ranks == a), np.flatnonzero(ranks == b)
-            rows, cols = start[j, None] + np.arange(a), start[k, None] + np.arange(b)
+        for (j, rows), (k, cols) in itertools.product(self._rank_blocks(), repeat=2):
             bound[np.ix_(j, k)] += numerics.opnorm(gram[rows[:, None, :, None], cols[:, None, :]])
         return float(bound[~np.eye(len(es), dtype=bool)].max())
+
+    def commutator_residuals(self, t_mat) -> np.ndarray:
+        """||T P~_k - P~_k T|| for each entry, from ``factors``: with P~_k = F_k C_k*, the
+        commutator is X Y* with X = [T F_k, F_k] and Y = [C_k, -T* C_k], so its norm is
+        ||R_X R_Y*|| for the thin QR R-factors, at most 2r x 2r (0 at rank 0)."""
+        out = np.zeros(len(self.entries))
+        if not self.entries:
+            return out
+        f, c = self.factors
+        tf, tc = t_mat @ f, t_mat.conj().T @ c
+        for k, cols in self._rank_blocks():
+            rx = np.linalg.qr(np.concatenate([tf[:, cols], f[:, cols]], axis=2)
+                              .transpose(1, 0, 2), mode="r")
+            ry = np.linalg.qr(np.concatenate([c[:, cols], -tc[:, cols]], axis=2)
+                              .transpose(1, 0, 2), mode="r")
+            out[k] = numerics.opnorm(rx @ ry.conj().transpose(0, 2, 1))
+        return out
 
     def disjoint(self, tol: float) -> bool:
         """Whether ``cross_talk`` <= tol: pads included, GEMM rounding margin not."""
@@ -334,18 +371,22 @@ def family_from_gaps(t_mat, gap_abscissae, alpha: float, p: float,
 def projection_sum_bound(family: ProjectionFamily, probe_count: int = 256, seed: int = 0):
     """Probe estimate and norm upper bound for C = sup sum_k |(P_k x | y)|.
 
-    Returns (c_hat, c_upper) with c_hat <= c_upper = sum_k ||P_k||, from make_family's SVDs.
+    Returns (c_hat, c_upper) with c_hat <= c_upper = sum_k ||P_k||, the entries' norms.  The
+    probes read the thin factors P~_k = F_k C_k* (``ProjectionFamily.factors``): with
+    a = F* y and b = C* x, (P~_k x | y) is the sum of conj(a) b over member k's rows, so
+    two GEMMs serve every member.  As ||P_k - P~_k|| <= tail_k, c_hat is the largest probe
+    sum less sum_k tail_k, which lies below that probe's sum for the P_k.
     """
-    mats = family.matrices
-    if not mats:
+    if probe_count < 1:
+        raise InputError("probe_count must be at least 1, got %d" % probe_count)
+    es = family.entries
+    if not es:
         return 0.0, 0.0
-    n = mats[0].shape[0]
+    f, c = family.factors
     rng = numerics.subrng(seed, 3)
-    x = numerics.unit_columns(rng, n, probe_count)
-    y = numerics.unit_columns(rng, n, probe_count)
-    total = np.zeros(probe_count)
-    for mat in mats:
-        total += np.abs(np.einsum("ij,ij->j", y.conj(), mat @ x))
-    c_upper = float(sum(e.norm for e in family.entries))
-    c_hat = min(float(total.max()), c_upper)
+    x = numerics.unit_columns(rng, f.shape[0], probe_count)
+    y = numerics.unit_columns(rng, f.shape[0], probe_count)
+    total = np.abs(family.owners @ ((f.conj().T @ y).conj() * (c.conj().T @ x))).sum(axis=0)
+    c_upper = float(sum(e.norm for e in es))
+    c_hat = min(max(float(total.max()) - sum(e.tail for e in es), 0.0), c_upper)
     return c_hat, c_upper

@@ -219,7 +219,7 @@ def _screen(family: ProjectionFamily, basis: RieszConstantReport) -> _Screen | N
 
     None unless W is invertible and r, rho kappa and tau are below 1e-3.
     """
-    w = np.hstack([e.frame for e in family.entries])
+    w = family.factors[0]
     n = w.shape[0]
     if not basis.sigma_min > 0.0:
         return None
@@ -485,25 +485,37 @@ def verify_projection_estimate(family: ProjectionFamily, constant: float, probe_
     on random unit vectors, and check the derived basis-constant chain
     c(ranges) <= 4 C^2; ``basis`` is c(ranges) when already at hand (the
     ``SignPatternSearch.basis`` of the same family).
+
+    The probes read the thin factors P~_k = F_k C_k* (``ProjectionFamily.factors``):
+    with z = C* x, ||P~_k x|| is the norm of member k's rows of z, as F_k is
+    orthonormal, and sum_k P~_k x = F z, so two GEMMs serve every member.  As
+    ||P_k - P~_k|| <= t_k = tail_k, each ||P_k x|| lies within t_k of ||P~_k x|| and
+    ||sum P_k x|| within T = sum_k t_k of ||F z||: the squares move by at most
+    d_sq = sum_k t_k (2 ||P~_k x|| + t_k) and d_mid = T (2 ||F z|| + T).  Each slack
+    is taken less its bound and over the scale sum ||P~_k x||^2 - d_sq, so the check
+    is never looser than one on the P_k (no pad where every tail is 0).
     """
-    mats = family.matrices
-    if not mats:
+    es = family.entries
+    if not es:
         raise InputError("family is empty")
     c = float(constant)
     if c <= 0.0:
         raise InputError("constant must be positive")
-    n = mats[0].shape[0]
-    x = numerics.unit_columns(numerics.subrng(seed, 5), n, probe_count)
-    sum_px = np.zeros((n, probe_count), dtype=complex)
-    sq = np.zeros(probe_count)
-    for mat in mats:
-        px = mat @ x
-        sum_px += px
-        sq += np.linalg.norm(px, axis=0) ** 2
-    mid = np.linalg.norm(sum_px, axis=0) ** 2
-    lower_slack = mid - sq / c**2
-    upper_slack = c**2 * sq - mid
-    scale = np.maximum(sq, 1e-300)
+    if probe_count < 1:
+        raise InputError("probe_count must be at least 1, got %d" % probe_count)
+    f, coframes = family.factors
+    # the probe block is not kept: one n x probe_count block less at the peak of F z
+    z = coframes.conj().T @ numerics.unit_columns(numerics.subrng(seed, 5), f.shape[0],
+                                                  probe_count)
+    parts = family.owners @ np.abs(z) ** 2
+    sq = parts.sum(axis=0)
+    mid = np.sum(np.abs(f @ z) ** 2, axis=0)
+    tail = np.array([e.tail for e in es])
+    d_sq = tail @ (2.0 * np.sqrt(parts) + tail[:, None])
+    d_mid = tail.sum() * (2.0 * np.sqrt(mid) + tail.sum())
+    lower_slack = mid - sq / c**2 - (d_mid + d_sq / c**2)
+    upper_slack = c**2 * sq - mid - (c**2 * d_sq + d_mid)
+    scale = np.maximum(sq - d_sq, 1e-300)
     ok = np.all(lower_slack >= -1e-9 * scale) and np.all(upper_slack >= -1e-9 * scale)
     if basis is None:
         basis = riesz_constant(range_family(family))

@@ -56,3 +56,37 @@ def pattern_bounds(patterns, ranks, screen) -> np.ndarray:
     x = np.sqrt(x2)
     return (1.0 + screen.rho) * ((1.0 + screen.r) * (x + np.sqrt(np.maximum(x2 - 1.0, 0.0)))
                                  + screen.delta)
+
+
+def probe_estimate_slacks(mats, constant, probe_count=1000, seed=0):
+    """The two-sided estimate on ``verify_projection_estimate``'s probes, each
+    P_k multiplied into the probe block as a dense matrix: returns (holds,
+    worst relative lower slack, worst relative upper slack)."""
+    c = float(constant)
+    n = mats[0].shape[0]
+    x = numerics.unit_columns(numerics.subrng(seed, 5), n, probe_count)
+    sum_px = np.zeros((n, probe_count), dtype=complex)
+    sq = np.zeros(probe_count)
+    for mat in mats:
+        px = mat @ x
+        sum_px += px
+        sq += np.linalg.norm(px, axis=0) ** 2
+    mid = np.linalg.norm(sum_px, axis=0) ** 2
+    lower_slack = mid - sq / c**2
+    upper_slack = c**2 * sq - mid
+    scale = np.maximum(sq, 1e-300)
+    ok = np.all(lower_slack >= -1e-9 * scale) and np.all(upper_slack >= -1e-9 * scale)
+    return bool(ok), float(np.min(lower_slack / scale)), float(np.min(upper_slack / scale))
+
+
+def probe_sum_estimate(mats, probe_count=256, seed=0) -> float:
+    """The largest sum_k |(P_k x | y)| over ``projection_sum_bound``'s probe
+    pairs, each P_k multiplied into the probe block as a dense matrix."""
+    n = mats[0].shape[0]
+    rng = numerics.subrng(seed, 3)
+    x = numerics.unit_columns(rng, n, probe_count)
+    y = numerics.unit_columns(rng, n, probe_count)
+    total = np.zeros(probe_count)
+    for mat in mats:
+        total += np.abs(np.einsum("ij,ij->j", y.conj(), mat @ x))
+    return float(total.max())

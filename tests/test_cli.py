@@ -363,6 +363,17 @@ class TestErrorPaths:
     def test_unknown_flag(self, basic_spec):
         assert cli.main(["subord", "--input", basic_spec, "--bogus"]) == 2
 
+    def test_parser_built_once_keeps_no_parse_state(self):
+        # build_parser is cached, so one parse must not leak into the next
+        assert cli.build_parser() is cli.build_parser()
+        parse = cli.build_parser().parse_args
+        first = parse(["rieszconst", "--input", "a.json", "--abscissas", "1,2", "--alpha", "2",
+                       "--theta", "0.5", "--seed", "3"])
+        second = parse(["project", "--input", "b.json", "--abscissas", "1,2", "--alpha", "1"])
+        assert (first.theta, first.seed, first.func) == (0.5, 3, cli.cmd_rieszconst)
+        assert (second.theta, second.func, second.input) == (None, cli.cmd_project, "b.json")
+        assert "seed" not in second
+
     def test_contour_through_spectrum_is_check_failure(self, tmp_path):
         spec = write_json(tmp_path / "exact.json", {
             "G": {"rays": [{"theta": 0.0, "radii": [1.0, 5.0, 9.0]}]},

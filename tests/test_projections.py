@@ -349,6 +349,36 @@ class TestFamilyFromGaps:
             p_quad = projections.riesz_projection(t, contour)
             assert np.linalg.norm(e.matrix - p_quad, 2) <= 1e-12 * np.linalg.norm(e.matrix, 2)
 
+    @pytest.mark.parametrize("n", [8, 24])
+    def test_commutator_residuals_from_the_factors(self, monkeypatch, n):
+        # ||T P - P T|| from the n x 4 factors matches the dense commutator
+        # within the rounding of forming it, and reads no entry's matrix
+        t = shifted_hamiltonian(n, 0)
+        family = projections.family_from_gaps(t, [4.0 * k + 2.0 for k in range(n + 1)],
+                                              **HAMILTONIAN_REGION)
+        shapes = []
+        opnorm = numerics.opnorm
+        monkeypatch.setattr(numerics, "opnorm", lambda a: shapes.append(np.shape(a)) or opnorm(a))
+        factors_only = projections.ProjectionFamily(
+            tuple(dataclasses.replace(e, matrix=None) for e in family.entries))
+        residuals = factors_only.commutator_residuals(t)
+        assert shapes == [(n, 4, 4)]
+        dense = [opnorm(t @ p - p @ t) for p in family.matrices]
+        scale = np.linalg.norm(t, 2) * max(e.norm for e in family.entries)
+        np.testing.assert_allclose(residuals, dense, rtol=0.0, atol=1e-14 * scale)
+        assert max(residuals) <= 1e-11
+
+    def test_commutator_residuals_of_mixed_ranks(self):
+        # ranks 0, 1 and 2 of a non-normal T: the empty gap gives 0
+        t = np.array([[1.0, 0.2, 0.1, 0.0], [0.0, 5.0, 0.2, 0.1],
+                      [0.0, 0.0, 5.5, 0.2], [0.0, 0.0, 0.0, 9.0]])
+        family = projections.family_from_gaps(t, [0.5, 3.0, 7.0, 8.0, 10.0], 1.0, 0.0)
+        assert [e.rank for e in family.entries] == [1, 2, 0, 1]
+        dense = [numerics.opnorm(t @ p - p @ t) for p in family.matrices]
+        np.testing.assert_allclose(family.commutator_residuals(t), dense, rtol=0.0, atol=1e-13)
+        assert family.commutator_residuals(t)[2] == 0.0
+        assert projections.make_family([]).commutator_residuals(t).shape == (0,)
+
     def test_non_normal_form_takes_the_sampled_gate(self, count_calls):
         # diag R sits 2 away from every contour, but ||N|| is about 4.2
         t = np.array([[1.0, 3.0, 0.0], [0.0, 5.0, 3.0], [0.0, 0.0, 9.0]])
@@ -422,6 +452,11 @@ class TestSumBound:
     def test_empty_family(self):
         family = projections.make_family([])
         assert projections.projection_sum_bound(family) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_no_probes_rejected(self, count):
+        with pytest.raises(InputError, match="probe_count"):
+            projections.projection_sum_bound(hamiltonian_gap_family(8, 0), probe_count=count)
 
     def test_upper_from_the_family_svds(self, count_calls):
         family = hamiltonian_gap_family(8, 0)

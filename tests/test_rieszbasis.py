@@ -1,5 +1,7 @@
 """Tests for Riesz basis constants, joins and sign-pattern norms."""
 
+import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -11,7 +13,7 @@ import pytest
 import reference_linalg
 from specloc import numerics, projections, rieszbasis
 from specloc.errors import InputError
-from test_projections import hamiltonian_gap_family
+from test_projections import HAMILTONIAN_REGION, hamiltonian_gap_family, shifted_hamiltonian
 
 
 def coordinate_family(splits, n):
@@ -579,3 +581,108 @@ class TestVerifyEstimate:
     def test_invalid_constant(self):
         with pytest.raises(InputError):
             rieszbasis.verify_projection_estimate(self.family(), 0.0)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_no_probes_rejected(self, count):
+        with pytest.raises(InputError, match="probe_count"):
+            rieszbasis.verify_projection_estimate(self.family(), 2.0, probe_count=count)
+
+
+def chain_family(seed):
+    """A family of acceptance test_07: m = 2 + seed % 7 disjoint skew
+    projections of C^n, n = max(8, m), onto contiguous eigenvector blocks of
+    I + 0.4 G, through make_family (tails at rounding level)."""
+    rng = np.random.default_rng(1000 + seed)
+    m = 2 + seed % 7
+    n = max(8, m)
+    v = np.eye(n, dtype=complex) + 0.4 * (rng.standard_normal((n, n))
+                                          + 1j * rng.standard_normal((n, n)))
+    vi = np.linalg.inv(v)
+    split = sorted(rng.choice(np.arange(1, n), size=m - 1, replace=False))
+    bounds = [0] + [int(x) for x in split] + [n]
+    return projections.make_family([(str(k), v[:, lo:hi] @ vi[lo:hi, :])
+                                    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))])
+
+
+def hamiltonian_family(n):
+    """The gap family of ``shifted_hamiltonian(n, 0)`` cut at 4k + 2 (tail 0)."""
+    return projections.family_from_gaps(shifted_hamiltonian(n, 0),
+                                        [4.0 * k + 2.0 for k in range(n + 1)],
+                                        **HAMILTONIAN_REGION)
+
+
+#: builders of the probe checks' families: Hamiltonian gap families (tail 0),
+#: acceptance-style skew families (tail > 0), a family with an empty gap
+#: (rank 0) of a non-normal T, and an incomplete family
+PROBE_FAMILIES = {
+    **{"hamiltonian%d" % n: functools.partial(hamiltonian_family, n) for n in (8, 24, 64)},
+    **{"chain%d" % seed: functools.partial(chain_family, seed) for seed in range(7)},
+    "empty-gap": lambda: projections.family_from_gaps(
+        np.array([[1.0, 0.2, 0.1, 0.0], [0.0, 5.0, 0.2, 0.1],
+                  [0.0, 0.0, 5.5, 0.2], [0.0, 0.0, 0.0, 9.0]]),
+        [0.5, 3.0, 7.0, 8.0, 10.0], 1.0, 0.0),
+    "incomplete": lambda: projections.make_family(
+        (e.label, e.matrix) for e in hamiltonian_gap_family(8, 1).entries[2:5]),
+}
+
+
+def nonzero_basis(family):
+    """c(ranges) of the members of nonzero rank (``range_family`` rejects rank 0)."""
+    return rieszbasis.riesz_constant(rieszbasis.SubspaceFamily(
+        tuple(e.frame for e in family.entries if e.rank)))
+
+
+class TestProbesFromFactors:
+    """Both probe checks read the thin factors; the dense loops of
+    ``reference_linalg`` multiply every P_k into the probe block."""
+
+    @pytest.mark.parametrize("name", list(PROBE_FAMILIES))
+    def test_agree_with_the_dense_reference(self, name):
+        family = PROBE_FAMILIES[name]()
+        mats = family.matrices
+        if name.startswith("chain"):
+            assert max(e.tail for e in family.entries) > 0.0
+        for c, seed in [(1.1, 0), (3.0, 2)]:
+            report = rieszbasis.verify_projection_estimate(family, c, seed=seed,
+                                                           basis=nonzero_basis(family))
+            holds, lower, upper = reference_linalg.probe_estimate_slacks(mats, c, seed=seed)
+            assert report.two_sided_holds == holds
+            np.testing.assert_allclose([report.worst_lower_slack, report.worst_upper_slack],
+                                       [lower, upper], rtol=0.0, atol=1e-12)
+            c_hat, c_upper = projections.projection_sum_bound(family, seed=seed)
+            reference = min(reference_linalg.probe_sum_estimate(mats, seed=seed), c_upper)
+            assert abs(c_hat - reference) <= 1e-12
+
+    def test_read_no_matrix(self):
+        family = chain_family(4)
+        nan = projections.ProjectionFamily(tuple(
+            dataclasses.replace(e, matrix=np.full(e.matrix.shape, np.nan))
+            for e in family.entries))
+        assert (rieszbasis.verify_projection_estimate(nan, 1.5, seed=3)
+                == rieszbasis.verify_projection_estimate(family, 1.5, seed=3))
+        assert (projections.projection_sum_bound(nan, seed=3)
+                == projections.projection_sum_bound(family, seed=3))
+
+    def test_tail_pads_are_never_looser(self):
+        # diag(0, 0.4) has rank 0 and tail 0.4: its factors drop it, and the
+        # pads keep both checks below the dense ones
+        family = projections.make_family([("a", np.diag([1.0, 0.0, 0.0])),
+                                          ("b", np.diag([0.0, 0.4, 0.0])),
+                                          ("c", np.diag([0.0, 0.0, 1.0]))])
+        mats = family.matrices
+        report = rieszbasis.verify_projection_estimate(family, 1.2, basis=nonzero_basis(family))
+        holds, lower, upper = reference_linalg.probe_estimate_slacks(mats, 1.2)
+        assert holds and not report.two_sided_holds
+        assert report.worst_lower_slack <= lower and report.worst_upper_slack <= upper
+        # the pads in closed form: P~ x = (x_1, 0, x_3), d_sq = 0.4^2, d_mid = 0.4 (2|P~ x| + 0.4)
+        x = numerics.unit_columns(numerics.subrng(0, 5), 3, 1000)
+        sq = np.abs(x[0]) ** 2 + np.abs(x[2]) ** 2
+        d_mid = 0.4 * (2.0 * np.sqrt(sq) + 0.4)
+        scale = np.maximum(sq - 0.16, 1e-300)
+        np.testing.assert_allclose(
+            [report.worst_lower_slack, report.worst_upper_slack],
+            [np.min((sq - sq / 1.44 - d_mid - 0.16 / 1.44) / scale),
+             np.min((1.44 * sq - sq - 1.44 * 0.16 - d_mid) / scale)], rtol=1e-12)
+        c_hat, c_upper = projections.projection_sum_bound(family)
+        assert c_upper == 2.4
+        assert 0.0 <= c_hat <= reference_linalg.probe_sum_estimate(mats) - 0.4 + 1e-15
