@@ -20,6 +20,7 @@ import functools
 import hashlib
 import json
 import math
+import reprlib
 import sys
 
 import numpy as np
@@ -51,16 +52,17 @@ def _reading(what: str):
         raise InputError("malformed %s: %s %s" % (what, type(exc).__name__, exc)) from exc
 
 
-def _as_complex(v):
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise InputError("expected a number or [re, im] pair, got %r" % (v,))
-
-
 def _matrix_from_json(rows):
-    return np.array([[_as_complex(v) for v in row] for row in rows], dtype=complex)
+    """The complex matrix of a list of rows whose entries are all numbers or all
+    [re, im] pairs; the pairs are read bit for bit."""
+    with contextlib.suppress(ValueError):  # a ragged or mixed matrix
+        m = np.array(rows)
+        if m.dtype.kind in "biuf" and m.ndim == 2:
+            return m.astype(complex)
+        if m.dtype.kind in "biuf" and m.shape[2:] == (2,) and m.ndim == 3:
+            return np.ascontiguousarray(m, dtype=float).view(complex)[..., 0]
+    raise InputError("expected a number or [re, im] pair in every entry, got %s"
+                     % reprlib.repr(rows))
 
 
 def load_spec(path: str) -> dict:

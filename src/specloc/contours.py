@@ -1,23 +1,19 @@
-"""Quadrature contours: circles and closed gap contours between parabolas.
+"""Contours, the regions they bound, and their gate points.
 
-Every contour carries explicit nodes z_j and weights w_j such that
+Every contour names the open region it bounds (``Contour.region``): a
+``CircleRegion`` for a circle, a ``GapRegion`` for a closed gap contour between
+parabolas.  A region holds the geometry without nodes: the predicate
+``contains``, which selects the eigenvalues inside, and ``distance_bound``, a
+lower bound on the distance to the contour, with which ``projections`` gates a
+whole contour at once.  Where that bound is too small, the gate checks the
+contour's ``gate_points``: every node and panel endpoint, corners included.
 
-    integral_Gamma f(z) dz  ~  sum_j w_j f(z_j),
-
-with positive (counterclockwise) orientation.  Circles use the periodic
-trapezoid rule (spectrally accurate).  Gap contours consist of four open
-segments (lower parabola arc left->right, right vertical up, upper parabola
-arc right->left, left vertical down) joined at corners.  Each segment is a
-smooth arc away from the spectrum, so composite Gauss-Legendre panels of
-``MIN_NODES_PER_SEGMENT`` nodes converge geometrically on it without any
-treatment of the corners; refinement doubles the panel count, never the
-order.  ``riesz_projection`` gates every node and panel endpoint (``gate_points``,
-corners included) on the quadrature's own resolvents, triangular resolvents from
-one Schur form, on every refinement pass.  A ``GapRegion`` holds a gap's
-geometry in ray coordinates without any nodes: the predicate ``contains`` and
-``distance_bound``, a lower bound on the distance to its contour, with which
-``projections.family_from_gaps`` gates the whole contour at once; it builds
-the contour (``GapRegion.contour``) only where that bound is too small.
+Circles carry periodic trapezoid nodes; gap contours carry composite
+Gauss-Legendre panels of ``MIN_NODES_PER_SEGMENT`` nodes on each of their four
+sides.  The weights w_j give integral_Gamma f(z) dz ~ sum_j w_j f(z_j),
+counterclockwise, and ``refined`` doubles the panels.  No production route
+integrates: the weights serve winding numbers, the tests' quadrature
+reference and the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -76,6 +72,11 @@ class Contour:
     def gate_points(self) -> np.ndarray:
         """Points the margin gate checks: every node, then every panel endpoint."""
         return np.concatenate([self.nodes] + [s.breaks for s in self.segments])
+
+    @property
+    def region(self):
+        """The open region the contour bounds: a ``CircleRegion`` or a ``GapRegion``."""
+        return (CircleRegion if self.kind == "circle" else GapRegion)(**self.params)
 
     def refined(self, factor: int = 2) -> "Contour":
         return _build(self.kind, self.params, self.nodes_per_segment * int(factor))
@@ -162,6 +163,25 @@ def circle(center: complex, radius: float, node_count: int = 64) -> Contour:
     if radius <= 0.0:
         raise InputError("radius must be positive")
     return _build("circle", {"center": complex(center), "radius": float(radius)}, int(node_count))
+
+
+@dataclass(frozen=True)
+class CircleRegion:
+    """The open disc |z - center| < radius."""
+
+    center: complex
+    radius: float
+
+    def contains(self, z) -> np.ndarray:
+        return np.abs(np.asarray(z) - self.center) < self.radius
+
+    def distance_bound(self, z) -> np.ndarray:
+        """Lower bound on the distance from each point to the circle: the exact
+        ||z - center| - radius| less 8 u (|z| + |center| + radius), u = 2^-52,
+        which covers the rounding of the two differences and the modulus."""
+        z = np.asarray(z)
+        pad = 8.0 * numerics.EPS * (np.abs(z) + abs(self.center) + self.radius)
+        return np.abs(np.abs(z - self.center) - self.radius) - pad
 
 
 @dataclass(frozen=True)

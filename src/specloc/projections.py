@@ -1,18 +1,15 @@
-"""Riesz projections: gap families from one reordered Schur form, contour
-quadrature for single contours, and projection families.
+"""Riesz projections from one reordered Schur form, and projection families.
 
-A gap family takes one Schur form T = Q R Q* for all its contours.  Each gap
-contour is gated in closed form over the whole contour (Weyl's inequality on
-R = diag R + N), and its projection is the spectral projector of the diagonal
-entries of R inside the gap: LAPACK ztrsen moves them to the top and ztrsyl
-solves one Sylvester equation (Bai, Demmel and McKenney, ACM TOMS 19, 1993;
-Stewart and Sun, Matrix Perturbation Theory, 1990, ch. V), so no quadrature
-runs and each entry comes from its factors.  ``riesz_projection`` integrates
-P = (i / 2 pi) * sum_j w_j (T - z_j)^-1 over any contour, with node doubling
-until ||P^2 - P||_F meets tolerance, from triangular resolvents of the same
-Schur form: each node and panel endpoint inverts R - z with LAPACK ztrtri,
-every pass gates each of them on that inverse, and the accepted sum is rotated
-back as Q P_R Q*.  An eigendecomposition route (``spectral_projector_oracle``)
+The Riesz projection P = (i / 2 pi) * integral over Gamma of (T - z)^-1 dz is
+the spectral projector of the eigenvalues inside Gamma.  ``riesz_projection``
+(one contour) and ``family_from_gaps`` (one per gap) both take it from one
+complex Schur form T = Q R Q* (``_schur_projector``).  Each contour is gated in
+closed form over the whole contour (Weyl's inequality on R = diag R + N), else
+by the margins 1 / ||(R - z)^-1||_F at its gate points; then LAPACK ztrsen
+moves the diagonal entries of R inside the contour's region to the top and
+ztrsyl solves one Sylvester equation (Bai, Demmel and McKenney, ACM TOMS 19,
+1993; Stewart and Sun, Matrix Perturbation Theory, 1990, ch. V), so no
+quadrature runs.  An eigendecomposition route (``spectral_projector_oracle``)
 provides the independent cross-check.
 """
 
@@ -32,9 +29,6 @@ from .errors import AmbiguousClusterError, ContourSpectrumError, ConvergenceErro
 #: margin gate: 1 / ||(T - z)^-1||_F, a lower bound on sigma_min(T - z), must exceed this
 MARGIN_GATE = 1e-8
 
-#: total node cap for adaptive doubling
-MAX_TOTAL_NODES = 2**20
-
 
 def schur_form(t_mat) -> tuple[np.ndarray, np.ndarray]:
     """Complex Schur form T = Q R Q*: returns (R, Q), R upper triangular."""
@@ -45,56 +39,113 @@ def schur_form(t_mat) -> tuple[np.ndarray, np.ndarray]:
     return np.triu(r), q
 
 
-def _triangular_resolvent(r, z):
-    """(R - z)^-1 by ztrtri and its margin 1 / ||(R - z)^-1||_F (0 at a zero pivot)."""
-    if not r.size:  # LAPACK rejects an empty matrix; its inverse is empty
-        return r, np.inf
+def _triangular_resolvent(r, z) -> float:
+    """The margin 1 / ||(R - z)^-1||_F, the inverse by ztrtri (0 at a zero pivot)."""
     shifted = r.copy(order="F")
-    shifted.flat[::r.shape[0] + 1] -= z
+    shifted.ravel("K")[::r.shape[0] + 1] -= z  # a view: the copy is contiguous
     inverse, info = scipy.linalg.lapack.ztrtri(shifted, overwrite_c=1)
     if info:
-        return inverse, 0.0
+        return 0.0
     flat = inverse.ravel("K")
-    return inverse, 1.0 / np.sqrt(np.vdot(flat, flat).real)
+    return 1.0 / np.sqrt(np.vdot(flat, flat).real)
 
 
-def _gate(margin: float) -> None:
-    """Raise ContourSpectrumError unless ``margin`` exceeds MARGIN_GATE (NaN fails)."""
-    if not margin > MARGIN_GATE:
-        raise ContourSpectrumError("contour margin %.3e below gate %.1e"
-                                   % (margin, MARGIN_GATE), margin=margin)
+def _schur_error(t_mat, r, q) -> float:
+    """Bound on ||E|| with Q0* T Q0 = R + E for a unitary Q0 (``_schur_projector``)."""
+    n = r.shape[0]
+    g = numerics.gamma(n + 2)
+    q2, r_norm = float(np.linalg.norm(q)) ** 2, float(np.linalg.norm(r))
+    residual = float(np.linalg.norm(q @ r @ q.conj().T - t_mat)) + 2.0 * g * q2 * r_norm
+    d = float(np.linalg.norm(q.conj().T @ q - np.eye(n))) + g * q2
+    if not d <= 0.5:
+        raise ConvergenceError("Schur vectors far from orthonormal: %.3e" % d, residual=d)
+    return residual + d * (1.0 + 2.0 * d) * r_norm
 
 
-def riesz_projection(t_mat, contour: contours_mod.Contour, tol: float = 1e-8) -> np.ndarray:
-    """Contour-quadrature Riesz projection with adaptive node doubling.
+def _schur_projector(t_mat):
+    """One Schur form T = Q R Q* for any number of contours.
 
-    Works in the Schur coordinates of ``schur_form(T)``, so the quadrature
-    integrates the resolvent of T + E, where ||E|| is the Schur form's
-    backward error (a small multiple of eps ||T||).  Each pass inverts R - z
-    at every node and panel endpoint; a zero pivot or a margin
-    1 / ||(R - z)^-1||_F = 1 / ||(T + E - z)^-1||_F not above MARGIN_GATE
-    raises ContourSpectrumError.  The stopping test
-    ||P_R^2 - P_R||_F runs on the triangular P_R; the result is Q P_R Q*.
+    Returns ``project(region, gate_points)``, which gates the contour of
+    ``region`` and gives (gate_margin, U, Y), where P = U Y is the spectral
+    projector of the diagonal entries of R inside the region
+    (``region.contains``).
+
+    The gate bounds sigma_min(T - z) over the whole contour at once.  With
+    u = 2^-52 and gamma_k as in ``numerics.gamma`` (the sign-pattern screen's
+    conventions) and Q = Q0 H its polar decomposition:
+
+    * E1 = T - Q R Q* is at most its computed Frobenius norm plus the rounding
+      of the two GEMMs, 2 gamma_{n+2} ||Q||_F^2 ||R||_F;
+    * d >= ||Q*Q - I|| is the computed Frobenius norm plus gamma_{n+2} ||Q||_F^2,
+      and ||H - I|| <= d / (2 - d), so ||H R H - R|| <= d (1 + 2 d) ||R|| for
+      d <= 1/2 (else ConvergenceError);
+    * so Q0* T Q0 = R + E with ||E|| <= ||E1|| + d (1 + 2 d) ||R||_F;
+    * with R = diag R + N, N strictly upper triangular, Weyl's inequality gives
+      sigma_min(T - z) >= dist(diag R, Gamma) - ||N|| - ||E|| for every z on
+      Gamma, where ``region.distance_bound`` bounds dist from below and ||N||
+      is its computed norm over (1 - rho), rho = n^2 u for gesdd's backward
+      error as in the screen.
+
+    A diagonal entry within MARGIN_GATE + ||E|| of the contour is an eigenvalue
+    of T + E on it, which the region predicate cannot place: that raises
+    ContourSpectrumError before any inverse is taken.  The contour passes when
+    the bound exceeds MARGIN_GATE, and the bound is ``gate_margin``.
+    Otherwise the margin 1 / ||(R - z)^-1||_F must exceed MARGIN_GATE at every
+    point of ``gate_points()``, called only then, and ``gate_margin`` is None.
+
+    ztrsen moves the k selected entries to the top of R = Qs Ts Qs*, and with
+    Ts = [[T11, T12], [0, T22]], ztrsyl solves T11 Z - Z T22 = scale T12; then
+    U = Qs[:, :k] and Y = [I, Z / scale] Qs*.  For k = 0 and k = n neither
+    runs: U Y is the empty product or Q Q*.
     """
+    t_mat = numerics.as_matrix(t_mat)
     r, q = schur_form(t_mat)
-    while True:
-        weights = contour.weights
-        acc = np.zeros(r.shape, dtype=complex)
-        for k, z in enumerate(contour.gate_points):
-            resolvent, margin = _triangular_resolvent(r, z)
-            _gate(margin)
-            if k < len(weights):
-                acc += weights[k] * resolvent
-        proj = (1j / (2.0 * np.pi)) * acc
-        residual = float(np.linalg.norm(proj @ proj - proj))
-        if residual <= tol:
-            return q @ proj @ q.conj().T
-        if contour.total_nodes * 2 > MAX_TOTAL_NODES:
-            raise ConvergenceError(
-                "projection residual %.3e at node cap %d" % (residual, MAX_TOTAL_NODES),
-                residual=residual,
-            )
-        contour = contour.refined(2)
+    n = r.shape[0]
+    values = np.diag(r)
+    error = _schur_error(t_mat, r, q)
+    departure = numerics.opnorm(np.triu(r, 1)) / (1.0 - n * n * numerics.EPS)
+
+    def project(region, gate_points):
+        dist = max(float(np.min(region.distance_bound(values), initial=np.inf)), 0.0)
+        if not dist > MARGIN_GATE + error:
+            raise ContourSpectrumError("Schur diagonal within %.3e of the contour" % dist,
+                                       margin=dist)
+        gate_margin = dist - departure - error
+        if not gate_margin > MARGIN_GATE:
+            gate_margin = None
+            for point in gate_points():
+                margin = _triangular_resolvent(r, point)
+                if not margin > MARGIN_GATE:
+                    raise ContourSpectrumError("contour margin %.3e below gate %.1e"
+                                               % (margin, MARGIN_GATE), margin=margin)
+        select = region.contains(values)
+        k = int(np.count_nonzero(select))
+        qs, y = q, q.conj().T
+        if 0 < k < n:
+            ts, qs, *_, info = scipy.linalg.lapack.ztrsen(select, r, q, job="N")
+            if info:
+                raise ConvergenceError("ztrsen failed to reorder the Schur form (info %d)"
+                                       % info)
+            z, scale, info = scipy.linalg.lapack.ztrsyl(ts[:k, :k], ts[k:, k:], ts[:k, k:],
+                                                        isgn=-1)
+            if info:
+                raise ConvergenceError("ztrsyl: the contour's eigenvalues are too close to "
+                                       "the others (info %d)" % info)
+            y = qs[:, :k].conj().T + (z / scale) @ qs[:, k:].conj().T
+        return gate_margin, qs[:, :k], y[:k]
+
+    return project
+
+
+def riesz_projection(t_mat, contour: contours_mod.Contour) -> np.ndarray:
+    """The Riesz projection over ``contour``: the spectral projector of the
+    eigenvalues inside ``contour.region``, as U Y from ``_schur_projector``.
+
+    The contour is gated as a whole in closed form, else at its own
+    ``gate_points``; an eigenvalue on or near it raises ContourSpectrumError.
+    """
+    _, u, y = _schur_projector(t_mat)(contour.region, lambda: contour.gate_points)
+    return u @ y
 
 
 def spectral_projector_oracle(t_mat, region_predicate) -> np.ndarray:
@@ -256,115 +307,35 @@ def make_family(labelled_projections) -> ProjectionFamily:
     return ProjectionFamily(entries=tuple(entries))
 
 
-def _schur_error(t_mat, r, q) -> float:
-    """Bound on ||E|| with Q0* T Q0 = R + E for a unitary Q0 (``family_from_gaps``)."""
-    n = r.shape[0]
-    g = numerics.gamma(n + 2)
-    q2, r_norm = float(np.linalg.norm(q)) ** 2, float(np.linalg.norm(r))
-    residual = float(np.linalg.norm(q @ r @ q.conj().T - t_mat)) + 2.0 * g * q2 * r_norm
-    d = float(np.linalg.norm(q.conj().T @ q - np.eye(n))) + g * q2
-    if not d <= 0.5:
-        raise ConvergenceError("Schur vectors far from orthonormal: %.3e" % d, residual=d)
-    return residual + d * (1.0 + 2.0 * d) * r_norm
-
-
-def _contour_gate(r, region, values, departure: float, error: float) -> float | None:
-    """Closed-form gate of one gap contour, else the sampled gate on its points."""
-    dist = max(float(np.min(region.distance_bound(values), initial=np.inf)), 0.0)
-    if not dist > MARGIN_GATE + error:
-        raise ContourSpectrumError("Schur diagonal within %.3e of the contour" % dist,
-                                   margin=dist)
-    bound = dist - departure - error
-    if bound > MARGIN_GATE:
-        return bound
-    for z in region.contour().gate_points:
-        _gate(_triangular_resolvent(r, z)[1])
-    return None
-
-
-def _spectral_entry(label: str, r, q, select, gate_margin) -> ProjectionEntry:
-    """The spectral projector P = U Y of the selected diagonal entries of R.
-
-    ztrsen moves them to the top of R = Qs Ts Qs*, and with Ts = [[T11, T12],
-    [0, T22]], ztrsyl solves T11 Z - Z T22 = scale T12; then U = Qs[:, :k] and
-    Y = [I, Z / scale] Qs*.  One thin SVD Y = A S B* gives the frame U A, the
-    singular values S and the coframe B, and P = (U A) S B* has no tail.
-    """
-    n, k = r.shape[0], int(np.count_nonzero(select))
-    if k == 0:
-        empty = np.zeros((n, 0), dtype=complex)
-        return ProjectionEntry(label=label, matrix=np.zeros((n, n), dtype=complex),
-                               frame=empty, singular_values=np.zeros(0), coframe=empty,
-                               norm=0.0, tail=0.0, gate_margin=gate_margin)
-    qs, y = q, q.conj().T
-    if k < n:
-        ts, qs, *_, info = scipy.linalg.lapack.ztrsen(select, r, q, job="N")
-        if info:
-            raise ConvergenceError("ztrsen failed to reorder the Schur form (info %d)" % info)
-        z, scale, info = scipy.linalg.lapack.ztrsyl(ts[:k, :k], ts[k:, k:], ts[:k, k:], isgn=-1)
-        if info:
-            raise ConvergenceError("ztrsyl: the gap's eigenvalues are too close to the "
-                                   "others (info %d)" % info)
-        y = qs[:, :k].conj().T + (z / scale) @ qs[:, k:].conj().T
-    u = qs[:, :k]
-    a, s, bh = np.linalg.svd(y, full_matrices=False)
-    return ProjectionEntry(label=label, matrix=u @ y, frame=u @ a, singular_values=s,
-                           coframe=bh.conj().T, norm=float(s[0]), tail=0.0,
-                           gate_margin=gate_margin)
-
-
 def family_from_gaps(t_mat, gap_abscissae, alpha: float, p: float,
                      theta: float = 0.0) -> ProjectionFamily:
     """Spectral projections for the gap contours between consecutive abscissae.
 
-    One Schur form T = Q R Q* serves every contour.  Each projection is that of
-    the diagonal entries of R inside the gap region (``GapRegion.contains``), from
-    its factors (``_spectral_entry``), so the family takes no n x n SVD.
-
-    The gate bounds sigma_min(T - z) over a whole contour at once.  With
-    u = 2^-52 and gamma_k as in ``numerics.gamma`` (the sign-pattern screen's
-    conventions) and Q = Q0 H its polar decomposition:
-
-    * E1 = T - Q R Q* is at most its computed Frobenius norm plus the rounding
-      of the two GEMMs, 2 gamma_{n+2} ||Q||_F^2 ||R||_F;
-    * d >= ||Q*Q - I|| is the computed Frobenius norm plus gamma_{n+2} ||Q||_F^2,
-      and ||H - I|| <= d / (2 - d), so ||H R H - R|| <= d (1 + 2 d) ||R|| for
-      d <= 1/2 (else ConvergenceError);
-    * so Q0* T Q0 = R + E with ||E|| <= ||E1|| + d (1 + 2 d) ||R||_F;
-    * with R = diag R + N, N strictly upper triangular, Weyl's inequality gives
-      sigma_min(T - z) >= dist(diag R, Gamma) - ||N|| - ||E|| for every z on
-      Gamma, where ``GapRegion.distance_bound`` bounds dist from below and ||N||
-      is its computed norm over (1 - rho), rho = n^2 u for gesdd's backward
-      error as in the screen.
-
-    A diagonal entry within MARGIN_GATE + ||E|| of a contour is an eigenvalue
-    of T + E on it, which the region predicate cannot place: that raises
-    ContourSpectrumError.  The contour passes when the bound exceeds
-    MARGIN_GATE, and the bound is the entry's ``gate_margin``.  Otherwise the
-    margin 1 / ||(R - z)^-1||_F of ``riesz_projection`` gates every point of
-    the contour's ``gate_points``, built only then, and ``gate_margin`` is
-    None.  A failing contour raises ContourSpectrumError naming the abscissa
-    pair.
+    One Schur form serves every contour (``_schur_projector``, which states the
+    gate).  Each projection P = U Y is that of the diagonal entries of R inside
+    the gap region (``GapRegion.contains``), and one thin SVD Y = A S B* gives
+    its frame U A, singular values S and coframe B, so P = (U A) S B* has no
+    tail and the family takes no n x n SVD.  The sampled gate builds a gap's
+    contour only where the closed form fails.  A failing contour raises
+    ContourSpectrumError naming the abscissa pair.
     """
-    t_mat = numerics.as_matrix(t_mat)
     xs = [float(x) for x in gap_abscissae]
     if len(xs) < 2 or any(b <= a for a, b in zip(xs, xs[1:])):
         raise InputError("need at least two strictly increasing gap abscissae")
-    r, q = schur_form(t_mat)
-    n = r.shape[0]
-    values = np.diag(r)
-    error = _schur_error(t_mat, r, q)
-    departure = numerics.opnorm(np.triu(r, 1)) / (1.0 - n * n * numerics.EPS)
+    project = _schur_projector(t_mat)
     entries = []
     for xl, xr in zip(xs, xs[1:]):
         region = contours_mod.GapRegion(xl, xr, float(alpha), float(p), float(theta))
         try:
-            margin = _contour_gate(r, region, values, departure, error)
+            gate_margin, u, y = project(region, lambda: region.contour().gate_points)
         except ContourSpectrumError as exc:
             raise ContourSpectrumError("gap contour (%g, %g): %s" % (xl, xr, exc),
                                        margin=exc.margin, abscissae=(xl, xr)) from exc
-        entries.append(_spectral_entry("gap[%g,%g]" % (xl, xr), r, q,
-                                       region.contains(values), margin))
+        a, s, bh = np.linalg.svd(y, full_matrices=False)
+        entries.append(ProjectionEntry(
+            label="gap[%g,%g]" % (xl, xr), matrix=u @ y, frame=u @ a, singular_values=s,
+            coframe=bh.conj().T, norm=float(np.max(s, initial=0.0)), tail=0.0,
+            gate_margin=gate_margin))
     return ProjectionFamily(entries=tuple(entries))
 
 

@@ -17,6 +17,26 @@ def svd_extremes(a) -> tuple[float, float]:
     return float(s[0]), float(s[-1])
 
 
+def lu_reference(t, contour, tol=1e-8):
+    """The contour quadrature P = (i / 2 pi) sum_j w_j (T - z_j)^-1, with one LU
+    solve of T - z against I per gate point and node doubling until
+    ||P^2 - P||_F <= tol: (projection, margins 1 / ||(T - z)^-1||_F of every
+    pass, gate points in order)."""
+    ident = np.eye(len(t), dtype=complex)
+    margins = []
+    while True:
+        acc = np.zeros_like(ident)
+        for k, z in enumerate(contour.gate_points):
+            resolvent = np.linalg.solve(t - z * ident, ident)
+            margins.append(1.0 / np.linalg.norm(resolvent))
+            if k < len(contour.weights):
+                acc += contour.weights[k] * resolvent
+        proj = (1j / (2.0 * np.pi)) * acc
+        if np.linalg.norm(proj @ proj - proj) <= tol:
+            return proj, margins
+        contour = contour.refined(2)
+
+
 def max_cross_product_norm(mats) -> float:
     """max over ordered pairs j != k of ||P_j P_k||: every product formed and
     normed by its own SVD."""

@@ -1,5 +1,7 @@
 """Tests for contour construction and quadrature."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,40 @@ class TestGapRegion:
     def test_rejects_what_gap_contour_rejects(self, args):
         with pytest.raises(InputError):
             contours.GapRegion(*args)
+
+
+def distance_at_least(z, center, radius, bound) -> bool:
+    """Whether the exact distance ||z - center| - radius| is at least ``bound``,
+    decided in exact rational arithmetic on the floats given."""
+    if bound <= 0.0:
+        return True
+    dx = Fraction(z.real) - Fraction(center.real)
+    dy = Fraction(z.imag) - Fraction(center.imag)
+    d2, r, b = dx * dx + dy * dy, Fraction(radius), Fraction(bound)
+    return d2 >= (r + b) ** 2 or (r >= b and d2 <= (r - b) ** 2)
+
+
+class TestCircleRegion:
+    def test_contour_names_its_region(self):
+        circle = contours.circle(2.0 + 1.0j, 3.0, 32)
+        assert circle.region == contours.CircleRegion(2.0 + 1.0j, 3.0)
+        gap = contours.gap_contour(3.0, 7.0, 1.5, 0.5, theta=0.4)
+        assert gap.region == contours.GapRegion(3.0, 7.0, 1.5, 0.5, 0.4)
+
+    @pytest.mark.parametrize("center, radius", [(0.0, 2.0), (2.0 + 1.0j, 3.0),
+                                                (-1e3j, 1e-3), (1e8, 7.0)])
+    def test_distance_bound_below_the_distance(self, center, radius):
+        region = contours.CircleRegion(complex(center), radius)
+        rng = np.random.default_rng(11)
+        # inside, outside, and on the circle up to the rounding of its points
+        rho = radius * np.concatenate([rng.uniform(0.0, 3.0, 300), np.ones(100)])
+        z = center + rho * np.exp(2j * np.pi * rng.uniform(size=400))
+        bound = region.distance_bound(z)
+        assert all(distance_at_least(w, complex(center), radius, b) for w, b in zip(z, bound))
+        # and exact up to the pad
+        np.testing.assert_allclose(bound, np.abs(np.abs(z - center) - radius),
+                                   rtol=0.0, atol=1e-14 * (abs(center) + 4.0 * radius))
+        np.testing.assert_array_equal(region.contains(z), np.abs(z - center) < radius)
 
 
 class TestMargin:

@@ -57,6 +57,21 @@ class TestBuildPerturbation:
         s = cli.perturbation_from_json({"S": {"kind": "dense", "entries": m.tolist()}}, 2)
         np.testing.assert_array_equal(s, m.astype(complex))
 
+    def test_dense_pairs_bit_exact(self):
+        m = numerics.gaussian(np.random.default_rng(3), (3, 3)) * 1e-3
+        pairs = [[[z.real, z.imag] for z in row] for row in m.tolist()]
+        s = cli.perturbation_from_json({"S": {"kind": "dense", "entries": pairs}}, 3)
+        np.testing.assert_array_equal(s, m)
+        assert s.flags.c_contiguous
+
+    @pytest.mark.parametrize("entries", [
+        [[1.0, [0.0, 1.0]], [0.0, 1.0]], [[1.0, None], [0.0, 1.0]], [[1.0, "2"], [0.0, 1.0]],
+        [[[1.0, 0.0, 0.0]]], [1.0, 2.0], [[[1.0, 0.0]], [1.0]],
+    ], ids=["mixed", "null", "string", "triple", "vector", "ragged"])
+    def test_dense_rejects_malformed_entries(self, entries):
+        with pytest.raises(InputError, match=r"expected a number or \[re, im\] pair"):
+            cli.perturbation_from_json({"S": {"kind": "dense", "entries": entries}}, 2)
+
     def test_gaussian_norm_matches_scale(self):
         s = operators.random_gaussian(16, seed=42, scale=0.37)
         np.testing.assert_allclose(numerics.opnorm(s), 0.37, atol=1e-10)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from reference_linalg import cross_talk_pad, max_cross_product_norm
+from reference_linalg import cross_talk_pad, lu_reference, max_cross_product_norm
 from specloc import contours, instances, numerics, projections
 from specloc.errors import AmbiguousClusterError, ContourSpectrumError, InputError
 
@@ -41,6 +41,24 @@ class TestRieszProjection:
             projections.riesz_projection(t, contours.circle(1.0, 1.0, 32))
         assert info.value.margin == 0.0
 
+    def test_eigenvalue_on_the_circle_raises_at_once(self, count_calls):
+        # 1 + e^i lies on |z - 1| = 1 and on no node of any refinement
+        resolvents = count_calls(projections, "_triangular_resolvent")
+        t = np.diag([1.0, 1.0 + np.exp(1j), 9.0])
+        with pytest.raises(ContourSpectrumError) as info:
+            projections.riesz_projection(t, contours.circle(1.0, 1.0, 32))
+        assert info.value.margin == 0.0
+        assert resolvents == []
+
+    def test_circle_around_no_eigenvalue_or_all(self, count_calls):
+        lapack = [count_calls(scipy.linalg.lapack, name) for name in ("ztrsen", "ztrsyl")]
+        t = np.array([[1.0, 0.2, 0.0], [0.0, 5.0, 0.2], [0.0, 0.0, 9.0]])
+        none = projections.riesz_projection(t, contours.circle(20.0, 2.0, 32))
+        every = projections.riesz_projection(t, contours.circle(5.0, 6.0, 32))
+        assert lapack == [[], []]
+        np.testing.assert_array_equal(none, np.zeros((3, 3)))
+        np.testing.assert_allclose(every, np.eye(3), atol=1e-14)
+
     def test_agrees_with_oracle(self):
         rng = np.random.default_rng(6)
         a = np.diag([0.5, 1.0, 1.5, 4.0, 5.0, 6.0]).astype(complex)
@@ -59,24 +77,6 @@ class TestRieszProjection:
         assert family.cross_talk <= 1e-8
 
 
-def lu_reference(t, contour, tol=1e-8):
-    """The quadrature with one LU solve of T - z against I per gate point:
-    (projection, margins of every pass)."""
-    ident = np.eye(len(t), dtype=complex)
-    margins = []
-    while True:
-        acc = np.zeros_like(ident)
-        for k, z in enumerate(contour.gate_points):
-            resolvent = np.linalg.solve(t - z * ident, ident)
-            margins.append(1.0 / np.linalg.norm(resolvent))
-            if k < len(contour.weights):
-                acc += contour.weights[k] * resolvent
-        proj = (1j / (2.0 * np.pi)) * acc
-        if np.linalg.norm(proj @ proj - proj) <= tol:
-            return proj, margins
-        contour = contour.refined(2)
-
-
 class TestTriangularPath:
     @staticmethod
     def contours_for(values):
@@ -88,24 +88,29 @@ class TestTriangularPath:
                                      theta=float(np.angle(top)))]
 
     def test_agrees_with_lu_reference(self, monkeypatch):
+        # the projection within 1e-12 of the oracle, the quadrature reference
+        # within its own stopping tolerance of it; ||N|| is above the distance
+        # from diag R to either contour, so the sampled gate runs, and its
+        # margins are those of the reference's first pass
         t, values, _, _ = instances.diagonalizable_instance(0)
         margins = []
         resolve = projections._triangular_resolvent
 
         def recording(r, z):
-            inverse, margin = resolve(r, z)
-            margins.append(margin)
-            return inverse, margin
+            margins.append(resolve(r, z))
+            return margins[-1]
 
         monkeypatch.setattr(projections, "_triangular_resolvent", recording)
         for contour in self.contours_for(values):
             margins.clear()
             p = projections.riesz_projection(t, contour)
             p_ref, margins_ref = lu_reference(t, contour)
+            p_oracle = projections.spectral_projector_oracle(t, contour.region.contains)
             assert np.linalg.norm(p) > 0.5
-            assert np.linalg.norm(p - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
-            assert len(margins) == len(margins_ref)
-            np.testing.assert_allclose(margins, margins_ref, rtol=1e-12, atol=0.0)
+            assert np.linalg.norm(p - p_oracle) <= 1e-12 * np.linalg.norm(p_oracle)
+            assert np.linalg.norm(p_ref - p_oracle) <= 1e-8
+            first_pass = margins_ref[:len(contour.gate_points)]
+            np.testing.assert_allclose(margins, first_pass, rtol=1e-12, atol=0.0)
 
     def test_one_schur_form_per_family(self, count_calls):
         calls = count_calls(scipy.linalg, "schur")
@@ -345,8 +350,7 @@ class TestFamilyFromGaps:
         assert [e.rank for e in family.entries] == [2] * n
         assert all(e.gate_margin > 0.25 for e in family.entries)
         for e, xl, xr in zip(family.entries, cuts, cuts[1:]):
-            contour = contours.gap_contour(xl, xr, **HAMILTONIAN_REGION)
-            p_quad = projections.riesz_projection(t, contour)
+            p_quad, _ = lu_reference(t, contours.gap_contour(xl, xr, **HAMILTONIAN_REGION))
             assert np.linalg.norm(e.matrix - p_quad, 2) <= 1e-12 * np.linalg.norm(e.matrix, 2)
 
     @pytest.mark.parametrize("n", [8, 24])
@@ -390,7 +394,7 @@ class TestFamilyFromGaps:
                        for xl, xr in zip(cuts, cuts[1:])]
         assert [z for (_, z), _ in resolvents] == list(np.concatenate(gate_points))
         for e, xl, xr in zip(family.entries, cuts, cuts[1:]):
-            p_quad = projections.riesz_projection(t, contours.gap_contour(xl, xr, 1.0, 0.5))
+            p_quad, _ = lu_reference(t, contours.gap_contour(xl, xr, 1.0, 0.5))
             assert e.rank == 1
             assert np.linalg.norm(e.matrix - p_quad, 2) <= 1e-10 * np.linalg.norm(e.matrix, 2)
 
