@@ -163,21 +163,15 @@ def verify_hamiltonian(system: operators.PerturbedSystem, model: HamiltonianMode
     inside = dist <= b + tol * scale
     disc_violations = tuple(complex(z) for z, row in zip(values, inside) if not row.any())
     counts = tuple(int(x) for x in inside.sum(axis=0))
-    simple = []
-    for k in range(len(centers)):
-        members = values[inside[:, k]]
-        sep_ok = True
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if abs(members[i] - members[j]) <= tol * scale:
-                    sep_ok = False
-        simple.append(sep_ok)
+    # a disc is simple when no pair of eigenvalues within tol * scale lies in it
+    i, j = np.nonzero(np.triu(np.abs(values[:, None] - values) <= tol * scale, 1))
+    simple = ~(inside[i] & inside[j]).any(axis=0)
     return SymmetryReport(
         j1_skew_residual=float(j1_res),
         pairing_defects=tuple(defects),
         real_part_floor_violations=floor,
         disc_violations=disc_violations,
         per_disc_counts=counts,
-        disc_simple=tuple(simple),
+        disc_simple=tuple(simple.tolist()),
         eigenvector_condition=dec.condition_estimate,
     )

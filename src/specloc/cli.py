@@ -252,9 +252,9 @@ def cmd_enclosure(args) -> int:
                                 args.psi)
     region, report = run.region, run.report
     if args.points:
-        rows = [(z.real, z.imag, int(enclosure_mod.contains(region, z)))
-                for z in report.eigenvalues]
-        write_points_csv(args.points, ("re", "im", "inside"), rows)
+        z = report.eigenvalues
+        write_points_csv(args.points, ("re", "im", "inside"),
+                         zip(z.real, z.imag, enclosure_mod.contains(region, z).astype(int)))
     if args.lobes:
         x_max = max(float(np.max(np.abs(report.eigenvalues))), region.r0, 1.0) * 1.1
         write_points_csv(args.lobes, ("theta", "x", "y_upper", "y_lower"),

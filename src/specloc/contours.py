@@ -160,8 +160,8 @@ def _build(kind, params, m):
 
 def circle(center: complex, radius: float, node_count: int = 64) -> Contour:
     """Positively oriented circle."""
-    if radius <= 0.0:
-        raise InputError("radius must be positive")
+    if not (np.isfinite(center) and 0.0 < radius < np.inf):
+        raise InputError("need a finite center and a finite positive radius")
     return _build("circle", {"center": complex(center), "radius": float(radius)}, int(node_count))
 
 
@@ -196,6 +196,8 @@ class GapRegion:
     theta: float = 0.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.x_left, self.x_right, self.alpha, self.theta])):
+            raise InputError("need finite x_left, x_right, alpha and theta")
         if not (0.0 < self.x_left < self.x_right):
             raise InputError("need 0 < x_left < x_right")
         if self.alpha < 0.0 or not (0.0 <= float(self.p) < 1.0):

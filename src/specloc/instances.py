@@ -100,8 +100,7 @@ def run_enclosure_case(seed: int, alpha_factor: float = 1.1) -> dict:
     neg_alpha = 0.5 * b if b > 0.0 else 0.05
     neg_region = enclosure_mod.build_enclosure(system.ray_spec.thetas, neg_alpha, system.p,
                                                run.region.r0, b=b)
-    neg_violators = sum(0 if enclosure_mod.contains(neg_region, z) else 1
-                        for z in report.eigenvalues)
+    neg_violators = np.count_nonzero(~enclosure_mod.contains(neg_region, report.eigenvalues))
     return {
         **info,
         **run.parameters,

@@ -1,6 +1,7 @@
 """Tests for block operator assembly and the Hamiltonian special case."""
 
 import cmath
+import types
 
 import numpy as np
 import pytest
@@ -148,6 +149,31 @@ class TestHamiltonianSpectrum:
         assert report.per_disc_counts == (2, 2, 2, 2)
         assert all(report.disc_simple)
         assert report.eigenvector_condition <= np.sqrt(2.0) + 1e-6
+
+    @pytest.mark.parametrize("diagonal, expect", [
+        (None, (True, False, True, True)),
+        # 4i + 2.1 is outside the first disc but close to its member 4i + 1.5
+        ([4j + 1.5, 4j + 2.1, 8j, 12j + 0.5, 12j - 0.5, 16j + 0.2, 16j - 0.2, 8j + 0.01],
+         (True, False, True, False)),
+    ], ids=["hamiltonian", "diagonal"])
+    def test_disc_simple_matches_the_pairwise_loop(self, diagonal, expect):
+        # B = C = diag(c): eigenvalues i r_k +- c_k, a pair 2 c_k apart in disc k;
+        # tol * scale is about 0.8, so only pairs closer than that are not simple
+        c = np.diag([1.0, 0.3, 1.0, 0.5])
+        model = blockop.HamiltonianModel(r_seq=(4.0, 8.0, 12.0, 16.0), b_mat=c, c_mat=c,
+                                         gamma=0.3, l=1.5)
+        system = (blockop.build_hamiltonian(model) if diagonal is None
+                  else types.SimpleNamespace(t=np.diag(diagonal)))
+        tol = 0.05
+        report = blockop.verify_hamiltonian(system, model, tol=tol)
+        values = numerics.eig(system.t).values
+        scale = max(float(np.max(np.abs(values))), 1.0)
+        simple = []
+        for center in 1j * np.asarray(model.r_seq):
+            members = values[np.abs(values - center) <= model.subordination_norm + tol * scale]
+            simple.append(all(abs(members[i] - members[j]) > tol * scale
+                              for i in range(len(members)) for j in range(i + 1, len(members))))
+        assert report.disc_simple == tuple(simple) == expect
 
     def test_floor_violation_detected(self):
         model = self.model()

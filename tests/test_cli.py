@@ -54,6 +54,21 @@ def hamiltonian_spec(tmp_path):
 
 HAMILTONIAN_GAPS = ["--abscissas", "2,6,10,14", "--alpha", "2"]
 
+TRIPLE = {"G": {"rays": [{"theta": 0.0, "radii": [1.0, 5.0, 9.0]}]},
+          "S": {"kind": "randomGaussian", "seed": 7, "scale": 0.2}, "p": 0.5}
+# non-finite gap region parameters, each for project and rieszconst
+NON_FINITE_GAPS = {
+    "alpha-nan": ["--abscissas", "3,7", "--alpha", "nan"],
+    "alpha-inf": ["--abscissas", "3,7", "--alpha", "inf"],
+    "theta-nan": ["--abscissas", "3,7", "--alpha", "2", "--theta", "nan"],
+    "theta-inf": ["--abscissas", "3,7", "--alpha", "2", "--theta", "inf"],
+    "abscissa-inf": ["--abscissas", "3,inf", "--alpha", "2"],
+}
+NON_FINITE_CASES = [(TRIPLE, [command] + argv) for command in ("project", "rieszconst")
+                    for argv in NON_FINITE_GAPS.values()]
+NON_FINITE_IDS = ["%s-%s" % (command, name) for command in ("project", "rieszconst")
+                  for name in NON_FINITE_GAPS]
+
 
 class TestSubord:
     def test_basic(self, basic_spec, tmp_path):
@@ -328,9 +343,10 @@ class TestErrorPaths:
         (None, ["sweep", "--seeds", "5..3"]),
         (None, ["sweep", "--seeds=-2..-1"]),
         (None, ["demo", "--seed=-1"]),
-    ], ids=["ray-without-theta", "gaussian-without-scale", "r0-beyond-float-range",
-            "abscissa-not-a-number", "seeds-not-integers", "empty-seed-range",
-            "negative-sweep-seeds", "negative-seed"])
+    ] + NON_FINITE_CASES, ids=["ray-without-theta", "gaussian-without-scale",
+                               "r0-beyond-float-range", "abscissa-not-a-number",
+                               "seeds-not-integers", "empty-seed-range", "negative-sweep-seeds",
+                               "negative-seed"] + NON_FINITE_IDS)
     def test_malformed_input(self, tmp_path, capsys, spec, argv):
         if spec is not None:
             argv = argv + ["--input", write_json(tmp_path / "spec.json", spec)]

@@ -37,6 +37,12 @@ class TestCircle:
         with pytest.raises(InputError):
             contours.circle(0.0, 0.0)
 
+    @pytest.mark.parametrize("center, radius", [(np.nan, 1.0), (complex(0.0, np.inf), 1.0),
+                                                (0.0, np.nan), (0.0, np.inf)])
+    def test_rejects_non_finite_center_or_radius(self, center, radius):
+        with pytest.raises(InputError):
+            contours.circle(center, radius)
+
 
 class TestGapContour:
     def test_closes_up(self):
@@ -162,7 +168,10 @@ class TestGapRegion:
         np.testing.assert_array_equal(contour.weights, reference.weights)
 
     @pytest.mark.parametrize("args", [(5.0, 3.0, 1.0, 0.5), (0.0, 3.0, 1.0, 0.5),
-                                      (1.0, 3.0, 0.0, 0.5), (1.0, 3.0, 1.0, 1.0)])
+                                      (1.0, 3.0, 0.0, 0.5), (1.0, 3.0, 1.0, 1.0),
+                                      (np.nan, 3.0, 1.0, 0.5), (1.0, np.inf, 1.0, 0.5),
+                                      (1.0, 3.0, np.nan, 0.5), (1.0, 3.0, np.inf, 0.5),
+                                      (1.0, 3.0, 1.0, 0.5, np.nan), (1.0, 3.0, 1.0, 0.5, np.inf)])
     def test_rejects_what_gap_contour_rejects(self, args):
         with pytest.raises(InputError):
             contours.GapRegion(*args)

@@ -1,6 +1,7 @@
 """Tests for enclosure regions, certified ball radii and resolvent
 diagnostics."""
 
+import cmath
 import math
 
 import numpy as np
@@ -67,6 +68,104 @@ class TestContains:
         # points with |y| well below b x^p survive the refined carve-out
         ref = self.region(alpha=1.5, p=0.5, r0=0.5, refined=True, b=1.0)
         assert enclosure.contains(ref, 9.0 + 2.0j)  # b x^p = 3 > |y|
+
+
+def reference_contains(region, z) -> bool:
+    """The region's definition one lobe at a time, in Python scalars."""
+    if abs(z) <= region.r0:
+        return True
+    for theta in region.thetas:
+        w = complex(z) * cmath.exp(-1j * theta)
+        if w.real < 0.0 or abs(w.imag) > region.alpha * w.real**region.p:
+            continue
+        if region.refined and enclosure._refined_excluded(region.b, region.p, w.real, w.imag):
+            continue
+        return True
+    return False
+
+
+class TestArrayMembership:
+    """contains, _outside_distance and _refined_excluded on arrays: one pass
+    that agrees with the same calls point by point."""
+
+    THETAS = (0.0, 2.0, 4.0)
+
+    def points(self, alpha, p, r0):
+        rng = np.random.default_rng(31)
+        cloud = rng.uniform(-30.0, 30.0, 400) + 1j * rng.uniform(-30.0, 30.0, 400)
+        h = alpha * 4.0**p  # the theta = 0 lobe's half-width at x = 4
+        special = [r0, -r0, 1j * r0, -1j * r0,  # ball boundary
+                   4.0 + 1j * h, 4.0 - 1j * h, 4.0 + 1j * np.nextafter(h, np.inf),  # lobe boundary
+                   -5.0 + 0.1j, -12.0 - 1.0j, -0.0 + 30.0j, 0.0]  # x < 0 on the theta = 0 lobe
+        return np.concatenate([special, cloud])
+
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    @pytest.mark.parametrize("refined", [False, True])
+    def test_contains_equals_pointwise(self, p, refined):
+        region = enclosure.build_enclosure(self.THETAS, 1.5, p, 2.0, refined=refined, b=1.0)
+        z = self.points(1.5, p, 2.0)
+        inside = enclosure.contains(region, z)
+        assert inside.shape == z.shape and inside.dtype == bool
+        assert inside.tolist() == [bool(enclosure.contains(region, w)) for w in z]
+        assert inside.tolist() == [reference_contains(region, w) for w in z]
+        assert inside[:4].all()  # the ball is closed
+        if not refined:
+            assert inside[4:6].all() and not inside[6]  # so is the lobe
+        assert 0 < inside.sum() < len(z)
+        np.testing.assert_array_equal(enclosure.contains(region, z.reshape(3, -1)),
+                                      inside.reshape(3, -1))
+        if refined:
+            assert not (inside & ~enclosure.contains(
+                enclosure.build_enclosure(self.THETAS, 1.5, p, 2.0), z)).any()
+
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_outside_distance_equals_pointwise(self, p):
+        region = enclosure.build_enclosure(self.THETAS, 1.5, p, 2.0)
+        z = self.points(1.5, p, 2.0)
+        dist = enclosure._outside_distance(region, z)
+        assert dist.shape == z.shape
+        np.testing.assert_array_equal(dist, [enclosure._outside_distance(region, w) for w in z])
+        assert np.all(dist[enclosure.contains(region, z)] == 0.0)
+        one_lobe = enclosure.build_enclosure([0.0], 1.5, p, 2.0)
+        np.testing.assert_allclose(enclosure._outside_distance(one_lobe, [4.0 + 4.0j, -7.0]),
+                                   [4.0 - 1.5 * 4.0**p, 5.0], rtol=1e-12)
+
+    def test_refined_excluded_equals_scalar(self):
+        # b = 1, p = 1/2: t = 2 / |y|, so t >= 1 for |y| <= 2 and nothing is excluded there
+        x = np.array([5.0, 5.0, 5.0, -1.0, 5.0, 20.0, 5.0, 11.0, 12.0, 0.0])
+        y = np.array([0.0, 1.0, -2.0, 2.0, 4.0, 4.0, -4.0, 4.0, 4.0, 3.0])
+        expect = [False, False, False, False, True, False, True, True, False, True]
+        for b, p in ((1.0, 0.5), (0.0, 0.5), (0.7, 0.0), (0.0, 0.0), (0.4, 0.3)):
+            got = enclosure._refined_excluded(b, p, x, y)
+            assert got.shape == x.shape
+            assert got.tolist() == [bool(enclosure._refined_excluded(b, p, float(u), float(v)))
+                                    for u, v in zip(x, y)]
+            if (b, p) == (1.0, 0.5):
+                assert got.tolist() == expect
+            if b == 0.0 or p == 0.0:
+                np.testing.assert_array_equal(got, b < np.abs(y))
+
+    def test_violators_in_eigenvalue_order(self):
+        g = np.diag([1.0, 10.0, 20.0, 30.0])
+        s = np.diag([0.0, 2.0j, -4.0j, 3.0j])
+        system = operators.assemble(g, s, 0.0)
+        region = enclosure.build_enclosure([0.0], 1.0, 0.0, 2.0)
+        report = enclosure.verify_spectrum_enclosure(system, region)
+        values = [z for z in report.eigenvalues if not enclosure.contains(region, z)]
+        assert [v["value"] for v in report.violators] == [complex(z) for z in values]
+        assert [v["distance"] for v in report.violators] == [
+            float(enclosure._outside_distance(region, z)) for z in values]
+        got = {complex(np.round(v["value"], 9)): v["distance"] for v in report.violators}
+        assert set(got) == {10.0 + 2.0j, 20.0 - 4.0j, 30.0 + 3.0j}
+        np.testing.assert_allclose([got[10.0 + 2.0j], got[20.0 - 4.0j], got[30.0 + 3.0j]],
+                                   [1.0, 3.0, 2.0], atol=1e-12)
+
+    @pytest.mark.parametrize("args", [([0.0], math.nan, 0.5, 1.0), ([0.0], 1.0, 0.5, math.nan),
+                                      ([0.0, math.nan], 1.0, 0.5, 1.0),
+                                      ([math.inf], 1.0, 0.5, 1.0)])
+    def test_rejects_non_finite_parameters(self, args):
+        with pytest.raises(InputError):
+            enclosure.build_enclosure(*args)
 
 
 class TestCertifiedR0:
