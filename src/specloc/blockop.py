@@ -131,7 +131,11 @@ def verify_hamiltonian(system: operators.PerturbedSystem, model: HamiltonianMode
     - spectrum symmetric about the imaginary axis (z <-> -conj(z) pairing);
     - |Re z| >= gamma for every eigenvalue;
     - every eigenvalue lies in some disc |z - i r_k| <= b, counted per disc.
+
+    A ``tol`` that is negative or not finite raises InputError.
     """
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise InputError("need a finite tol >= 0, got %r" % tol)
     n = model.n
     j1, _ = fundamental_symmetries(n)
     m = j1 @ system.t

@@ -203,13 +203,15 @@ def enclose(system: PerturbedSystem, alpha_factor: float, epsilon: float | None 
     and psi = min(pi/4, half the smallest ray separation).  r0 comes from
     ``certified_r0`` on exactly these values, and every eigenvalue of T is
     checked against the region they define.  An infinite b (S not vanishing
-    on ker G while p > 0) raises InputError.
+    on ker G while p > 0), or an alpha not above b, raises InputError.
     """
     b = float(subordination.subordination_bound(system.s, system.g, system.p).bound)
     if math.isinf(b):
         raise InputError("S is not p-subordinate to G (p = %g): S does not vanish on ker G"
                          % system.p)
     alpha = float(alpha_factor) * b if b > 0.0 else 0.1
+    if not b < alpha:
+        raise InputError("need b < alpha")
     if epsilon is None:
         epsilon = (b / alpha + 1.0) / 2.0
     if psi is None:

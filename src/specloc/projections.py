@@ -191,8 +191,9 @@ def rank_of_projection(p_mat) -> int:
 
 @dataclass(frozen=True)
 class ProjectionEntry:
+    """One member P of a family, held only as its thin factors P~ = U_r S_r V_r*."""
+
     label: str
-    matrix: np.ndarray
     #: orthonormal range frame U_r: left singular vectors with singular value above 1/2
     frame: np.ndarray
     #: those r singular values S_r and their right singular vectors V_r: P~ = U_r S_r V_r*
@@ -211,17 +212,17 @@ class ProjectionEntry:
 
     @functools.cached_property
     def idempotency_residual(self) -> float:
-        """||P^2 - P||; its SVD runs on first read."""
-        return numerics.opnorm(self.matrix @ self.matrix - self.matrix)
+        """||P~^2 - P~||, on first read: with F = U_r and C = V_r S_r, P~^2 - P~ is
+        F (C*F - I) C*, and with the thin QR C = Q R' and F orthonormal to rounding its
+        norm is that of the r x r product (C*F - I) R'*."""
+        f, c = self.frame, self.coframe * self.singular_values
+        r = np.linalg.qr(c, mode="r")
+        return numerics.opnorm((c.conj().T @ f - np.eye(self.rank)) @ r.conj().T)
 
 
 @dataclass(frozen=True)
 class ProjectionFamily:
     entries: tuple[ProjectionEntry, ...]
-
-    @property
-    def matrices(self) -> list[np.ndarray]:
-        return [e.matrix for e in self.entries]
 
     @functools.cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -286,22 +287,23 @@ class ProjectionFamily:
 
     @property
     def sum_residual(self) -> float:
-        """||sum_k P_k - I|| (only meaningful for intentionally complete families)."""
-        mats = self.matrices
-        if not mats:
+        """||sum_k P~_k - I|| = ||F C* - I||, one GEMM of ``factors`` (only meaningful
+        for intentionally complete families)."""
+        if not self.entries:
             return 0.0
-        return numerics.opnorm(sum(mats) - np.eye(mats[0].shape[0], dtype=complex))
+        f, c = self.factors
+        return numerics.opnorm(f @ c.conj().T - np.eye(f.shape[0]))
 
 
 def make_family(labelled_projections) -> ProjectionFamily:
-    """Entries for (label, matrix) pairs: one SVD each gives rank, thin factors, norm, tail."""
+    """Entries for (label, matrix) pairs: one SVD each gives rank, thin factors, norm and
+    tail; the matrix is not kept, so a member is its thin factors, within its tail of P."""
     entries = []
     for label, mat in labelled_projections:
-        mat = numerics.as_matrix(mat)
-        u, s, vh = np.linalg.svd(mat)
+        u, s, vh = np.linalg.svd(numerics.as_matrix(mat))
         top = s > 0.5
         entries.append(ProjectionEntry(
-            label=str(label), matrix=mat, frame=u[:, top], singular_values=s[top],
+            label=str(label), frame=u[:, top], singular_values=s[top],
             coframe=vh[top].conj().T,
             norm=float(np.max(s, initial=0.0)), tail=float(np.max(s[~top], initial=0.0))))
     return ProjectionFamily(entries=tuple(entries))
@@ -315,9 +317,9 @@ def family_from_gaps(t_mat, gap_abscissae, alpha: float, p: float,
     gate).  Each projection P = U Y is that of the diagonal entries of R inside
     the gap region (``GapRegion.contains``), and one thin SVD Y = A S B* gives
     its frame U A, singular values S and coframe B, so P = (U A) S B* has no
-    tail and the family takes no n x n SVD.  The sampled gate builds a gap's
-    contour only where the closed form fails.  A failing contour raises
-    ContourSpectrumError naming the abscissa pair.
+    tail; the family takes no n x n SVD and keeps no n x n matrix per member.
+    The sampled gate builds a gap's contour only where the closed form fails.
+    A failing contour raises ContourSpectrumError naming the abscissa pair.
     """
     xs = [float(x) for x in gap_abscissae]
     if len(xs) < 2 or any(b <= a for a, b in zip(xs, xs[1:])):
@@ -333,7 +335,7 @@ def family_from_gaps(t_mat, gap_abscissae, alpha: float, p: float,
                                        margin=exc.margin, abscissae=(xl, xr)) from exc
         a, s, bh = np.linalg.svd(y, full_matrices=False)
         entries.append(ProjectionEntry(
-            label="gap[%g,%g]" % (xl, xr), matrix=u @ y, frame=u @ a, singular_values=s,
+            label="gap[%g,%g]" % (xl, xr), frame=u @ a, singular_values=s,
             coframe=bh.conj().T, norm=float(np.max(s, initial=0.0)), tail=0.0,
             gate_margin=gate_margin))
     return ProjectionFamily(entries=tuple(entries))

@@ -135,10 +135,12 @@ class JoinCheck:
 
 
 def join_constant_check(outer: SubspaceFamily, inners) -> JoinCheck:
-    """Verify combined constant <= c_outer * max_k c_inner_k (relative slack 1e-8)."""
+    """Verify combined constant <= c_outer * max_k c_inner_k (relative slack 1e-8);
+    ``inners`` is read once, so a generator serves."""
+    inners = list(inners)
+    combined = riesz_constant(join_families(outer, inners)).constant
     c0 = riesz_constant(outer).constant
     c1 = max(riesz_constant(inner).constant for inner in inners)
-    combined = riesz_constant(join_families(outer, inners)).constant
     bound = c0 * c1
     return JoinCheck(outer_constant=c0, inner_constant=c1, combined_constant=combined,
                      bound=bound, holds=combined <= bound * (1.0 + 1e-8))
@@ -179,12 +181,12 @@ class _Screen:
 def _screen(family: ProjectionFamily, basis: RieszConstantReport) -> _Screen | None:
     """Rounding-error bounds for every sign pattern of a complete family.
 
-    W = [U_1 ... U_m] stacks the range frames (square, as the ranks sum to n),
-    Y = W^-1, and Q_k = U_k Y_k (Y_k the rows of member k) are disjoint
-    projections summing to I.  For a pattern eps, let S be the columns of its
-    smaller sign side: sum eps_k Q_k = +-(2 Q_S - I) with Q_S = W_S Y_S
-    idempotent, so its norm is est(x) = x + sqrt(x^2 - 1) with x = ||Q_S||
-    (Szyld 2006), and x^2 = lambda_max(M_SS N_SS) with M = W*W, N = YY*.
+    W = F = [F_1 ... F_m] stacks the range frames (``ProjectionFamily.factors``,
+    square as the ranks sum to n), Y = W^-1, and Q_k = F_k Y_k (Y_k the rows of
+    member k) are disjoint projections summing to I.  For a pattern eps, let S be
+    the columns of its smaller sign side: sum eps_k Q_k = +-(2 Q_S - I) with
+    Q_S = W_S Y_S idempotent, so its norm is est(x) = x + sqrt(x^2 - 1) with
+    x = ||Q_S|| (Szyld 2006), and x^2 = lambda_max(M_SS N_SS) with M = W*W, N = YY*.
 
     The computed lambda~ (``_pattern_bounds``) is bounded step by step, with
     u = 2^-52 (twice the unit roundoff, so the first-order bounds below also
@@ -205,21 +207,23 @@ def _screen(family: ProjectionFamily, basis: RieszConstantReport) -> _Screen | N
       stable with error p(n) eps ||A|| for LAPACK's "modestly growing" p(n),
       taken here as n^2: rho = n^2 u.
 
-    So x^2 <= ((1 + rho) lambda~ + tau) / (1 - r)^2 with tau = 5 g w y.  For
-    the stored P_k, sum eps_k U_k Y~_k = (sum eps_k Q_k)(I + R), so
-    ||sum eps_k P_k|| <= (1 + r) est(x) + sum_k ||P_k - U_k Y~_k||; the
-    products eps_k P_k are exact and their sum rounds by at most
-    gamma_m sum_k ||P_k||_F.  delta = (1 + rho) sum_k d_k + g' (sqrt(w y) +
-    2 sum_k ||P_k||_F), with d_k the computed ||P_k - U_k Y~_k||_F and
-    g' = gamma_{n+m+2}, covers both and the rounding of the d_k, and a
-    pattern's computed norm is at most (1 + rho)((1 + r) est + delta).  Every
+    So x^2 <= ((1 + rho) lambda~ + tau) / (1 - r)^2 with tau = 5 g w y.  With
+    D = diag(eps) on the columns of F, the thin factors P~_k = F_k C_k* give
+    sum eps_k P~_k = F D Y~ + F D (C* - Y~) and F D Y~ = (sum eps_k Q_k)(I + R),
+    so the sum's norm is at most (1 + r) est(x) + sum_k ||F_k|| ||C_k* - Y~_k||_F,
+    where ||F_k||^2 <= 1 + o pads the frames' loss of orthonormality, o the
+    computed Frobenius norm of the diagonal blocks of M~ - I plus g w; the sum's
+    GEMM F (D C*) on the exact D C* rounds by at most g sqrt(w) ||C||_F.
+    delta = (1 + rho) sqrt(1 + o) sum_k d_k + g sqrt(w) ||C||_F, d_k the computed
+    ||C_k* - Y~_k||_F (one rounded subtraction, inside 1 + rho), covers both, and
+    a pattern's computed norm is at most (1 + rho)((1 + r) est + delta).  Every
     ||sum eps_k Q_k|| = ||W D Y|| is at most kappa(W), which the computed
     singular values give within kappa (1 + rho) / (1 - rho kappa): ``upper``
     is that in place of est.
 
     None unless W is invertible and r, rho kappa and tau are below 1e-3.
     """
-    w = family.factors[0]
+    w, c = family.factors
     n = w.shape[0]
     if not basis.sigma_min > 0.0:
         return None
@@ -236,14 +240,13 @@ def _screen(family: ProjectionFamily, basis: RieszConstantReport) -> _Screen | N
     tau = 5.0 * g * w2 * y2
     if max(r, rho * kappa, tau) >= 1e-3:
         return None
-    rows = np.cumsum([0] + [e.rank for e in family.entries])
-    d = sum(float(np.linalg.norm(e.matrix - e.frame @ y[a:b]))
-            for e, a, b in zip(family.entries, rows, rows[1:]))
-    p2 = sum(float(np.linalg.norm(e.matrix)) for e in family.entries)
-    delta = ((1.0 + rho) * d
-             + numerics.gamma(n + len(family.entries) + 2) * (math.sqrt(w2 * y2) + 2.0 * p2))
+    m_gram = w.conj().T @ w
+    owners = family.owners
+    o = float(np.linalg.norm((m_gram - np.eye(n)) * (owners.T @ owners))) + g * w2
+    d = float(np.sum(np.sqrt(owners @ np.sum(np.abs(c.conj().T - y) ** 2, axis=1))))
+    delta = (1.0 + rho) * math.sqrt(1.0 + o) * d + g * math.sqrt(w2) * float(np.linalg.norm(c))
     top = kappa * (1.0 + rho) / (1.0 - rho * kappa)
-    return _Screen(m_gram=w.conj().T @ w, n_gram=y @ y.conj().T, rho=rho, tau=tau, r=r,
+    return _Screen(m_gram=m_gram, n_gram=y @ y.conj().T, rho=rho, tau=tau, r=r,
                    delta=delta, upper=(1.0 + rho) * ((1.0 + r) * top + delta))
 
 
@@ -368,24 +371,18 @@ def _pattern_bounds(patterns, ranks, screen: _Screen,
     return bound, capped, int(np.count_nonzero(size > 0) - np.count_nonzero(capped))
 
 
-def _pattern_sums(rows, stack) -> np.ndarray:
-    """sum_k eps_k P_k for each row of ``rows``.  The products eps_k P_k are
-    exact, so only the order of the additions sets the bits: the batched GEMM
-    adds in member order, and so does the loop for a single row, where
-    tensordot would run a GEMV that adds in another order."""
-    if len(rows) > 1:
-        return np.tensordot(rows, stack, 1)
-    acc = rows[0, 0] * stack[0]
-    for e, p in zip(rows[0, 1:], stack[1:]):
-        acc += e * p
-    return acc[None]
-
-
-def _pattern_norms(rows, stack) -> np.ndarray:
-    """|| sum_k eps_k P_k || for each row, one stacked ``numerics.opnorm`` per
-    batch of at most numerics.BATCH_ENTRIES entries on the per-core pool."""
+def _pattern_norms(rows, family: ProjectionFamily) -> np.ndarray:
+    """|| sum_k eps_k P~_k || for each row, one stacked ``numerics.opnorm`` per
+    batch of at most numerics.BATCH_ENTRIES entries on the per-core pool.  Each
+    sum is F (D C*) of the family's ``factors``, D = diag(eps) on member k's
+    columns: D C* is exact, and numpy's matmul runs one GEMM per matrix of a
+    stack, chosen by that matrix's shape and strides alone, so a pattern's sum
+    has the same bits alone as inside a batch."""
+    f, c = family.factors
+    signs = np.repeat(rows, [e.rank for e in family.entries], axis=1)[:, :, None]
+    ch = np.ascontiguousarray(c.conj().T)
     return np.concatenate([np.zeros(0)] + numerics.map_batches(
-        lambda b: numerics.opnorm(_pattern_sums(rows[b], stack)), len(rows), stack[0].size))
+        lambda b: numerics.opnorm(f @ (signs[b] * ch)), len(rows), f.shape[0] ** 2))
 
 
 def sign_pattern_constant(family: ProjectionFamily, seed: int = 0, report: bool = False):
@@ -407,22 +404,25 @@ def sign_pattern_constant(family: ProjectionFamily, seed: int = 0, report: bool 
     every pattern.  The batches of both stages run through
     ``numerics.map_batches`` on one worker thread per usable core: keep BLAS
     at one thread.
+
+    The norms are of the members' thin factors P~_k, within sum_k tail_k of
+    those of the P_k (0 for gap families); disjoint(1e-6) bounds every pad
+    tail_j ||P_k|| + ||P_j|| tail_k by 1e-6 before any pattern is normed.
     """
-    mats = family.matrices
-    if not mats:
+    es = family.entries
+    if not es:
         raise InputError("family is empty")
     if not family.disjoint(1e-6):
         raise InputError("projections are not pairwise disjoint (P_j P_k != 0)")
-    m = len(mats)
+    m = len(es)
     if m <= SIGN_EXHAUSTIVE_MAX:
         patterns = np.array([(1.0,) + rest
                              for rest in itertools.product((1.0, -1.0), repeat=m - 1)])
     else:
         patterns = numerics.subrng(seed, 4).choice((1.0, -1.0), size=(SIGN_SAMPLES, m))
-    stack = np.stack(mats)
-    ranks = [e.rank for e in family.entries]
+    ranks = [e.rank for e in es]
     basis = screen = screened = None
-    if sum(ranks) == stack.shape[1] and min(ranks) > 0:
+    if sum(ranks) == family.factors[0].shape[0] and min(ranks) > 0:
         basis = riesz_constant(range_family(family))
         screen = _screen(family, basis)
     if screen is not None:
@@ -432,7 +432,7 @@ def sign_pattern_constant(family: ProjectionFamily, seed: int = 0, report: bool 
     if screened is not None:
         bound, capped, eigensolves = screened
         top = int(np.argmax(bound))
-        norms[top] = _pattern_norms(patterns[top:top + 1], stack)[0]
+        norms[top] = _pattern_norms(patterns[top:top + 1], family)[0]
         reach = np.flatnonzero(capped & (bound >= norms[top]))
         if reach.size:  # caps that reach the top norm give way to exact bounds
             screened = _pattern_bounds(patterns[reach], ranks, screen, cap=False)
@@ -442,12 +442,12 @@ def sign_pattern_constant(family: ProjectionFamily, seed: int = 0, report: bool 
     if screened is not None:
         keep = np.flatnonzero(bound >= norms[top])
         keep = keep[keep != top]
-        norms[keep] = _pattern_norms(patterns[keep], stack)
+        norms[keep] = _pattern_norms(patterns[keep], family)
         if np.any(norms > bound):  # a normed pattern above its bound voids the screen
             screened = None
     if screened is None:
         rest = np.flatnonzero(norms < 0.0)
-        norms[rest] = _pattern_norms(patterns[rest], stack)
+        norms[rest] = _pattern_norms(patterns[rest], family)
     search = SignPatternSearch(constant=float(norms.max()),
                                upper=None if screen is None else screen.upper,
                                normed=int(np.count_nonzero(norms >= 0.0)),

@@ -37,6 +37,33 @@ def lu_reference(t, contour, tol=1e-8):
         contour = contour.refined(2)
 
 
+def entry_matrix(entry) -> np.ndarray:
+    """The dense n x n member F S B* of a projection family entry, from its frame
+    F, singular values S and coframe B."""
+    return (entry.frame * entry.singular_values) @ entry.coframe.conj().T
+
+
+def idempotency_residual(p) -> float:
+    """||P^2 - P|| of a dense matrix, by its own SVD."""
+    return float(np.linalg.svd(p @ p - p, compute_uv=False)[0])
+
+
+def sum_residual(mats) -> float:
+    """||sum_k P_k - I|| of dense matrices, by one SVD."""
+    total = sum(mats)
+    return float(np.linalg.svd(total - np.eye(len(total)), compute_uv=False)[0])
+
+
+def factored_pattern_norms(family, patterns) -> list[float]:
+    """|| sum_k eps_k P~_k || for each pattern, one at a time: its sum F D C* of the
+    family's stacked factors formed alone, by one GEMM on the exact D C*, and
+    normed by its own SVD."""
+    f, c = family.factors
+    ch = np.ascontiguousarray(c.conj().T)
+    ranks = [e.rank for e in family.entries]
+    return [numerics.opnorm(f @ (np.repeat(eps, ranks)[:, None] * ch)) for eps in patterns]
+
+
 def max_cross_product_norm(mats) -> float:
     """max over ordered pairs j != k of ||P_j P_k||: every product formed and
     normed by its own SVD."""

@@ -242,6 +242,17 @@ class TestBlockop:
         # blockop is the one subcommand with a tolerance
         assert cli.main(["blockop", "--input", spec, "--out", str(out), "--tol", "1e-6"]) == 0
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_tol_must_be_finite_and_non_negative(self, tmp_path, capsys, tol):
+        spec = write_json(tmp_path / "ham.json", {
+            "hamiltonian": {"rSeq": [4.0, 8.0, 12.0], "B": {"kind": "identity"},
+                            "C": {"kind": "identity"}, "gamma": 1.0, "l": 1.5},
+        })
+        out = tmp_path / "report.json"
+        assert cli.main(["blockop", "--input", spec, "--out", str(out), "--tol", tol]) == 2
+        assert capsys.readouterr().err.startswith("specloc: input error: need a finite tol")
+        assert not out.exists()
+
     def test_random_spd_blocks(self, tmp_path):
         spec = write_json(tmp_path / "ham.json", {
             "hamiltonian": {"rSeq": [10.0, 20.0, 30.0],
@@ -343,10 +354,15 @@ class TestErrorPaths:
         (None, ["sweep", "--seeds", "5..3"]),
         (None, ["sweep", "--seeds=-2..-1"]),
         (None, ["demo", "--seed=-1"]),
+        ({"G": {"rays": [{"theta": 0.0, "radii": [1.0, 4.0, 9.0, 16.0]}]},
+          "S": {"kind": "randomGaussian", "seed": 1, "scale": 0.3}, "p": 0.5},
+         ["enclosure", "--alpha-factor", "0"]),
+        (None, ["sweep", "--seeds", "0..0", "--alpha-factor", "0"]),
     ] + NON_FINITE_CASES, ids=["ray-without-theta", "gaussian-without-scale",
                                "r0-beyond-float-range", "abscissa-not-a-number",
                                "seeds-not-integers", "empty-seed-range", "negative-sweep-seeds",
-                               "negative-seed"] + NON_FINITE_IDS)
+                               "negative-seed", "enclosure-alpha-factor-zero",
+                               "sweep-alpha-factor-zero"] + NON_FINITE_IDS)
     def test_malformed_input(self, tmp_path, capsys, spec, argv):
         if spec is not None:
             argv = argv + ["--input", write_json(tmp_path / "spec.json", spec)]

@@ -1,12 +1,13 @@
 """Tests for Riesz projections and projection families."""
 
-import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from reference_linalg import cross_talk_pad, lu_reference, max_cross_product_norm
+import reference_linalg
+from reference_linalg import cross_talk_pad, entry_matrix, lu_reference, max_cross_product_norm
 from specloc import contours, instances, numerics, projections
 from specloc.errors import AmbiguousClusterError, ContourSpectrumError, InputError
 
@@ -159,10 +160,12 @@ def skew_projections(k, n, seed):
     return [(str(j), v[:, j::k] @ vi[j::k, :]) for j in range(k)]
 
 
-def assert_cross_talk_brackets(family):
+def assert_cross_talk_brackets(family, mats=None):
     """exact <= cross_talk <= exact + pad + 1e-13 max ||P_k||^2, the last term
-    the scale of the rounding in forming either side."""
-    mats = family.matrices
+    the scale of the rounding in forming either side; ``mats`` are the family's
+    input matrices, else its dense members F S B*."""
+    if mats is None:
+        mats = [entry_matrix(e) for e in family.entries]
     exact = max_cross_product_norm(mats)
     scale = max(np.linalg.svd(a, compute_uv=False)[0] for a in mats) ** 2
     assert exact <= family.cross_talk <= exact + cross_talk_pad(mats) + 1e-13 * scale
@@ -207,23 +210,30 @@ class TestMakeFamily:
         shapes = []
         opnorm = numerics.opnorm
         monkeypatch.setattr(numerics, "opnorm", lambda a: shapes.append(np.shape(a)) or opnorm(a))
+        mats = [m for _, m in skew_projections(4, 8, 2)]
         family = projections.make_family(skew_projections(4, 8, 2))
         assert shapes == []
         # the cross talk reads only the factors, never an n x n matrix: every
         # rank is 2, so one stacked norm of the 4 x 4 rank-2 blocks
-        factors_only = projections.ProjectionFamily(
-            tuple(dataclasses.replace(e, matrix=None) for e in family.entries))
-        assert factors_only.cross_talk <= 1e-10
+        assert family.cross_talk <= 1e-10
         assert shapes == [(4, 4, 2, 2)]
-        assert factors_only.cross_talk == family.cross_talk
-        # each idempotency residual is one opnorm of P^2 - P, on first read only
-        for e in family.entries * 2:
-            assert e.idempotency_residual == opnorm(e.matrix @ e.matrix - e.matrix) <= 1e-10
-        assert shapes[3:] == [(8, 8)] * 4
+        assert max_cross_product_norm(mats) <= family.cross_talk
+        assert shapes == [(4, 4, 2, 2)] * 2
+        # each idempotency residual is one opnorm of an r x r product, on first
+        # read only; it is that of P~, within (2 ||P|| + 1) tail of the dense
+        # ||P^2 - P|| of the input, up to the rounding of forming either side,
+        # taken as 8 n eps ||P||^2
+        for e, mat in zip(family.entries * 2, mats * 2):
+            dense = reference_linalg.idempotency_residual(mat)
+            slack = (2.0 * e.norm + 1.0) * e.tail + 8 * 8 * numerics.EPS * e.norm**2
+            assert abs(e.idempotency_residual - dense) <= slack
+            assert e.idempotency_residual <= 1e-10
+        assert shapes[2:] == [(2, 2)] * 4
 
     def test_one_svd_per_projection_gives_the_range_frame(self, count_calls):
         # opnorm's singular-value-only SVDs are counted apart from the frames
         svds = count_calls(np.linalg, "svd")
+        mats = [m for _, m in skew_projections(3, 7, 4)]
         family = projections.make_family(skew_projections(3, 7, 4))
         uv_flags = [kw.get("compute_uv", True) for _, kw in svds]
         assert uv_flags == [True] * 3
@@ -231,13 +241,12 @@ class TestMakeFamily:
         assert all(e.idempotency_residual <= 1e-10 for e in family.entries)
         assert [kw.get("compute_uv", True) for _, kw in svds[3:]] == [False] * 3
         assert [e.rank for e in family.entries] == [3, 2, 2]
-        for e in family.entries:
+        for e, mat in zip(family.entries, mats):
             np.testing.assert_allclose(e.frame.conj().T @ e.frame, np.eye(e.rank), atol=1e-12)
-            np.testing.assert_allclose(e.matrix @ e.frame, e.frame, atol=1e-10)
+            np.testing.assert_allclose(mat @ e.frame, e.frame, atol=1e-10)
             # the thin factors are within the tail of P, and the norm is sigma_1
-            s = np.linalg.svd(e.matrix, compute_uv=False)
-            thin = (e.frame * e.singular_values) @ e.coframe.conj().T
-            assert np.linalg.norm(e.matrix - thin, 2) <= e.tail + 1e-13 * s[0]
+            s = np.linalg.svd(mat, compute_uv=False)
+            assert np.linalg.norm(mat - entry_matrix(e), 2) <= e.tail + 1e-13 * s[0]
             np.testing.assert_allclose([e.norm, e.tail], [s[0], s[e.rank]], rtol=1e-13)
 
     @pytest.mark.parametrize("budget", [numerics.BATCH_ENTRIES, 2 * 8 * 8])
@@ -254,7 +263,7 @@ class TestMakeFamily:
         # the cross talk reads no batch budget: a small one leaves it as it was
         monkeypatch.setattr(numerics, "BATCH_ENTRIES", budget)
         assert family.cross_talk == unbatched
-        assert assert_cross_talk_brackets(family) > 0.1
+        assert assert_cross_talk_brackets(family, [m for _, m in labelled]) > 0.1
         assert not family.disjoint(1e-6)
 
     def test_unbalanced_family_norms_no_padding(self, monkeypatch):
@@ -264,12 +273,12 @@ class TestMakeFamily:
         v = np.eye(12) + 0.2 * rng.standard_normal((12, 12))
         vi = np.linalg.inv(v)
         groups = [list(range(6))] + [[k] for k in range(6, 12)]
-        family = projections.make_family([(str(k), v[:, g] @ vi[g, :])
-                                          for k, g in enumerate(groups)])
+        mats = [v[:, g] @ vi[g, :] for g in groups]
+        family = projections.make_family([(str(k), m) for k, m in enumerate(mats)])
         shapes = []
         opnorm = numerics.opnorm
         monkeypatch.setattr(numerics, "opnorm", lambda a: shapes.append(np.shape(a)) or opnorm(a))
-        assert assert_cross_talk_brackets(family) <= 1e-12
+        assert assert_cross_talk_brackets(family, mats) <= 1e-12
         assert sum(np.prod(s) for s in shapes) == 12 * 12
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -282,11 +291,11 @@ class TestMakeFamily:
     def test_tail_enters_the_pad(self):
         # diag(0, 0.4) has rank 0 and tail 0.4; P_a P_b = 0 exactly, but the
         # pad ||P_a|| tail_b = 0.4 is the cross talk
-        family = projections.make_family([("a", np.diag([1.0, 0.0])),
-                                          ("b", np.diag([0.0, 0.4]))])
+        mats = [np.diag([1.0, 0.0]), np.diag([0.0, 0.4])]
+        family = projections.make_family(zip("ab", mats))
         assert [(e.rank, e.norm, e.tail) for e in family.entries] == [(1, 1.0, 0.0),
                                                                       (0, 0.4, 0.4)]
-        assert max_cross_product_norm(family.matrices) == 0.0
+        assert max_cross_product_norm(mats) == 0.0
         assert family.cross_talk == 0.4
         assert not family.disjoint(1e-6)
 
@@ -351,23 +360,22 @@ class TestFamilyFromGaps:
         assert all(e.gate_margin > 0.25 for e in family.entries)
         for e, xl, xr in zip(family.entries, cuts, cuts[1:]):
             p_quad, _ = lu_reference(t, contours.gap_contour(xl, xr, **HAMILTONIAN_REGION))
-            assert np.linalg.norm(e.matrix - p_quad, 2) <= 1e-12 * np.linalg.norm(e.matrix, 2)
+            p = entry_matrix(e)
+            assert np.linalg.norm(p - p_quad, 2) <= 1e-12 * np.linalg.norm(p, 2)
 
     @pytest.mark.parametrize("n", [8, 24])
     def test_commutator_residuals_from_the_factors(self, monkeypatch, n):
-        # ||T P - P T|| from the n x 4 factors matches the dense commutator
-        # within the rounding of forming it, and reads no entry's matrix
+        # ||T P - P T|| from the n x 4 factors matches the dense commutator of
+        # F S B* within the rounding of forming it, in one stacked opnorm
         t = shifted_hamiltonian(n, 0)
         family = projections.family_from_gaps(t, [4.0 * k + 2.0 for k in range(n + 1)],
                                               **HAMILTONIAN_REGION)
         shapes = []
         opnorm = numerics.opnorm
         monkeypatch.setattr(numerics, "opnorm", lambda a: shapes.append(np.shape(a)) or opnorm(a))
-        factors_only = projections.ProjectionFamily(
-            tuple(dataclasses.replace(e, matrix=None) for e in family.entries))
-        residuals = factors_only.commutator_residuals(t)
+        residuals = family.commutator_residuals(t)
         assert shapes == [(n, 4, 4)]
-        dense = [opnorm(t @ p - p @ t) for p in family.matrices]
+        dense = [opnorm(t @ p - p @ t) for p in map(entry_matrix, family.entries)]
         scale = np.linalg.norm(t, 2) * max(e.norm for e in family.entries)
         np.testing.assert_allclose(residuals, dense, rtol=0.0, atol=1e-14 * scale)
         assert max(residuals) <= 1e-11
@@ -378,7 +386,7 @@ class TestFamilyFromGaps:
                       [0.0, 0.0, 5.5, 0.2], [0.0, 0.0, 0.0, 9.0]])
         family = projections.family_from_gaps(t, [0.5, 3.0, 7.0, 8.0, 10.0], 1.0, 0.0)
         assert [e.rank for e in family.entries] == [1, 2, 0, 1]
-        dense = [numerics.opnorm(t @ p - p @ t) for p in family.matrices]
+        dense = [numerics.opnorm(t @ p - p @ t) for p in map(entry_matrix, family.entries)]
         np.testing.assert_allclose(family.commutator_residuals(t), dense, rtol=0.0, atol=1e-13)
         assert family.commutator_residuals(t)[2] == 0.0
         assert projections.make_family([]).commutator_residuals(t).shape == (0,)
@@ -396,7 +404,8 @@ class TestFamilyFromGaps:
         for e, xl, xr in zip(family.entries, cuts, cuts[1:]):
             p_quad, _ = lu_reference(t, contours.gap_contour(xl, xr, 1.0, 0.5))
             assert e.rank == 1
-            assert np.linalg.norm(e.matrix - p_quad, 2) <= 1e-10 * np.linalg.norm(e.matrix, 2)
+            p = entry_matrix(e)
+            assert np.linalg.norm(p - p_quad, 2) <= 1e-10 * np.linalg.norm(p, 2)
 
     def test_empty_gap_and_whole_spectrum(self, count_calls):
         lapack = [count_calls(scipy.linalg.lapack, name) for name in ("ztrsen", "ztrsyl")]
@@ -406,27 +415,78 @@ class TestFamilyFromGaps:
         assert lapack == [[], []]
         assert empty.gate_margin > 0.5 and whole.gate_margin > 0.1
         assert (empty.rank, empty.norm, empty.tail) == (0, 0.0, 0.0)
-        assert not np.any(empty.matrix)
+        assert not np.any(entry_matrix(empty))
         assert whole.rank == 3
-        np.testing.assert_allclose(whole.matrix, np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(entry_matrix(whole), np.eye(3), atol=1e-14)
 
     def test_factored_entries(self, count_calls):
         svds = count_calls(np.linalg, "svd")
         reorders = count_calls(scipy.linalg.lapack, "ztrsen")
-        family = projections.family_from_gaps(shifted_hamiltonian(8, 1),
-                                              [4.0 * k + 2.0 for k in range(9)],
-                                              **HAMILTONIAN_REGION)
+        t, cuts = shifted_hamiltonian(8, 1), [4.0 * k + 2.0 for k in range(9)]
+        family = projections.family_from_gaps(t, cuts, **HAMILTONIAN_REGION)
         # one reordering and one thin SVD of Y_k per gap, and one
         # singular-value SVD of N for the gate
         assert len(reorders) == 8
         assert sorted(a[0].shape for a, _ in svds) == [(2, 16)] * 8 + [(16, 16)]
-        for e in family.entries:
+        # against the dense U Y that riesz_projection gives for the same contour
+        for e, xl, xr in zip(family.entries, cuts, cuts[1:]):
+            p = projections.riesz_projection(t, contours.gap_contour(xl, xr, **HAMILTONIAN_REGION))
             np.testing.assert_allclose(e.frame.conj().T @ e.frame, np.eye(2), atol=1e-13)
-            np.testing.assert_allclose(e.matrix @ e.frame, e.frame, atol=1e-13)
-            s = np.linalg.svd(e.matrix, compute_uv=False)
+            np.testing.assert_allclose(p @ e.frame, e.frame, atol=1e-13)
+            s = np.linalg.svd(p, compute_uv=False)
             np.testing.assert_allclose(e.norm, s[0], rtol=1e-13)
+            assert np.linalg.norm(p - entry_matrix(e), 2) <= 1e-13 * s[0]
             assert e.tail == 0.0
         assert assert_cross_talk_brackets(family) <= 1e-12
+
+    def test_sum_and_idempotency_residuals_from_the_factors(self):
+        # both residuals of the factors agree with the dense residuals of the
+        # U Y that riesz_projection gives, within the rounding of forming
+        # either side, taken as 8 n eps ||P||^2 per member
+        t, cuts = shifted_hamiltonian(8, 1), [4.0 * k + 2.0 for k in range(9)]
+        family = projections.family_from_gaps(t, cuts, **HAMILTONIAN_REGION)
+        dense = [projections.riesz_projection(t, contours.gap_contour(xl, xr, **HAMILTONIAN_REGION))
+                 for xl, xr in zip(cuts, cuts[1:])]
+        scale = 8 * 16 * numerics.EPS * max(e.norm for e in family.entries) ** 2
+        for e, p in zip(family.entries, dense):
+            assert abs(e.idempotency_residual - reference_linalg.idempotency_residual(p)) <= scale
+        residual = reference_linalg.sum_residual(dense)
+        assert abs(family.sum_residual - residual) <= len(dense) * scale
+        assert family.sum_residual <= 1e-12
+
+    @pytest.mark.parametrize("build", ["gaps", "make_family", "empty-gap"])
+    def test_entries_hold_no_n_by_n_array(self, build):
+        # no array of an entry is wider than its rank: the frame, the coframe
+        # and the singular values only
+        family = {
+            "gaps": lambda: projections.family_from_gaps(
+                shifted_hamiltonian(8, 1), [4.0 * k + 2.0 for k in range(9)], **HAMILTONIAN_REGION),
+            "make_family": lambda: projections.make_family(skew_projections(3, 7, 4)),
+            "empty-gap": lambda: projections.family_from_gaps(
+                np.array([[1.0, 0.2, 0.1, 0.0], [0.0, 5.0, 0.2, 0.1],
+                          [0.0, 0.0, 5.5, 0.2], [0.0, 0.0, 0.0, 9.0]]),
+                [0.5, 3.0, 7.0, 8.0, 10.0], 1.0, 0.0),
+        }[build]()
+        for e in family.entries:
+            arrays = [a for a in vars(e).values() if isinstance(a, np.ndarray)]
+            assert len(arrays) == 3
+            assert all(a.shape[-1] == e.rank for a in arrays)
+
+    def test_family_memory_is_not_one_matrix_per_member(self):
+        # dimension 128 and 64 members: a dense n x n matrix per member would
+        # be 64 arrays (16.8 MB); the peak holds T, the Schur form, the copies
+        # that ztrsen reorders and the temporaries of the Schur residual,
+        # about 9 n x n arrays, and the thin factors
+        t = shifted_hamiltonian(64, 0)
+        cuts = [4.0 * k + 2.0 for k in range(65)]
+        tracemalloc.start()
+        try:
+            family = projections.family_from_gaps(t, cuts, **HAMILTONIAN_REGION)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(family.entries) == 64
+        assert peak < 16 * t.nbytes
 
 
 class TestSumBound:
@@ -467,6 +527,7 @@ class TestSumBound:
         svds = count_calls(np.linalg, "svd")
         _, c_upper = projections.projection_sum_bound(family)
         assert svds == []
-        expect = sum(np.linalg.svd(a, compute_uv=False)[0] for a in family.matrices)
+        expect = sum(np.linalg.svd(entry_matrix(e), compute_uv=False)[0]
+                     for e in family.entries)
         np.testing.assert_allclose(c_upper, expect, rtol=1e-13)
 

@@ -1,7 +1,6 @@
 """Tests for Riesz basis constants, joins and sign-pattern norms."""
 
 import dataclasses
-import functools
 import itertools
 import math
 import os
@@ -27,20 +26,25 @@ def coordinate_family(splits, n):
     return rieszbasis.SubspaceFamily(frames=tuple(frames))
 
 
-def skew_projection_pair(t):
-    p1 = np.array([[1.0, t], [0.0, 0.0]], dtype=complex)
-    p2 = np.array([[0.0, -t], [0.0, 1.0]], dtype=complex)
-    return projections.make_family([("p1", p1), ("p2", p2)])
+def skew_pair_matrices(t):
+    return [np.array([[1.0, t], [0.0, 0.0]], dtype=complex),
+            np.array([[0.0, -t], [0.0, 1.0]], dtype=complex)]
 
 
-def skew_family(k, n, seed, scale=0.4):
+def skew_matrices(k, n, seed, scale=0.4):
     """k disjoint skew projections of C^n onto spans of eigenvector blocks of
     v = I + scale G."""
     rng = np.random.default_rng(seed)
     v = np.eye(n, dtype=complex) + scale * (rng.standard_normal((n, n))
                                             + 1j * rng.standard_normal((n, n)))
     vi = np.linalg.inv(v)
-    return projections.make_family([(str(j), v[:, j::k] @ vi[j::k, :]) for j in range(k)])
+    return [v[:, j::k] @ vi[j::k, :] for j in range(k)]
+
+
+def skew_family(k, n, seed, scale=0.4):
+    """The family of ``skew_matrices``, through make_family."""
+    return projections.make_family((str(j), m) for j, m in enumerate(skew_matrices(k, n, seed,
+                                                                                   scale)))
 
 
 class TestRieszConstant:
@@ -143,6 +147,18 @@ class TestJoin:
         assert check.holds
         assert check.combined_constant <= check.bound * (1.0 + 1e-8)
 
+    def test_join_check_reads_a_generator_once(self):
+        outer = coordinate_family((2, 2), 4)
+        inners = [coordinate_family((1, 1), 2), coordinate_family((2,), 2)]
+        listed = rieszbasis.join_constant_check(outer, inners)
+        assert rieszbasis.join_constant_check(outer, iter(inners)) == listed
+        assert listed.holds
+
+    @pytest.mark.parametrize("inners", [[], iter([])], ids=["list", "generator"])
+    def test_join_check_without_inner_families(self, inners):
+        with pytest.raises(InputError, match="one inner family per outer subspace"):
+            rieszbasis.join_constant_check(coordinate_family((2, 2), 4), inners)
+
     def test_join_dimension_mismatch(self):
         outer = coordinate_family((2, 2), 4)
         inner_bad = coordinate_family((1, 1, 1), 3)
@@ -159,18 +175,23 @@ class TestSignPatterns:
         np.testing.assert_allclose(rieszbasis.sign_pattern_constant(family), 1.0, rtol=1e-12)
 
     def test_skew_pair_matches_brute_force(self):
-        family = skew_projection_pair(0.7)
-        mats = family.matrices
+        mats = skew_pair_matrices(0.7)
+        family = projections.make_family(zip(("p1", "p2"), mats))
         expect = max(numerics.opnorm(e1 * mats[0] + e2 * mats[1])
                      for e1, e2 in itertools.product((1.0, -1.0), repeat=2))
         np.testing.assert_allclose(rieszbasis.sign_pattern_constant(family), expect, rtol=1e-12)
         assert rieszbasis.sign_pattern_constant(family) > 1.0
-        # five members: the search fixes eps_0 = +1, and ||-A|| == ||A|| bit for bit
+        # five members: the search fixes eps_0 = +1, and ||-A|| == ||A|| bit for
+        # bit over the thin factors; the dense inputs' maximum lies within the
+        # tails, up to the rounding of forming either sum
+        mats = skew_matrices(5, 7, 15)
         family = skew_family(5, 7, 15)
-        mats = family.matrices
-        expect = max(numerics.opnorm(sum(e * m for e, m in zip(eps, mats)))
-                     for eps in itertools.product((1.0, -1.0), repeat=5))
+        every = list(itertools.product((1.0, -1.0), repeat=5))
+        expect = max(reference_linalg.factored_pattern_norms(family, np.array(every)))
         assert rieszbasis.sign_pattern_constant(family) == expect
+        dense = max(numerics.opnorm(sum(e * m for e, m in zip(eps, mats))) for eps in every)
+        slack = sum(e.tail for e in family.entries) + 1e-13 * sum(e.norm for e in family.entries)
+        assert abs(expect - dense) <= slack
 
     def test_exhaustive_search_opnorms(self, monkeypatch):
         # four of the five members span 6 of 7 dimensions: an incomplete
@@ -197,8 +218,7 @@ class TestSignPatterns:
     @staticmethod
     def pattern_norms(family, patterns):
         """Reference: the per-pattern loop."""
-        mats = family.matrices
-        return [numerics.opnorm(sum(e * p for e, p in zip(eps, mats))) for eps in patterns]
+        return reference_linalg.factored_pattern_norms(family, patterns)
 
     def sampled_norms(self, family, seed):
         return self.pattern_norms(family, self.sampled_patterns(len(family.entries), seed))
@@ -217,8 +237,8 @@ class TestSignPatterns:
         pattern_bounds, pattern_norms = rieszbasis._pattern_bounds, rieszbasis._pattern_norms
         monkeypatch.setattr(rieszbasis, "_pattern_bounds", lambda *args, **kwargs: screened.append(
             pattern_bounds(*args, **kwargs)) or screened[-1])
-        monkeypatch.setattr(rieszbasis, "_pattern_norms", lambda rows, stack: normed.append(
-            rows) or pattern_norms(rows, stack))
+        monkeypatch.setattr(rieszbasis, "_pattern_norms", lambda rows, family: normed.append(
+            rows) or pattern_norms(rows, family))
         search = rieszbasis.sign_pattern_constant(family, seed, report=True)
         return search, screened[0], np.concatenate(normed)
 
@@ -418,6 +438,25 @@ class TestSignPatterns:
         expect = max(self.sampled_norms(family, seed))
         assert rieszbasis.sign_pattern_constant(family, seed=seed) == expect
 
+    @pytest.mark.parametrize("name", ["hamiltonian", "mixed-rank"])
+    def test_a_pattern_norm_has_the_same_bits_alone_and_in_a_batch(self, monkeypatch, name):
+        # every pattern of an exhaustive search, normed in one call, in
+        # batches of 3 patterns on the pool, and one call per pattern
+        family = {"hamiltonian": lambda: hamiltonian_gap_family(8, 0),
+                  "mixed-rank": lambda: chain_family(5)}[name]()
+        patterns = self.searched_patterns(family)
+        n = family.factors[0].shape[0]
+        if name == "mixed-rank":
+            assert len({e.rank for e in family.entries}) > 1
+        whole = rieszbasis._pattern_norms(patterns, family)
+        monkeypatch.setattr(numerics, "BATCH_ENTRIES", 3 * n * n)
+        batched = rieszbasis._pattern_norms(patterns, family)
+        alone = [rieszbasis._pattern_norms(patterns[i:i + 1], family)[0]
+                 for i in range(len(patterns))]
+        assert len(patterns) == 2 ** (len(family.entries) - 1)
+        assert np.array_equal(whole, alone) and np.array_equal(batched, alone)
+        assert np.array_equal(whole, reference_linalg.factored_pattern_norms(family, patterns))
+
     def test_maximum_in_last_partial_batch(self, monkeypatch):
         family = skew_family(14, 16, 3)
         norms = self.sampled_norms(family, 0)
@@ -493,9 +532,9 @@ class TestSignPatterns:
     def test_rejects_a_tail_in_the_pad(self):
         # diag(0, 0.4) has no singular value above 1/2; its tail 0.4 pads the
         # cross talk although the product with diag(1, 0) is exactly 0
-        family = projections.make_family([("a", np.diag([1.0, 0.0])),
-                                          ("b", np.diag([0.0, 0.4]))])
-        assert not np.any(family.matrices[0] @ family.matrices[1])
+        mats = [np.diag([1.0, 0.0]), np.diag([0.0, 0.4])]
+        family = projections.make_family(zip("ab", mats))
+        assert not np.any(mats[0] @ mats[1])
         assert not family.disjoint(1e-6)
         with pytest.raises(InputError, match="not pairwise disjoint"):
             rieszbasis.sign_pattern_constant(family)
@@ -528,7 +567,8 @@ class TestSignPatterns:
 
 
 class TestVerifyEstimate:
-    def family(self):
+    @staticmethod
+    def inputs():
         rng = np.random.default_rng(20)
         v = np.eye(6, dtype=complex) + 0.3 * (rng.standard_normal((6, 6))
                                               + 1j * rng.standard_normal((6, 6)))
@@ -538,7 +578,10 @@ class TestVerifyEstimate:
             ind = np.zeros(6)
             ind[2 * k] = ind[2 * k + 1] = 1.0
             mats.append(v @ np.diag(ind) @ vi)
-        return projections.make_family([(str(k), m) for k, m in enumerate(mats)])
+        return mats
+
+    def family(self):
+        return projections.make_family([(str(k), m) for k, m in enumerate(self.inputs())])
 
     def test_estimate_holds_with_sign_constant(self):
         family = self.family()
@@ -575,7 +618,7 @@ class TestVerifyEstimate:
     def test_report_complete(self):
         family = self.family()
         assert rieszbasis.verify_projection_estimate(family, 2.0).complete
-        partial = projections.make_family([(e.label, e.matrix) for e in family.entries[:2]])
+        partial = projections.make_family([(str(k), m) for k, m in enumerate(self.inputs()[:2])])
         assert not rieszbasis.verify_projection_estimate(partial, 2.0).complete
 
     def test_invalid_constant(self):
@@ -589,9 +632,14 @@ class TestVerifyEstimate:
 
 
 def chain_family(seed):
-    """A family of acceptance test_07: m = 2 + seed % 7 disjoint skew
-    projections of C^n, n = max(8, m), onto contiguous eigenvector blocks of
-    I + 0.4 G, through make_family (tails at rounding level)."""
+    """A family of acceptance test_07 through make_family (tails at rounding
+    level): the family of ``chain_matrices``."""
+    return projections.make_family((str(k), m) for k, m in enumerate(chain_matrices(seed)))
+
+
+def chain_matrices(seed):
+    """m = 2 + seed % 7 disjoint skew projections of C^n, n = max(8, m), onto
+    contiguous eigenvector blocks of I + 0.4 G."""
     rng = np.random.default_rng(1000 + seed)
     m = 2 + seed % 7
     n = max(8, m)
@@ -600,8 +648,7 @@ def chain_family(seed):
     vi = np.linalg.inv(v)
     split = sorted(rng.choice(np.arange(1, n), size=m - 1, replace=False))
     bounds = [0] + [int(x) for x in split] + [n]
-    return projections.make_family([(str(k), v[:, lo:hi] @ vi[lo:hi, :])
-                                    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))])
+    return [v[:, lo:hi] @ vi[lo:hi, :] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def hamiltonian_family(n):
@@ -611,18 +658,30 @@ def hamiltonian_family(n):
                                         **HAMILTONIAN_REGION)
 
 
-#: builders of the probe checks' families: Hamiltonian gap families (tail 0),
+def with_members(family):
+    """The family and its dense members F S B*."""
+    return family, [reference_linalg.entry_matrix(e) for e in family.entries]
+
+
+def with_inputs(mats):
+    """The make_family family of ``mats`` and the input matrices themselves."""
+    return projections.make_family((str(k), m) for k, m in enumerate(mats)), mats
+
+
+#: builders of the probe checks' families, each with its dense matrices (the
+#: inputs of a make_family family): Hamiltonian gap families (tail 0),
 #: acceptance-style skew families (tail > 0), a family with an empty gap
 #: (rank 0) of a non-normal T, and an incomplete family
 PROBE_FAMILIES = {
-    **{"hamiltonian%d" % n: functools.partial(hamiltonian_family, n) for n in (8, 24, 64)},
-    **{"chain%d" % seed: functools.partial(chain_family, seed) for seed in range(7)},
-    "empty-gap": lambda: projections.family_from_gaps(
+    **{"hamiltonian%d" % n: lambda n=n: with_members(hamiltonian_family(n)) for n in (8, 24, 64)},
+    **{"chain%d" % seed: lambda seed=seed: with_inputs(chain_matrices(seed))
+       for seed in range(7)},
+    "empty-gap": lambda: with_members(projections.family_from_gaps(
         np.array([[1.0, 0.2, 0.1, 0.0], [0.0, 5.0, 0.2, 0.1],
                   [0.0, 0.0, 5.5, 0.2], [0.0, 0.0, 0.0, 9.0]]),
-        [0.5, 3.0, 7.0, 8.0, 10.0], 1.0, 0.0),
-    "incomplete": lambda: projections.make_family(
-        (e.label, e.matrix) for e in hamiltonian_gap_family(8, 1).entries[2:5]),
+        [0.5, 3.0, 7.0, 8.0, 10.0], 1.0, 0.0)),
+    "incomplete": lambda: with_inputs(
+        [reference_linalg.entry_matrix(e) for e in hamiltonian_gap_family(8, 1).entries[2:5]]),
 }
 
 
@@ -638,8 +697,7 @@ class TestProbesFromFactors:
 
     @pytest.mark.parametrize("name", list(PROBE_FAMILIES))
     def test_agree_with_the_dense_reference(self, name):
-        family = PROBE_FAMILIES[name]()
-        mats = family.matrices
+        family, mats = PROBE_FAMILIES[name]()
         if name.startswith("chain"):
             assert max(e.tail for e in family.entries) > 0.0
         for c, seed in [(1.1, 0), (3.0, 2)]:
@@ -654,22 +712,27 @@ class TestProbesFromFactors:
             assert abs(c_hat - reference) <= 1e-12
 
     def test_read_no_matrix(self):
+        # the entries hold no dense matrix, and both checks read their thin
+        # factors only as the stacked ``factors``: entries whose frames and
+        # coframes are NaN, beside the original's stacked factors, give the
+        # same reports
         family = chain_family(4)
         nan = projections.ProjectionFamily(tuple(
-            dataclasses.replace(e, matrix=np.full(e.matrix.shape, np.nan))
+            dataclasses.replace(e, frame=np.full(e.frame.shape, np.nan),
+                                coframe=np.full(e.coframe.shape, np.nan))
             for e in family.entries))
-        assert (rieszbasis.verify_projection_estimate(nan, 1.5, seed=3)
-                == rieszbasis.verify_projection_estimate(family, 1.5, seed=3))
+        nan.__dict__["factors"] = family.factors  # the cached_property's slot
+        basis = nonzero_basis(family)
+        assert (rieszbasis.verify_projection_estimate(nan, 1.5, seed=3, basis=basis)
+                == rieszbasis.verify_projection_estimate(family, 1.5, seed=3, basis=basis))
         assert (projections.projection_sum_bound(nan, seed=3)
                 == projections.projection_sum_bound(family, seed=3))
 
     def test_tail_pads_are_never_looser(self):
         # diag(0, 0.4) has rank 0 and tail 0.4: its factors drop it, and the
         # pads keep both checks below the dense ones
-        family = projections.make_family([("a", np.diag([1.0, 0.0, 0.0])),
-                                          ("b", np.diag([0.0, 0.4, 0.0])),
-                                          ("c", np.diag([0.0, 0.0, 1.0]))])
-        mats = family.matrices
+        mats = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 0.4, 0.0]), np.diag([0.0, 0.0, 1.0])]
+        family = projections.make_family(zip("abc", mats))
         report = rieszbasis.verify_projection_estimate(family, 1.2, basis=nonzero_basis(family))
         holds, lower, upper = reference_linalg.probe_estimate_slacks(mats, 1.2)
         assert holds and not report.two_sided_holds
