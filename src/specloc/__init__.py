@@ -3,9 +3,9 @@ perturbations of normal operators.
 
 Core objects: ray-localized normal operators G and perturbations S with
 ||S u|| <= b ||u||^(1-p) ||G u||^p, certified spectral enclosures (ball plus
-parabolic lobes), Riesz projections of gap contours from one reordered Schur
-form (and by contour quadrature for single contours), and Riesz basis
-constants for the resulting projection families.
+parabolic lobes), Riesz projections of single contours and of gap contours,
+each from one reordered Schur form, and Riesz basis constants for the
+resulting projection families.
 """
 
 from .errors import (

@@ -1,12 +1,13 @@
 """Contours, the regions they bound, and their gate points.
 
-Every contour names the open region it bounds (``Contour.region``): a
-``CircleRegion`` for a circle, a ``GapRegion`` for a closed gap contour between
-parabolas.  A region holds the geometry without nodes: the predicate
-``contains``, which selects the eigenvalues inside, and ``distance_bound``, a
-lower bound on the distance to the contour, with which ``projections`` gates a
-whole contour at once.  Where that bound is too small, the gate checks the
-contour's ``gate_points``: every node and panel endpoint, corners included.
+Every contour holds the open region it bounds (``Contour.region``), and that
+region builds it (``contour``): a ``CircleRegion`` a circle, a ``GapRegion`` a
+closed gap contour between parabolas.  A region holds the geometry without
+nodes: the predicate ``contains``, which selects the eigenvalues inside, and
+``distance_bound``, a lower bound on the distance to the contour, with which
+``projections`` gates a whole contour at once.  Where that bound is too small,
+the gate checks the contour's ``gate_points``: every node and panel endpoint,
+corners included.
 
 Circles carry periodic trapezoid nodes; gap contours carry composite
 Gauss-Legendre panels of ``MIN_NODES_PER_SEGMENT`` nodes on each of their four
@@ -18,7 +19,6 @@ reference and the benchmark's tracer.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +48,11 @@ class Segment:
 
 @dataclass(frozen=True)
 class Contour:
-    """Closed quadrature contour; ``refined(factor)`` rebuilds with factor
+    """Closed quadrature contour around ``region`` (a ``CircleRegion`` or a
+    ``GapRegion``), which builds it; ``refined(factor)`` rebuilds with factor
     times the nodes (on gap contours, factor times the panels)."""
 
-    kind: str
-    params: dict
+    region: CircleRegion | GapRegion
     segments: tuple[Segment, ...]
     nodes_per_segment: int
 
@@ -73,13 +73,8 @@ class Contour:
         """Points the margin gate checks: every node, then every panel endpoint."""
         return np.concatenate([self.nodes] + [s.breaks for s in self.segments])
 
-    @property
-    def region(self):
-        """The open region the contour bounds: a ``CircleRegion`` or a ``GapRegion``."""
-        return (CircleRegion if self.kind == "circle" else GapRegion)(**self.params)
-
     def refined(self, factor: int = 2) -> "Contour":
-        return _build(self.kind, self.params, self.nodes_per_segment * int(factor))
+        return self.region.contour(self.nodes_per_segment * int(factor))
 
 
 def _check_closure(segments):
@@ -102,67 +97,9 @@ def _open_segment(kind, z_of, dz_of, m, rot):
                    breaks=breaks)
 
 
-def _build(kind, params, m):
-    if m < MIN_NODES_PER_SEGMENT:
-        raise InputError("need at least %d nodes per segment" % MIN_NODES_PER_SEGMENT)
-    if kind == "circle":
-        c, r = complex(params["center"]), float(params["radius"])
-        t = 2.0 * np.pi * np.arange(m) / m
-        e = np.exp(1j * t)
-        seg = Segment(kind="circle", nodes=c + r * e,
-                      weights=1j * r * e * (2.0 * np.pi / m),
-                      start=c + r, end=c + r, breaks=np.zeros(0, dtype=complex))
-        return Contour(kind=kind, params=dict(params), segments=(seg,), nodes_per_segment=m)
-    if kind == "gap":
-        if m % MIN_NODES_PER_SEGMENT:
-            raise InputError("nodes per segment must be a multiple of %d"
-                             % MIN_NODES_PER_SEGMENT)
-        xl, xr = float(params["x_left"]), float(params["x_right"])
-        alpha, p = float(params["alpha"]), float(params["p"])
-        theta = float(params["theta"])
-        hl = alpha * xl**p
-        hr = alpha * xr**p
-
-        def arc(sign, a, b):
-            def z_of(s):
-                x = a + (b - a) * s
-                return x + sign * 1j * alpha * x**p
-
-            def dz_of(s):
-                x = a + (b - a) * s
-                slope = alpha * p * x ** (p - 1.0) if p > 0.0 else np.zeros_like(x)
-                return (1.0 + sign * 1j * slope) * (b - a)
-
-            return z_of, dz_of
-
-        def vertical(x0, y_from, y_to):
-            def z_of(s):
-                return x0 + 1j * (y_from + (y_to - y_from) * s)
-
-            def dz_of(s):
-                return 1j * (y_to - y_from) * np.ones_like(s)
-
-            return z_of, dz_of
-
-        pieces = [
-            ("arc_lower", arc(-1.0, xl, xr)),
-            ("side_right", vertical(xr, -hr, hr)),
-            ("arc_upper", arc(+1.0, xr, xl)),
-            ("side_left", vertical(xl, hl, -hl)),
-        ]
-        rot = np.exp(1j * theta)
-        segments = tuple(_open_segment(name, z_of, dz_of, m, rot)
-                         for name, (z_of, dz_of) in pieces)
-        _check_closure(segments)
-        return Contour(kind=kind, params=dict(params), segments=segments, nodes_per_segment=m)
-    raise InputError("unknown contour kind %r" % kind)
-
-
 def circle(center: complex, radius: float, node_count: int = 64) -> Contour:
     """Positively oriented circle."""
-    if not (np.isfinite(center) and 0.0 < radius < np.inf):
-        raise InputError("need a finite center and a finite positive radius")
-    return _build("circle", {"center": complex(center), "radius": float(radius)}, int(node_count))
+    return CircleRegion(complex(center), float(radius)).contour(node_count)
 
 
 @dataclass(frozen=True)
@@ -171,6 +108,22 @@ class CircleRegion:
 
     center: complex
     radius: float
+
+    def __post_init__(self):
+        if not (np.isfinite(self.center) and 0.0 < self.radius < np.inf):
+            raise InputError("need a finite center and a finite positive radius")
+
+    def contour(self, node_count: int = 64) -> Contour:
+        """Its boundary, positively oriented: node_count periodic trapezoid nodes
+        (``circle``)."""
+        m = int(node_count)
+        if m < MIN_NODES_PER_SEGMENT:
+            raise InputError("need at least %d nodes per segment" % MIN_NODES_PER_SEGMENT)
+        c, r = complex(self.center), float(self.radius)
+        e = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
+        seg = Segment(kind="circle", nodes=c + r * e, weights=1j * r * e * (2.0 * np.pi / m),
+                      start=c + r, end=c + r, breaks=np.zeros(0, dtype=complex))
+        return Contour(region=self, segments=(seg,), nodes_per_segment=m)
 
     def contains(self, z) -> np.ndarray:
         return np.abs(np.asarray(z) - self.center) < self.radius
@@ -206,9 +159,51 @@ class GapRegion:
             raise InputError("alpha must be positive for a non-degenerate contour")
 
     def contour(self, nodes_per_segment: int = 32) -> Contour:
-        """Its boundary, traversed counterclockwise (``gap_contour``)."""
-        params = {k: float(v) for k, v in dataclasses.asdict(self).items()}
-        return _build("gap", params, int(nodes_per_segment))
+        """Its boundary, traversed counterclockwise (``gap_contour``): composite
+        Gauss-Legendre panels on the lower arc, right side, upper arc, left side."""
+        m = int(nodes_per_segment)
+        if m < MIN_NODES_PER_SEGMENT:
+            raise InputError("need at least %d nodes per segment" % MIN_NODES_PER_SEGMENT)
+        if m % MIN_NODES_PER_SEGMENT:
+            raise InputError("nodes per segment must be a multiple of %d"
+                             % MIN_NODES_PER_SEGMENT)
+        xl, xr, alpha, p, theta = map(float, (self.x_left, self.x_right, self.alpha, self.p,
+                                              self.theta))
+        hl = alpha * xl**p
+        hr = alpha * xr**p
+
+        def arc(sign, a, b):
+            def z_of(s):
+                x = a + (b - a) * s
+                return x + sign * 1j * alpha * x**p
+
+            def dz_of(s):
+                x = a + (b - a) * s
+                slope = alpha * p * x ** (p - 1.0) if p > 0.0 else np.zeros_like(x)
+                return (1.0 + sign * 1j * slope) * (b - a)
+
+            return z_of, dz_of
+
+        def vertical(x0, y_from, y_to):
+            def z_of(s):
+                return x0 + 1j * (y_from + (y_to - y_from) * s)
+
+            def dz_of(s):
+                return 1j * (y_to - y_from) * np.ones_like(s)
+
+            return z_of, dz_of
+
+        pieces = [
+            ("arc_lower", arc(-1.0, xl, xr)),
+            ("side_right", vertical(xr, -hr, hr)),
+            ("arc_upper", arc(+1.0, xr, xl)),
+            ("side_left", vertical(xl, hl, -hl)),
+        ]
+        rot = np.exp(1j * theta)
+        segments = tuple(_open_segment(name, z_of, dz_of, m, rot)
+                         for name, (z_of, dz_of) in pieces)
+        _check_closure(segments)
+        return Contour(region=self, segments=segments, nodes_per_segment=m)
 
     def _ray_coordinates(self, z):
         """(x, |y|) of w = e^{-i theta} z."""

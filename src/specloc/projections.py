@@ -281,10 +281,6 @@ class ProjectionFamily:
             out[k] = numerics.opnorm(rx @ ry.conj().transpose(0, 2, 1))
         return out
 
-    def disjoint(self, tol: float) -> bool:
-        """Whether ``cross_talk`` <= tol: pads included, GEMM rounding margin not."""
-        return self.cross_talk <= tol
-
     @property
     def sum_residual(self) -> float:
         """||sum_k P~_k - I|| = ||F C* - I||, one GEMM of ``factors`` (only meaningful
@@ -295,18 +291,23 @@ class ProjectionFamily:
         return numerics.opnorm(f @ c.conj().T - np.eye(f.shape[0]))
 
 
+def _member(label, y, u=None, gate_margin=None) -> ProjectionEntry:
+    """The member P = U Y (P = Y without ``u``) from one thin SVD Y = A S B*: its rank r
+    counts the singular values above 1/2, its frame is U A_r, its norm sigma_1 and its
+    tail the largest singular value dropped (0 if none is)."""
+    a, s, bh = np.linalg.svd(y, full_matrices=False)
+    top = s > 0.5
+    return ProjectionEntry(
+        label=str(label), frame=a[:, top] if u is None else u @ a[:, top],
+        singular_values=s[top], coframe=bh[top].conj().T, norm=float(np.max(s, initial=0.0)),
+        tail=float(np.max(s[~top], initial=0.0)), gate_margin=gate_margin)
+
+
 def make_family(labelled_projections) -> ProjectionFamily:
-    """Entries for (label, matrix) pairs: one SVD each gives rank, thin factors, norm and
-    tail; the matrix is not kept, so a member is its thin factors, within its tail of P."""
-    entries = []
-    for label, mat in labelled_projections:
-        u, s, vh = np.linalg.svd(numerics.as_matrix(mat))
-        top = s > 0.5
-        entries.append(ProjectionEntry(
-            label=str(label), frame=u[:, top], singular_values=s[top],
-            coframe=vh[top].conj().T,
-            norm=float(np.max(s, initial=0.0)), tail=float(np.max(s[~top], initial=0.0))))
-    return ProjectionFamily(entries=tuple(entries))
+    """Entries for (label, matrix) pairs, one thin SVD each (``_member``); the matrix is not
+    kept, so a member is its thin factors, within its tail of P."""
+    return ProjectionFamily(entries=tuple(_member(label, numerics.as_matrix(mat))
+                                          for label, mat in labelled_projections))
 
 
 def family_from_gaps(t_mat, gap_abscissae, alpha: float, p: float,
@@ -315,9 +316,9 @@ def family_from_gaps(t_mat, gap_abscissae, alpha: float, p: float,
 
     One Schur form serves every contour (``_schur_projector``, which states the
     gate).  Each projection P = U Y is that of the diagonal entries of R inside
-    the gap region (``GapRegion.contains``), and one thin SVD Y = A S B* gives
-    its frame U A, singular values S and coframe B, so P = (U A) S B* has no
-    tail; the family takes no n x n SVD and keeps no n x n matrix per member.
+    the gap region (``GapRegion.contains``), and ``_member`` factors it by one
+    thin SVD Y = A S B*.  As Y Y* >= I, no singular value of Y is dropped and the
+    tail is 0; the family takes no n x n SVD and keeps no n x n matrix per member.
     The sampled gate builds a gap's contour only where the closed form fails.
     A failing contour raises ContourSpectrumError naming the abscissa pair.
     """
@@ -333,11 +334,7 @@ def family_from_gaps(t_mat, gap_abscissae, alpha: float, p: float,
         except ContourSpectrumError as exc:
             raise ContourSpectrumError("gap contour (%g, %g): %s" % (xl, xr, exc),
                                        margin=exc.margin, abscissae=(xl, xr)) from exc
-        a, s, bh = np.linalg.svd(y, full_matrices=False)
-        entries.append(ProjectionEntry(
-            label="gap[%g,%g]" % (xl, xr), frame=u @ a, singular_values=s,
-            coframe=bh.conj().T, norm=float(np.max(s, initial=0.0)), tail=0.0,
-            gate_margin=gate_margin))
+        entries.append(_member("gap[%g,%g]" % (xl, xr), y, u, gate_margin))
     return ProjectionFamily(entries=tuple(entries))
 
 

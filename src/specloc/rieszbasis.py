@@ -406,13 +406,13 @@ def sign_pattern_constant(family: ProjectionFamily, seed: int = 0, report: bool 
     at one thread.
 
     The norms are of the members' thin factors P~_k, within sum_k tail_k of
-    those of the P_k (0 for gap families); disjoint(1e-6) bounds every pad
+    those of the P_k (0 for gap families); cross_talk <= 1e-6 bounds every pad
     tail_j ||P_k|| + ||P_j|| tail_k by 1e-6 before any pattern is normed.
     """
     es = family.entries
     if not es:
         raise InputError("family is empty")
-    if not family.disjoint(1e-6):
+    if not family.cross_talk <= 1e-6:
         raise InputError("projections are not pairwise disjoint (P_j P_k != 0)")
     m = len(es)
     if m <= SIGN_EXHAUSTIVE_MAX:

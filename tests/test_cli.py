@@ -180,6 +180,20 @@ class TestProject:
         report = read_report(out)
         assert [(p["rank"], p["gateMargin"]) for p in report["projections"]] == [(1, None)] * 2
 
+    def test_empty_gap(self, tmp_path, capsys):
+        # no eigenvalue of T lies in the gap (2, 3): project reports its member
+        # with rank zero, and rieszconst rejects the family
+        spec = write_json(tmp_path / "empty.json", dict(TRIPLE, p=0.0))
+        gaps = ["--input", spec, "--abscissas", "0.5,2,3,7,11", "--alpha", "1.0"]
+        out = tmp_path / "report.json"
+        assert cli.main(["project", *gaps, "--out", str(out)]) == 0
+        assert {p["label"]: p["rank"] for p in read_report(out)["projections"]} == {
+            "gap[0.5,2]": 1, "gap[2,3]": 0, "gap[3,7]": 1, "gap[7,11]": 1}
+        assert cli.main(["rieszconst", *gaps, "--out", str(tmp_path / "riesz.json")]) == 2
+        assert capsys.readouterr().err == (
+            "specloc: input error: projection 'gap[2,3]' has rank zero\n")
+        assert not (tmp_path / "riesz.json").exists()
+
     @pytest.mark.parametrize("command", ["project", "rieszconst"])
     def test_no_tolerance_flag(self, hamiltonian_spec, command):
         assert cli.main([command, "--input", hamiltonian_spec, *HAMILTONIAN_GAPS,

@@ -163,7 +163,7 @@ class TestGapRegion:
         region = contours.GapRegion(3.0, 7.0, 1.5, 0.5, 0.4)
         reference = contours.gap_contour(3.0, 7.0, 1.5, 0.5, theta=0.4, nodes_per_segment=48)
         contour = region.contour(48)
-        assert contour.params == reference.params
+        assert contour.region == reference.region
         np.testing.assert_array_equal(contour.nodes, reference.nodes)
         np.testing.assert_array_equal(contour.weights, reference.weights)
 
@@ -209,6 +209,15 @@ class TestCircleRegion:
         np.testing.assert_allclose(bound, np.abs(np.abs(z - center) - radius),
                                    rtol=0.0, atol=1e-14 * (abs(center) + 4.0 * radius))
         np.testing.assert_array_equal(region.contains(z), np.abs(z - center) < radius)
+
+    @pytest.mark.parametrize("center, radius", [(0.0, 0.0), (0.0, -1.0), (np.nan, 1.0),
+                                                (complex(0.0, np.inf), 1.0), (0.0, np.nan),
+                                                (0.0, np.inf)])
+    def test_rejects_what_circle_rejects(self, center, radius):
+        # a region builds its own contour, so it validates as ``circle`` does:
+        # a negative radius would give a clockwise circle and a zero projection
+        with pytest.raises(InputError):
+            contours.CircleRegion(complex(center), radius)
 
 
 class TestMargin:

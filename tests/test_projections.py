@@ -264,7 +264,7 @@ class TestMakeFamily:
         monkeypatch.setattr(numerics, "BATCH_ENTRIES", budget)
         assert family.cross_talk == unbatched
         assert assert_cross_talk_brackets(family, [m for _, m in labelled]) > 0.1
-        assert not family.disjoint(1e-6)
+        assert not family.cross_talk <= 1e-6
 
     def test_unbalanced_family_norms_no_padding(self, monkeypatch):
         # one rank-6 member beside six rank-1 members: the stacked blocks hold
@@ -286,7 +286,7 @@ class TestMakeFamily:
         family = hamiltonian_gap_family(8, seed)
         assert [e.rank for e in family.entries] == [2] * 8
         assert assert_cross_talk_brackets(family) <= 1e-12
-        assert family.disjoint(1e-6)
+        assert family.cross_talk <= 1e-6
 
     def test_tail_enters_the_pad(self):
         # diag(0, 0.4) has rank 0 and tail 0.4; P_a P_b = 0 exactly, but the
@@ -297,7 +297,7 @@ class TestMakeFamily:
                                                                       (0, 0.4, 0.4)]
         assert max_cross_product_norm(mats) == 0.0
         assert family.cross_talk == 0.4
-        assert not family.disjoint(1e-6)
+        assert not family.cross_talk <= 1e-6
 
     def test_empty_family_diagnostics(self):
         family = projections.make_family([])

@@ -487,8 +487,20 @@ class TestSignPatterns:
         monkeypatch.setattr(numerics, "BATCH_ENTRIES", 8 * 16 * 16)
         factored = {}
         cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.setdefault(
-            (np.shape(a)[-1], threading.get_ident()), []).append(len(a)) or cholesky(a))
+        # the first two size-8 factorizations on worker threads wait for each
+        # other, so two workers must each hold one batch, however the pool
+        # hands them out; on one usable core there is one worker, and no wait
+        barrier = threading.Barrier(2, timeout=30)
+        waits = itertools.count() if len(os.sched_getaffinity(0)) > 1 else iter(())
+
+        def record(a):
+            if (np.shape(a)[-1] == 8 and threading.current_thread().name.startswith(
+                    "specloc-batch") and next(waits, 2) < 2):
+                barrier.wait()
+            factored.setdefault((np.shape(a)[-1], threading.get_ident()), []).append(len(a))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", record)
         assert rieszbasis.sign_pattern_constant(family) == expect
         # the screen's largest group, |S| = n/2 = 8, spans many batches of at
         # most 32 patterns, and every one of them runs on a worker; only the
@@ -535,7 +547,7 @@ class TestSignPatterns:
         mats = [np.diag([1.0, 0.0]), np.diag([0.0, 0.4])]
         family = projections.make_family(zip("ab", mats))
         assert not np.any(mats[0] @ mats[1])
-        assert not family.disjoint(1e-6)
+        assert not family.cross_talk <= 1e-6
         with pytest.raises(InputError, match="not pairwise disjoint"):
             rieszbasis.sign_pattern_constant(family)
 
