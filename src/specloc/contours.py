@@ -1,20 +1,21 @@
 """Contours, the regions they bound, and their gate points.
 
-Every contour holds the open region it bounds (``Contour.region``), and that
-region builds it (``contour``): a ``CircleRegion`` a circle, a ``GapRegion`` a
-closed gap contour between parabolas.  A region holds the geometry without
-nodes: the predicate ``contains``, which selects the eigenvalues inside, and
-``distance_bound``, a lower bound on the distance to the contour, with which
-``projections`` gates a whole contour at once.  Where that bound is too small,
-the gate checks the contour's ``gate_points``: every node and panel endpoint,
-corners included.
+Every contour holds the open region it bounds (``Contour.region``), which
+builds it (``contour``): a ``CircleRegion`` a circle, a ``GapRegion`` a closed
+gap contour between parabolas.  Besides its region a contour is three arrays:
+its nodes, their weights and its panel endpoints (``breaks``).  A region holds
+the geometry without nodes: the predicate ``contains``, which selects the
+eigenvalues inside, and ``distance_bound``, a lower bound on the distance to
+the contour, with which ``projections`` gates a whole contour at once.  Where
+that bound is too small, the gate checks the contour's ``gate_points``: every
+node and panel endpoint, corners included.
 
 Circles carry periodic trapezoid nodes; gap contours carry composite
 Gauss-Legendre panels of ``MIN_NODES_PER_SEGMENT`` nodes on each of their four
 sides.  The weights w_j give integral_Gamma f(z) dz ~ sum_j w_j f(z_j),
 counterclockwise, and ``refined`` doubles the panels.  No production route
-integrates: the weights serve winding numbers, the tests' quadrature
-reference and the benchmark's tracer.
+integrates, and no winding number is computed here: the weights serve the
+tests' quadrature references and the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -36,65 +37,35 @@ _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
 @dataclass(frozen=True)
-class Segment:
-    kind: str
-    nodes: np.ndarray
-    weights: np.ndarray
-    start: complex
-    end: complex
-    #: panel endpoints other than ``end`` (the next segment's start)
-    breaks: np.ndarray
-
-
-@dataclass(frozen=True)
 class Contour:
     """Closed quadrature contour around ``region`` (a ``CircleRegion`` or a
     ``GapRegion``), which builds it; ``refined(factor)`` rebuilds with factor
     times the nodes (on gap contours, factor times the panels)."""
 
     region: CircleRegion | GapRegion
-    segments: tuple[Segment, ...]
+    nodes: np.ndarray
+    weights: np.ndarray
+    #: panel endpoints, corners included, in the order of the nodes (none on a circle)
+    breaks: np.ndarray
     nodes_per_segment: int
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.concatenate([s.nodes for s in self.segments])
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.concatenate([s.weights for s in self.segments])
-
-    @property
-    def total_nodes(self) -> int:
-        return sum(len(s.nodes) for s in self.segments)
 
     @property
     def gate_points(self) -> np.ndarray:
         """Points the margin gate checks: every node, then every panel endpoint."""
-        return np.concatenate([self.nodes] + [s.breaks for s in self.segments])
+        return np.concatenate([self.nodes, self.breaks])
 
     def refined(self, factor: int = 2) -> "Contour":
         return self.region.contour(self.nodes_per_segment * int(factor))
 
 
-def _check_closure(segments):
-    pts = [(s.start, s.end) for s in segments]
-    scale = max(max(abs(a), abs(b)) for a, b in pts) + 1.0
-    for (_, end), (start, _) in zip(pts, pts[1:] + pts[:1]):
-        if abs(end - start) > 1e-12 * scale:
-            raise InputError("contour segments do not close up")
-
-
-def _open_segment(kind, z_of, dz_of, m, rot):
-    """Composite Gauss-Legendre panels on one open segment, rotated by rot."""
+def _open_segment(z_of, dz_of, m, rot):
+    """Composite Gauss-Legendre panels on one open segment, rotated by rot:
+    (nodes, weights, panel endpoints other than the segment's end)."""
     panels = m // MIN_NODES_PER_SEGMENT
     left = np.arange(panels) / panels
     s = (left[:, None] + _GL_NODES[None, :] / panels).ravel()
     weights = dz_of(s) * np.tile(_GL_WEIGHTS / panels, panels)
-    breaks = z_of(left) * rot
-    return Segment(kind=kind, nodes=z_of(s) * rot, weights=weights * rot,
-                   start=complex(breaks[0]), end=complex(z_of(np.array([1.0]))[0]) * rot,
-                   breaks=breaks)
+    return z_of(s) * rot, weights * rot, z_of(left) * rot
 
 
 def circle(center: complex, radius: float, node_count: int = 64) -> Contour:
@@ -121,9 +92,8 @@ class CircleRegion:
             raise InputError("need at least %d nodes per segment" % MIN_NODES_PER_SEGMENT)
         c, r = complex(self.center), float(self.radius)
         e = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
-        seg = Segment(kind="circle", nodes=c + r * e, weights=1j * r * e * (2.0 * np.pi / m),
-                      start=c + r, end=c + r, breaks=np.zeros(0, dtype=complex))
-        return Contour(region=self, segments=(seg,), nodes_per_segment=m)
+        return Contour(region=self, nodes=c + r * e, weights=1j * r * e * (2.0 * np.pi / m),
+                       breaks=np.zeros(0, dtype=complex), nodes_per_segment=m)
 
     def contains(self, z) -> np.ndarray:
         return np.abs(np.asarray(z) - self.center) < self.radius
@@ -193,17 +163,13 @@ class GapRegion:
 
             return z_of, dz_of
 
-        pieces = [
-            ("arc_lower", arc(-1.0, xl, xr)),
-            ("side_right", vertical(xr, -hr, hr)),
-            ("arc_upper", arc(+1.0, xr, xl)),
-            ("side_left", vertical(xl, hl, -hl)),
-        ]
         rot = np.exp(1j * theta)
-        segments = tuple(_open_segment(name, z_of, dz_of, m, rot)
-                         for name, (z_of, dz_of) in pieces)
-        _check_closure(segments)
-        return Contour(region=self, segments=segments, nodes_per_segment=m)
+        sides = [_open_segment(z_of, dz_of, m, rot)
+                 for z_of, dz_of in (arc(-1.0, xl, xr), vertical(xr, -hr, hr),
+                                     arc(+1.0, xr, xl), vertical(xl, hl, -hl))]
+        nodes, weights, breaks = (np.concatenate(parts) for parts in zip(*sides))
+        return Contour(region=self, nodes=nodes, weights=weights, breaks=breaks,
+                       nodes_per_segment=m)
 
     def _ray_coordinates(self, z):
         """(x, |y|) of w = e^{-i theta} z."""
@@ -249,12 +215,6 @@ def gap_contour(x_left: float, x_right: float, alpha: float, p: float,
     traversed counterclockwise.
     """
     return GapRegion(x_left, x_right, alpha, p, theta).contour(nodes_per_segment)
-
-
-def winding_number(contour: Contour, w: complex) -> complex:
-    """Quadrature estimate of the winding number about w."""
-    z = contour.nodes
-    return complex(np.sum(contour.weights / (z - w)) / (2j * np.pi))
 
 
 def min_resolvent_margin(t_mat, contour: Contour) -> float:

@@ -168,17 +168,14 @@ def spectral_projector_oracle(t_mat, region_predicate) -> np.ndarray:
         a, b = find(i), find(j)
         root[max(a, b)] = min(a, b)
     labels = np.array([find(i) for i in range(len(values))], dtype=int)
-    indicator = np.zeros(len(values))
-    for c in np.unique(labels):
-        members = np.flatnonzero(labels == c)
-        flags = {bool(region_predicate(values[i])) for i in members}
-        if len(flags) > 1:
-            raise AmbiguousClusterError(
-                "eigenvalue cluster %r straddles the region boundary"
-                % ([complex(values[i]) for i in members],)
-            )
-        if flags.pop():
-            indicator[members] = 1.0
+    indicator = np.array([float(bool(region_predicate(z))) for z in values])
+    inside = np.bincount(labels, weights=indicator, minlength=len(values))
+    mixed = np.flatnonzero((inside > 0.0) & (inside < np.bincount(labels, minlength=len(values))))
+    if mixed.size:  # the lowest-numbered mixed cluster: the one holding the lowest index
+        raise AmbiguousClusterError(
+            "eigenvalue cluster %r straddles the region boundary"
+            % ([complex(z) for z in values[labels == mixed[0]]],)
+        )
     v = dec.vectors
     return v @ (indicator[:, None] * np.linalg.inv(v))
 

@@ -17,6 +17,12 @@ def svd_extremes(a) -> tuple[float, float]:
     return float(s[0]), float(s[-1])
 
 
+def winding_number(contour, w: complex) -> complex:
+    """Quadrature estimate of the winding number about w."""
+    z = contour.nodes
+    return complex(np.sum(contour.weights / (z - w)) / (2j * np.pi))
+
+
 def lu_reference(t, contour, tol=1e-8):
     """The contour quadrature P = (i / 2 pi) sum_j w_j (T - z_j)^-1, with one LU
     solve of T - z against I per gate point and node doubling until

@@ -145,6 +145,14 @@ class TestOracle:
         p = projections.spectral_projector_oracle(t, lambda z: abs(z) < 2.0)
         np.testing.assert_allclose(p, np.diag([1.0, 0.0, 1.0, 1.0]), atol=1e-12)
 
+    def test_names_the_cluster_with_the_lowest_index(self):
+        # both clusters straddle; the one at 3 sorts first, so it is named
+        t = np.diag([5.0, 3.0 + 1e-12, 5.0 + 1e-12, 3.0])
+        with pytest.raises(AmbiguousClusterError) as info:
+            projections.spectral_projector_oracle(t, lambda z: z.real in (3.0, 5.0))
+        assert str(info.value) == ("eigenvalue cluster %r straddles the region boundary"
+                                   % ([3.0 + 0j, 3.0 + 1e-12 + 0j],))
+
     def test_rank(self):
         t = np.diag([1.0, 2.0, 5.0])
         p = projections.spectral_projector_oracle(t, lambda z: z.real < 3.0)
