@@ -262,7 +262,7 @@ def cmd_enclosure(args) -> int:
     write_report({
         **run.parameters,
         "allInside": report.all_inside,
-        "violators": [v["value"] for v in report.violators],
+        "violators": report.violators,
     }, args)
     return EXIT_OK if report.all_inside else EXIT_CHECK_FAILED
 

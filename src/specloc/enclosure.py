@@ -5,13 +5,13 @@ one parabolic lobe per spectral ray:
 
     e^{i theta} { x + i y : x >= 0, |y| <= alpha x^p },   alpha > b.
 
-Every lobe has the same alpha and p.  ``certified_r0`` produces the ball
-radius from the resolvent conditions used to prove the enclosure;
-``contains`` optionally applies the sharper asymptotic exclusion test
-(reducing to b < |y| at p = 0).  Both tests take an array of points in one
-pass, on the lobe coordinates e^{-i theta} z with the lobes on the last
-axis.  ``enclose`` runs the whole chain from b to the verdict once, for
-every caller.
+Every lobe has the same alpha and p; an ``EnclosureRegion`` validates its own
+parameters.  ``certified_r0`` produces the ball radius from the resolvent
+conditions used to prove the enclosure; ``contains`` optionally applies the
+sharper asymptotic exclusion test (reducing to b < |y| at p = 0).  Both tests
+take an array of points in one pass, on the lobe coordinates e^{-i theta} z
+with the lobes on the last axis.  ``enclose`` runs the whole chain from b to
+the verdict (arrays: the eigenvalues, the violators, their distances) once.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from .operators import PerturbedSystem
 class EnclosureRegion:
     """Ball of radius r0 plus one lobe |y| <= alpha x^p around each ray angle
     in ``thetas``; ``refined`` switches the sharper membership test (which
-    needs the subordination bound ``b``)."""
+    needs the subordination bound ``b``).  alpha, r0 and the angles must be
+    finite, alpha and r0 non-negative, and p in [0, 1)."""
 
     r0: float
     thetas: tuple[float, ...]
@@ -39,20 +40,18 @@ class EnclosureRegion:
     refined: bool = False
     b: float | None = None
 
-
-def build_enclosure(thetas, alpha: float, p: float, r0: float, refined: bool = False,
-                    b: float | None = None) -> EnclosureRegion:
-    alpha = float(alpha)
-    p = float(p)
-    r0 = float(r0)
-    thetas = tuple(float(t) for t in np.atleast_1d(thetas))
-    if not (alpha >= 0.0 and r0 >= 0.0 and 0.0 <= p < 1.0):
-        raise InputError("need alpha >= 0, r0 >= 0 and p in [0, 1)")
-    if not np.all(np.isfinite(thetas)):
-        raise InputError("ray angles must be finite")
-    if refined and b is None:
-        raise InputError("refined membership needs the subordination bound b")
-    return EnclosureRegion(r0=r0, thetas=thetas, alpha=alpha, p=p, refined=bool(refined), b=b)
+    def __post_init__(self):
+        r0, alpha, p = float(self.r0), float(self.alpha), float(self.p)
+        thetas = tuple(float(t) for t in np.atleast_1d(self.thetas))
+        if not (0.0 <= alpha < math.inf and 0.0 <= r0 < math.inf and 0.0 <= p < 1.0):
+            raise InputError("need finite alpha >= 0, finite r0 >= 0 and p in [0, 1)")
+        if not np.all(np.isfinite(thetas)):
+            raise InputError("ray angles must be finite")
+        if self.refined and self.b is None:
+            raise InputError("refined membership needs the subordination bound b")
+        for name, value in (("r0", r0), ("thetas", thetas), ("alpha", alpha), ("p", p),
+                            ("refined", bool(self.refined))):
+            object.__setattr__(self, name, value)
 
 
 def _lobe_coordinates(region: EnclosureRegion, z):
@@ -91,29 +90,6 @@ def contains(region: EnclosureRegion, z):
 # certified ball radius
 
 
-def _region_conditions(b: float, p: float, alpha: float, epsilon: float, psi: float):
-    """The three sufficient resolvent conditions at radius r (each monotone:
-    once satisfied at r they hold for all larger radii)."""
-    sin_psi = math.sin(psi)
-    cos_psi = math.cos(psi)
-
-    def outer(r):  # |z| large, away from the ray axis
-        return 2.0**p * b * r ** (p - 1.0) <= epsilon
-
-    def sector(r):  # psi <= |arg| <= pi/2 relative to the ray
-        return b * (1.0 + 1.0 / sin_psi) ** p * (r * sin_psi) ** (p - 1.0) <= epsilon
-
-    def parabolic(r):  # near the ray, distance >= alpha (r cos psi)^p
-        if p == 0.0:
-            return True  # distance >= alpha gives b/alpha < epsilon directly
-        d = alpha * (r * cos_psi) ** p
-        if d == 0.0:
-            return False
-        return 2.0 * b * d ** (p - 1.0) + b / alpha <= epsilon
-
-    return outer, sector, parabolic
-
-
 def certified_r0(b: float, p: float, alpha: float, epsilon: float, psi: float) -> float:
     """Smallest certified ball radius: all three resolvent conditions hold for
     every |z| >= r0.
@@ -139,6 +115,21 @@ def certified_r0(b: float, p: float, alpha: float, epsilon: float, psi: float) -
         return 0.0
 
     sin_psi = math.sin(psi)
+    cos_psi = math.cos(psi)
+
+    def certified(r):
+        """r > 0 and the outer (|z| large, away from the ray axis), sector
+        (psi <= |arg| <= pi/2 from the ray) and parabolic (near the ray,
+        distance >= alpha (r cos psi)^p) conditions at r, in that order; each
+        is monotone: once satisfied at r it holds for all larger radii."""
+        if not (r > 0.0 and 2.0**p * b * r ** (p - 1.0) <= epsilon
+                and b * (1.0 + 1.0 / sin_psi) ** p * (r * sin_psi) ** (p - 1.0) <= epsilon):
+            return False
+        if p == 0.0:
+            return True  # distance >= alpha gives b/alpha < epsilon directly
+        d = alpha * (r * cos_psi) ** p
+        return d != 0.0 and 2.0 * b * d ** (p - 1.0) + b / alpha <= epsilon
+
     try:
         r0 = max((2.0**p * b / epsilon) ** (1.0 / (1.0 - p)),
                  (b * (1.0 + 1.0 / sin_psi) ** p / epsilon) ** (1.0 / (1.0 - p)) / sin_psi)
@@ -149,8 +140,7 @@ def certified_r0(b: float, p: float, alpha: float, epsilon: float, psi: float) -
         r0 = math.inf
     if math.isinf(r0):
         raise InputError("certified r0 exceeds the floating-point range (b=%g, p=%g)" % (b, p))
-    outer, sector, parabolic = _region_conditions(b, p, alpha, epsilon, psi)
-    while not (r0 > 0.0 and outer(r0) and sector(r0) and parabolic(r0)):
+    while not certified(r0):
         r0 = math.nextafter(r0, math.inf)
     return r0
 
@@ -161,9 +151,16 @@ def certified_r0(b: float, p: float, alpha: float, epsilon: float, psi: float) -
 
 @dataclass(frozen=True)
 class EnclosureReport:
-    all_inside: bool
+    """The eigenvalues of T, those outside the region (``violators``, in
+    eigenvalue order) and their ``distances`` to it."""
+
     eigenvalues: np.ndarray
-    violators: tuple[dict, ...]
+    violators: np.ndarray
+    distances: np.ndarray
+
+    @property
+    def all_inside(self) -> bool:
+        return not self.violators.size
 
 
 def _outside_distance(region: EnclosureRegion, z):
@@ -175,13 +172,10 @@ def _outside_distance(region: EnclosureRegion, z):
 
 
 def verify_spectrum_enclosure(system: PerturbedSystem, region: EnclosureRegion) -> EnclosureReport:
-    """Check every eigenvalue of T against the region; list violators in
-    eigenvalue order."""
+    """Check every eigenvalue of T against the region in one array pass."""
     values = numerics.eig(system.t).values
     outside = values[~contains(region, values)]
-    violators = tuple({"value": complex(z), "distance": float(d)}
-                      for z, d in zip(outside, _outside_distance(region, outside)))
-    return EnclosureReport(all_inside=not violators, eigenvalues=values, violators=violators)
+    return EnclosureReport(values, outside, _outside_distance(region, outside))
 
 
 @dataclass(frozen=True)
@@ -203,7 +197,8 @@ def enclose(system: PerturbedSystem, alpha_factor: float, epsilon: float | None 
     and psi = min(pi/4, half the smallest ray separation).  r0 comes from
     ``certified_r0`` on exactly these values, and every eigenvalue of T is
     checked against the region they define.  An infinite b (S not vanishing
-    on ker G while p > 0), or an alpha not above b, raises InputError.
+    on ker G while p > 0), or an alpha not above b or not finite, raises
+    InputError.
     """
     b = float(subordination.subordination_bound(system.s, system.g, system.p).bound)
     if math.isinf(b):
@@ -217,7 +212,7 @@ def enclose(system: PerturbedSystem, alpha_factor: float, epsilon: float | None 
     if psi is None:
         psi = min(math.pi / 4.0, system.ray_spec.min_ray_separation() / 2.0)
     r0 = certified_r0(b, system.p, alpha, epsilon, psi)
-    region = build_enclosure(system.ray_spec.thetas, alpha, system.p, r0, b=b)
+    region = EnclosureRegion(r0, system.ray_spec.thetas, alpha, system.p, b=b)
     parameters = {"b": b, "alpha": alpha, "epsilon": float(epsilon), "psi": float(psi), "r0": r0}
     return Enclosure(parameters, region, verify_spectrum_enclosure(system, region))
 
@@ -270,8 +265,7 @@ def resolvent_diagnostic(system: PerturbedSystem, z: complex,
     epsilon = float(epsilon)
     if not (0.0 < epsilon < 1.0):
         raise InputError("epsilon must lie in (0, 1)")
-    sigma_g = system.sigma_g()
-    dist = float(np.min(np.abs(sigma_g - z)))
+    dist = float(np.min(np.abs(system.sigma_g() - z)))
     if dist <= 1e-12:
         raise InputError("z is (numerically) in the spectrum of G")
     ident = np.eye(system.dimension, dtype=complex)

@@ -98,14 +98,14 @@ def run_enclosure_case(seed: int, alpha_factor: float = 1.1) -> dict:
     run = enclosure_mod.enclose(system, alpha_factor)
     b, report = run.parameters["b"], run.report
     neg_alpha = 0.5 * b if b > 0.0 else 0.05
-    neg_region = enclosure_mod.build_enclosure(system.ray_spec.thetas, neg_alpha, system.p,
-                                               run.region.r0, b=b)
+    neg_region = enclosure_mod.EnclosureRegion(run.region.r0, system.ray_spec.thetas, neg_alpha,
+                                               system.p, b=b)
     neg_violators = np.count_nonzero(~enclosure_mod.contains(neg_region, report.eigenvalues))
     return {
         **info,
         **run.parameters,
         "allInside": bool(report.all_inside),
-        "violators": [[float(v["value"].real), float(v["value"].imag)] for v in report.violators],
+        "violators": [[z.real, z.imag] for z in report.violators.tolist()],
         "negativeControl": {"alpha": float(neg_alpha), "violatorCount": int(neg_violators)},
     }
 

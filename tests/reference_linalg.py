@@ -2,6 +2,7 @@
 that the library under test does not route through."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -21,6 +22,30 @@ def winding_number(contour, w: complex) -> complex:
     """Quadrature estimate of the winding number about w."""
     z = contour.nodes
     return complex(np.sum(contour.weights / (z - w)) / (2j * np.pi))
+
+
+def r0_conditions(b: float, p: float, alpha: float, epsilon: float, psi: float):
+    """The three sufficient resolvent conditions of ``enclosure.certified_r0``
+    at radius r > 0, one callable each (each monotone: once satisfied at r
+    they hold for all larger radii)."""
+    sin_psi = math.sin(psi)
+    cos_psi = math.cos(psi)
+
+    def outer(r):  # |z| large, away from the ray axis
+        return 2.0**p * b * r ** (p - 1.0) <= epsilon
+
+    def sector(r):  # psi <= |arg| <= pi/2 relative to the ray
+        return b * (1.0 + 1.0 / sin_psi) ** p * (r * sin_psi) ** (p - 1.0) <= epsilon
+
+    def parabolic(r):  # near the ray, distance >= alpha (r cos psi)^p
+        if p == 0.0:
+            return True  # distance >= alpha gives b/alpha < epsilon directly
+        d = alpha * (r * cos_psi) ** p
+        if d == 0.0:
+            return False
+        return 2.0 * b * d ** (p - 1.0) + b / alpha <= epsilon
+
+    return outer, sector, parabolic
 
 
 def lu_reference(t, contour, tol=1e-8):

@@ -372,11 +372,14 @@ class TestErrorPaths:
           "S": {"kind": "randomGaussian", "seed": 1, "scale": 0.3}, "p": 0.5},
          ["enclosure", "--alpha-factor", "0"]),
         (None, ["sweep", "--seeds", "0..0", "--alpha-factor", "0"]),
+        (TRIPLE, ["enclosure", "--alpha-factor", "inf"]),
+        (None, ["sweep", "--seeds", "0..2", "--alpha-factor", "inf"]),
     ] + NON_FINITE_CASES, ids=["ray-without-theta", "gaussian-without-scale",
                                "r0-beyond-float-range", "abscissa-not-a-number",
                                "seeds-not-integers", "empty-seed-range", "negative-sweep-seeds",
                                "negative-seed", "enclosure-alpha-factor-zero",
-                               "sweep-alpha-factor-zero"] + NON_FINITE_IDS)
+                               "sweep-alpha-factor-zero", "enclosure-alpha-factor-inf",
+                               "sweep-alpha-factor-inf"] + NON_FINITE_IDS)
     def test_malformed_input(self, tmp_path, capsys, spec, argv):
         if spec is not None:
             argv = argv + ["--input", write_json(tmp_path / "spec.json", spec)]

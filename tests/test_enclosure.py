@@ -10,12 +10,12 @@ import pytest
 from specloc import enclosure, instances, numerics, operators, subordination
 from specloc.errors import InputError
 
-from reference_linalg import svd_extremes
+from reference_linalg import r0_conditions, svd_extremes
 
 
 class TestContains:
     def region(self, alpha=1.0, p=0.5, r0=2.0, thetas=(0.0,), **kw):
-        return enclosure.build_enclosure(thetas, alpha, p, r0, **kw)
+        return enclosure.EnclosureRegion(r0, thetas, alpha, p, **kw)
 
     def test_ball_membership(self):
         region = self.region()
@@ -102,7 +102,7 @@ class TestArrayMembership:
     @pytest.mark.parametrize("p", [0.0, 0.5])
     @pytest.mark.parametrize("refined", [False, True])
     def test_contains_equals_pointwise(self, p, refined):
-        region = enclosure.build_enclosure(self.THETAS, 1.5, p, 2.0, refined=refined, b=1.0)
+        region = enclosure.EnclosureRegion(2.0, self.THETAS, 1.5, p, refined=refined, b=1.0)
         z = self.points(1.5, p, 2.0)
         inside = enclosure.contains(region, z)
         assert inside.shape == z.shape and inside.dtype == bool
@@ -116,17 +116,17 @@ class TestArrayMembership:
                                       inside.reshape(3, -1))
         if refined:
             assert not (inside & ~enclosure.contains(
-                enclosure.build_enclosure(self.THETAS, 1.5, p, 2.0), z)).any()
+                enclosure.EnclosureRegion(2.0, self.THETAS, 1.5, p), z)).any()
 
     @pytest.mark.parametrize("p", [0.0, 0.5])
     def test_outside_distance_equals_pointwise(self, p):
-        region = enclosure.build_enclosure(self.THETAS, 1.5, p, 2.0)
+        region = enclosure.EnclosureRegion(2.0, self.THETAS, 1.5, p)
         z = self.points(1.5, p, 2.0)
         dist = enclosure._outside_distance(region, z)
         assert dist.shape == z.shape
         np.testing.assert_array_equal(dist, [enclosure._outside_distance(region, w) for w in z])
         assert np.all(dist[enclosure.contains(region, z)] == 0.0)
-        one_lobe = enclosure.build_enclosure([0.0], 1.5, p, 2.0)
+        one_lobe = enclosure.EnclosureRegion(2.0, [0.0], 1.5, p)
         np.testing.assert_allclose(enclosure._outside_distance(one_lobe, [4.0 + 4.0j, -7.0]),
                                    [4.0 - 1.5 * 4.0**p, 5.0], rtol=1e-12)
 
@@ -149,23 +149,36 @@ class TestArrayMembership:
         g = np.diag([1.0, 10.0, 20.0, 30.0])
         s = np.diag([0.0, 2.0j, -4.0j, 3.0j])
         system = operators.assemble(g, s, 0.0)
-        region = enclosure.build_enclosure([0.0], 1.0, 0.0, 2.0)
+        region = enclosure.EnclosureRegion(2.0, [0.0], 1.0, 0.0)
         report = enclosure.verify_spectrum_enclosure(system, region)
         values = [z for z in report.eigenvalues if not enclosure.contains(region, z)]
-        assert [v["value"] for v in report.violators] == [complex(z) for z in values]
-        assert [v["distance"] for v in report.violators] == [
+        assert report.violators.tolist() == [complex(z) for z in values]
+        assert report.distances.tolist() == [
             float(enclosure._outside_distance(region, z)) for z in values]
-        got = {complex(np.round(v["value"], 9)): v["distance"] for v in report.violators}
+        got = {complex(np.round(v, 9)): float(d)
+               for v, d in zip(report.violators, report.distances)}
         assert set(got) == {10.0 + 2.0j, 20.0 - 4.0j, 30.0 + 3.0j}
         np.testing.assert_allclose([got[10.0 + 2.0j], got[20.0 - 4.0j], got[30.0 + 3.0j]],
                                    [1.0, 3.0, 2.0], atol=1e-12)
 
-    @pytest.mark.parametrize("args", [([0.0], math.nan, 0.5, 1.0), ([0.0], 1.0, 0.5, math.nan),
-                                      ([0.0, math.nan], 1.0, 0.5, 1.0),
-                                      ([math.inf], 1.0, 0.5, 1.0)])
+    @pytest.mark.parametrize("args", [(1.0, [0.0], math.nan, 0.5), (math.nan, [0.0], 1.0, 0.5),
+                                      (1.0, [0.0, math.nan], 1.0, 0.5),
+                                      (1.0, [math.inf], 1.0, 0.5),
+                                      (1.0, [0.0], math.inf, 0.5), (math.inf, [0.0], 1.0, 0.5)])
     def test_rejects_non_finite_parameters(self, args):
         with pytest.raises(InputError):
-            enclosure.build_enclosure(*args)
+            enclosure.EnclosureRegion(*args)
+
+    def test_normalizes_its_parameters(self):
+        region = enclosure.EnclosureRegion(np.float64(2), np.float64(0.5), 1, np.float64(0.5),
+                                           refined=1, b=1.0)
+        assert region.thetas == (0.5,) and type(region.thetas[0]) is float
+        assert [type(v) for v in (region.r0, region.alpha, region.p)] == [float] * 3
+        assert region.refined is True
+        with pytest.raises(InputError):
+            enclosure.EnclosureRegion(1.0, [0.0], -1.0, 0.5)
+        with pytest.raises(InputError):
+            enclosure.EnclosureRegion(1.0, [0.0], 1.0, 1.0)
 
 
 class TestCertifiedR0:
@@ -196,7 +209,7 @@ class TestCertifiedR0:
     def test_conditions_hold_at_and_above_r0(self):
         b, p, alpha, eps, psi = 0.7, 0.3, 1.0, 0.9, 0.4
         r0 = enclosure.certified_r0(b, p, alpha, eps, psi)
-        outer, sector, parabolic = enclosure._region_conditions(b, p, alpha, eps, psi)
+        outer, sector, parabolic = r0_conditions(b, p, alpha, eps, psi)
         for factor in (1.0 + 1e-6, 2.0, 10.0):
             r = r0 * factor
             assert outer(r) and sector(r) and parabolic(r)
@@ -214,7 +227,7 @@ class TestCertifiedR0:
             eps = rng.uniform(b / alpha + 0.01 * (1 - b / alpha), 0.99)
             psi = rng.uniform(0.05, 1.5)
             r0 = enclosure.certified_r0(b, p, alpha, eps, psi)
-            conditions = enclosure._region_conditions(b, p, alpha, eps, psi)
+            conditions = r0_conditions(b, p, alpha, eps, psi)
             assert all(c(r0) for c in conditions)
             assert not all(c(r0 * (1.0 - 1e-10)) for c in conditions)
 
@@ -263,25 +276,24 @@ class TestVerifySpectrum:
         ))
         g = operators.build_normal(spec)
         system = operators.assemble(g, np.zeros_like(g), 0.5, ray_spec=spec)
-        region = enclosure.build_enclosure(spec.thetas, 0.5, 0.5, 0.0)
+        region = enclosure.EnclosureRegion(0.0, spec.thetas, 0.5, 0.5)
         report = enclosure.verify_spectrum_enclosure(system, region)
         assert report.all_inside
-        assert report.violators == ()
+        assert report.violators.shape == (0,) and report.distances.shape == (0,)
 
     def test_violators_reported_with_distance(self):
         g = np.diag([1.0, 10.0])
         s = np.array([[0.0, 0.0], [0.0, 2.0j]])
         system = operators.assemble(g, s, 0.0)
-        region = enclosure.build_enclosure([0.0], 1.0, 0.0, 2.0)
+        region = enclosure.EnclosureRegion(2.0, [0.0], 1.0, 0.0)
         report = enclosure.verify_spectrum_enclosure(system, region)
         assert not report.all_inside
         assert len(report.violators) == 1
-        v = report.violators[0]
-        np.testing.assert_allclose(v["value"], 10.0 + 2.0j)
-        np.testing.assert_allclose(v["distance"], 1.0, atol=1e-12)
+        np.testing.assert_allclose(report.violators[0], 10.0 + 2.0j)
+        np.testing.assert_allclose(report.distances[0], 1.0, atol=1e-12)
 
     def test_lobe_boundary_rows(self):
-        region = enclosure.build_enclosure([0.0, 1.0], 2.0, 0.5, 1.0)
+        region = enclosure.EnclosureRegion(1.0, [0.0, 1.0], 2.0, 0.5)
         rows = list(enclosure.lobe_boundary(region, 4.0, count=5))
         assert len(rows) == 10
         theta, x, y_up, y_lo = rows[-1]

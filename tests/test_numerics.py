@@ -8,9 +8,10 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from specloc import numerics
-from specloc.errors import InputError
+from specloc.errors import ConvergenceError, InputError
 
 from reference_linalg import svd_extremes
 
@@ -66,17 +67,51 @@ class TestEig:
         calls = count_calls(np.linalg, "svd")
         a = np.array([[1.0, 2.0], [0.0, 3.0]])
         dec = numerics.eig(a)
-        assert len(calls) == 1  # the opnorm of the residual scale
+        assert len(calls) == 0  # the residual gate's scale is a column norm
         cond = dec.condition_estimate
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert dec.condition_estimate == cond
-        assert len(calls) == 2
+        assert len(calls) == 1
         sv = svd(dec.vectors, compute_uv=False)
         assert cond == max(float(sv[0] / sv[-1]), 1.0)
 
     def test_rejects_nan(self):
         with pytest.raises(InputError):
             numerics.eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @staticmethod
+    def plant(monkeypatch, delta):
+        """Make scipy's eig return the eigenvector (1, 1, 1, 1)/2 of the value 4
+        of ones(4, 4) moved by delta along (1, -1, 0, 0)/sqrt(2), a null vector:
+        the residual of that pair is 4 delta, after normalization 4 delta to
+        within 1e-20."""
+        original = scipy.linalg.eig
+
+        def planted(a):
+            values, vectors = original(a)
+            k = int(np.argmax(values.real))
+            vectors[:, k] = 0.5 + delta * np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2.0)
+            return values, vectors
+
+        monkeypatch.setattr(scipy.linalg, "eig", planted)
+
+    def test_planted_bad_eigenpair_raises(self, monkeypatch):
+        self.plant(monkeypatch, 1e-6)
+        with pytest.raises(ConvergenceError, match="residual") as err:
+            numerics.eig(np.ones((4, 4)))
+        assert err.value.residual == pytest.approx(4e-6, rel=1e-6)
+
+    def test_gate_scale_is_the_largest_column_norm(self, monkeypatch):
+        # ||A|| = 4 and every column norm is 2: a residual of 3e-10 lies above
+        # EIG_RESIDUAL_RTOL times the column norm and below it times ||A||
+        a = np.ones((4, 4))
+        self.plant(monkeypatch, 0.0)
+        assert numerics.eig(a).values.real.max() == pytest.approx(4.0)
+        self.plant(monkeypatch, 0.75e-10)
+        with pytest.raises(ConvergenceError) as err:
+            numerics.eig(a)
+        assert (2.0 * numerics.EIG_RESIDUAL_RTOL < err.value.residual
+                < 4.0 * numerics.EIG_RESIDUAL_RTOL)
 
 
 class TestIsDiagonal:
