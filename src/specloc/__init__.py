@@ -8,6 +8,13 @@ each from one reordered Schur form, and Riesz basis constants for the
 resulting projection families.
 """
 
+import os
+
+# one BLAS thread unless the caller chose otherwise, set before numpy loads:
+# more threads oversubscribe the map_batches workers and move report values
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .errors import (
     AmbiguousClusterError,
     ContourSpectrumError,

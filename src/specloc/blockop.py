@@ -60,6 +60,8 @@ class HamiltonianModel:
     subordination_norm: float = field(init=False)
 
     def __post_init__(self):
+        if not 0.0 < float(self.gamma) < np.inf:
+            raise InputError("gamma must be positive and finite")
         r = tuple(float(x) for x in self.r_seq)
         if not r or any(y <= x for x, y in zip(r, r[1:])):
             raise InputError("r_seq must be nonempty and strictly increasing")
@@ -76,8 +78,6 @@ class HamiltonianModel:
             low = float(np.min(np.linalg.eigvalsh(m)))
             if low < float(self.gamma) - 1e-12:
                 raise InputError("%s has eigenvalue %.6g below gamma=%.6g" % (name, low, self.gamma))
-        if float(self.gamma) <= 0.0:
-            raise InputError("gamma must be positive")
         bound = max(norms)
         if not (float(self.l) > bound):
             raise InputError("need l > max(||B||, ||C||) = %.6g" % bound)

@@ -230,67 +230,3 @@ def lobe_boundary(region: EnclosureRegion, x_max: float, count: int = 200):
     for theta in region.thetas:
         for x, h in zip(xs, halfwidths):
             yield (theta, x, h, -h)
-
-
-# ---------------------------------------------------------------------------
-# pointwise resolvent diagnostics
-
-
-@dataclass(frozen=True)
-class ResolventDiagnostic:
-    """Perturbation-lemma quantities at one resolvent candidate z.
-
-    When ``applicable`` (i.e. ||S (G-z)^-1|| <= epsilon < 1), the lemma
-    asserts z in rho(T) with ||(T-z)^-1|| <= (1-eps)^-1 ||(G-z)^-1|| and
-    ||S (T-z)^-1|| <= eps / (1-eps); the booleans record those checks.
-    """
-
-    z: complex
-    epsilon: float
-    dist_to_sigma_g: float
-    norm_g_resolvent: float
-    norm_sg_resolvent: float
-    applicable: bool
-    norm_t_resolvent: float | None = None
-    norm_st_resolvent: float | None = None
-    in_resolvent_set: bool | None = None
-    t_bound_ok: bool | None = None
-    st_bound_ok: bool | None = None
-
-
-def resolvent_diagnostic(system: PerturbedSystem, z: complex,
-                         epsilon: float) -> ResolventDiagnostic:
-    """Evaluate the resolvent perturbation bounds for T = G + S at z."""
-    z = complex(z)
-    epsilon = float(epsilon)
-    if not (0.0 < epsilon < 1.0):
-        raise InputError("epsilon must lie in (0, 1)")
-    dist = float(np.min(np.abs(system.sigma_g() - z)))
-    if dist <= 1e-12:
-        raise InputError("z is (numerically) in the spectrum of G")
-    ident = np.eye(system.dimension, dtype=complex)
-    norm_g = 1.0 / dist  # G is normal
-    norm_sg = numerics.opnorm(system.s @ np.linalg.solve(system.g - z * ident, ident))
-    if norm_sg > epsilon:
-        return ResolventDiagnostic(
-            z=z, epsilon=epsilon, dist_to_sigma_g=dist,
-            norm_g_resolvent=norm_g, norm_sg_resolvent=norm_sg, applicable=False,
-        )
-    # T - z = U diag(sv) V*, so (T - z)^-1 = V diag(1/sv) U* and ||S (T - z)^-1|| = ||S V / sv||
-    _, sv, vh = np.linalg.svd(system.t - z * ident)
-    in_res = sv[-1] > 0.0
-    if in_res:
-        norm_t = 1.0 / float(sv[-1])
-        norm_st = numerics.opnorm((system.s @ vh.conj().T) / sv)
-    else:
-        norm_t = norm_st = math.inf
-    bound_t = norm_g / (1.0 - epsilon)
-    bound_st = epsilon / (1.0 - epsilon)
-    return ResolventDiagnostic(
-        z=z, epsilon=epsilon, dist_to_sigma_g=dist,
-        norm_g_resolvent=norm_g, norm_sg_resolvent=norm_sg, applicable=True,
-        norm_t_resolvent=norm_t, norm_st_resolvent=norm_st,
-        in_resolvent_set=bool(in_res),
-        t_bound_ok=bool(norm_t <= bound_t * (1.0 + 1e-10)),
-        st_bound_ok=bool(norm_st <= bound_st * (1.0 + 1e-10)),
-    )

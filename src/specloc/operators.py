@@ -4,9 +4,8 @@
 ``build_normal`` gives the diagonal G with eigenvalues e^{i theta_j} r on
 finitely many rays; ``random_gaussian``, ``banded`` and ``offdiagonal_block``
 (the one writer of [[0, B], [C, 0]]) give S.  ``assemble`` accepts any normal
-G with its spectrum on rays, block-diagonal ones included, and keeps the
-eigenvalues of G (``sigma_g``).  Everything is a finite matrix, capped at
-dimension 512.
+G with its spectrum on rays, block-diagonal ones included.  Everything is a
+finite matrix, capped at dimension 512.
 """
 
 from __future__ import annotations
@@ -167,16 +166,10 @@ class PerturbedSystem:
     t: np.ndarray = field(repr=False)
     p: float
     ray_spec: RaySpectrumSpec
-    g_eigenvalues: np.ndarray = field(repr=False)
 
     @property
     def dimension(self) -> int:
         return self.g.shape[0]
-
-    def sigma_g(self) -> np.ndarray:
-        """Eigenvalues of G as ``assemble`` computed them (the diagonal entries
-        for a diagonal G, else in ``numerics.eig`` order)."""
-        return self.g_eigenvalues
 
 
 def rays_from_values(values) -> RaySpectrumSpec:
@@ -224,8 +217,7 @@ def assemble(g, s, p: float, ray_spec: RaySpectrumSpec | None = None) -> Perturb
     G must be normal with its eigenvalues on the declared (or inferred) rays.
     A diagonal G is its own eigendecomposition; any other G must pass
     ``require_normal`` and its eigenvalues come from the checked
-    ``numerics.eig``.  The system keeps them (``sigma_g``).
-    The subordination exponent p must lie in [0, 1).
+    ``numerics.eig``.  The subordination exponent p must lie in [0, 1).
     """
     g = numerics.as_matrix(g)
     s = numerics.as_matrix(s)
@@ -236,11 +228,10 @@ def assemble(g, s, p: float, ray_spec: RaySpectrumSpec | None = None) -> Perturb
     if not (0.0 <= p < 1.0):
         raise InputError("subordination exponent p must lie in [0, 1), got %r" % p)
     if numerics.is_diagonal(g):
-        values = np.diag(g).copy()
+        values = np.diag(g)
     else:
         require_normal(g, "G")
         values = numerics.eig(g).values
-    values.setflags(write=False)  # sigma_g hands out this array itself
     if ray_spec is None:
         ray_spec = rays_from_values(values)
     else:
@@ -253,4 +244,4 @@ def assemble(g, s, p: float, ray_spec: RaySpectrumSpec | None = None) -> Perturb
         scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
         if np.max(np.abs(want - got)) > 1e-10 * scale:
             raise InputError("spectrum of G does not match the declared ray spectrum")
-    return PerturbedSystem(g=g, s=s, t=g + s, p=p, ray_spec=ray_spec, g_eigenvalues=values)
+    return PerturbedSystem(g=g, s=s, t=g + s, p=p, ray_spec=ray_spec)

@@ -107,45 +107,6 @@ def riesz_constant(family: SubspaceFamily) -> RieszConstantReport:
     )
 
 
-def join_families(outer: SubspaceFamily, inners) -> SubspaceFamily:
-    """Refine each outer subspace by an inner family given in its frame
-    coordinates; returns the combined family of all inner subspaces."""
-    inners = list(inners)
-    if len(inners) != len(outer.frames):
-        raise InputError("need one inner family per outer subspace")
-    frames = []
-    for f, inner in zip(outer.frames, inners):
-        if inner.ambient_dimension != f.shape[1]:
-            raise InputError(
-                "inner family lives in dimension %d, outer block has %d columns"
-                % (inner.ambient_dimension, f.shape[1])
-            )
-        for g in inner.frames:
-            frames.append(f @ g)
-    return SubspaceFamily(frames=tuple(frames))
-
-
-@dataclass(frozen=True)
-class JoinCheck:
-    outer_constant: float
-    inner_constant: float
-    combined_constant: float
-    bound: float
-    holds: bool
-
-
-def join_constant_check(outer: SubspaceFamily, inners) -> JoinCheck:
-    """Verify combined constant <= c_outer * max_k c_inner_k (relative slack 1e-8);
-    ``inners`` is read once, so a generator serves."""
-    inners = list(inners)
-    combined = riesz_constant(join_families(outer, inners)).constant
-    c0 = riesz_constant(outer).constant
-    c1 = max(riesz_constant(inner).constant for inner in inners)
-    bound = c0 * c1
-    return JoinCheck(outer_constant=c0, inner_constant=c1, combined_constant=combined,
-                     bound=bound, holds=combined <= bound * (1.0 + 1e-8))
-
-
 # ---------------------------------------------------------------------------
 # sign patterns for disjoint projection families
 

@@ -1,10 +1,6 @@
-"""Eigenvalue counting, spectral gap sequences, and asymptotic gap
-classification.
+"""Spectral gap sequences and asymptotic gap classification.
 
-Counting conventions: N(r) counts eigenvalues in the closed ball |z| <= r;
-N_+(r1, r2) counts moduli in the open interval (r1, r2) on one ray; region
-counts use a caller-supplied predicate.  The gap condition along a ray with
-widths l r^p is
+The gap condition along a ray with widths l r^p is
 
     r_k + l r_k^p  <=  r_{k+1} - l r_{k+1}^p.
 """
@@ -12,46 +8,16 @@ widths l r^p is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .operators import RaySpectrumSpec
 
 #: verdicts of the asymptotic gap classifier
 HOLDS_EVENTUALLY = "holdsEventually"
 BOUNDARY_HOLDS = "boundaryHolds"
 FAILS = "fails"
-
-
-def count_radius(spec: RaySpectrumSpec, r: float) -> int:
-    """N(r): eigenvalues with |z| <= r (closed ball), with multiplicity."""
-    if not np.isfinite(r):
-        raise InputError("radius must be finite")
-    values = np.abs(spec.eigenvalues())
-    return int(np.sum(values <= r))
-
-
-def count_interval(spec: RaySpectrumSpec, theta: float, r1: float, r2: float) -> int:
-    """N_+(r1, r2): moduli strictly between r1 and r2 on the ray ``theta``."""
-    if r1 > r2:
-        raise InputError("need r1 <= r2")
-    theta = float(np.mod(theta, 2.0 * np.pi))
-    for ray in spec.rays:
-        if abs(ray.theta - theta) <= 1e-12 or abs(abs(ray.theta - theta) - 2.0 * np.pi) <= 1e-12:
-            radii = np.asarray(ray.radii)
-            return int(np.sum((radii > r1) & (radii < r2)))
-    raise InputError("theta=%r does not match any declared ray" % theta)
-
-
-def count_region(spec: RaySpectrumSpec, predicate) -> int:
-    """Count eigenvalues z with predicate(z) true."""
-    return int(sum(bool(predicate(z)) for z in spec.eigenvalues()))
-
-
-# ---------------------------------------------------------------------------
-# gap sequences
 
 
 @dataclass(frozen=True)
@@ -63,15 +29,19 @@ class AsymptoticModel:
     d_tail: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.c <= 0.0 or self.q < 1.0:
-            raise InputError("need c > 0 and q >= 1")
+        if not (0.0 < self.c < math.inf and 1.0 <= self.q < math.inf):
+            raise InputError("need finite c > 0 and finite q >= 1")
+        if not np.all(np.isfinite(np.asarray(self.d_tail, dtype=float))):
+            raise InputError("d_tail must be finite")
 
     def radii(self, k_max: int) -> np.ndarray:
         k = np.arange(1, k_max + 1, dtype=float)
         d = np.zeros(k_max)
         tail = np.asarray(self.d_tail, dtype=float)
         d[: min(len(tail), k_max)] = tail[:k_max]
-        return self.c * k**self.q + d * k ** (self.q - 1.0)
+        # overflow leaves inf or nan radii, which GapSequenceModel rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.c * k**self.q + d * k ** (self.q - 1.0)
 
 
 @dataclass(frozen=True)
@@ -85,8 +55,8 @@ class GapSequenceModel:
     asymptotic: AsymptoticModel | None = None
 
     def __post_init__(self):
-        if self.l < 0.0:
-            raise InputError("l must be non-negative")
+        if not 0.0 <= self.l < math.inf:
+            raise InputError("l must be finite and non-negative")
         if not (0.0 <= self.p < 1.0):
             raise InputError("p must lie in [0, 1)")
         radii = np.asarray(self.radii, dtype=float)
@@ -155,8 +125,8 @@ def classify_asymptotic_gap(c: float, q: float, l: float, p: float) -> str:
     model = AsymptoticModel(c=c, q=q)  # validates c, q
     l = float(l)
     p = float(p)
-    if l < 0.0 or not (0.0 <= p < 1.0):
-        raise InputError("need l >= 0 and p in [0, 1)")
+    if not (0.0 <= l < math.inf and 0.0 <= p < 1.0):
+        raise InputError("need finite l >= 0 and p in [0, 1)")
     if l == 0.0:
         return HOLDS_EVENTUALLY
     critical_p = 1.0 - 1.0 / model.q
@@ -170,37 +140,3 @@ def classify_asymptotic_gap(c: float, q: float, l: float, p: float) -> str:
     if l <= threshold * (1.0 + 1e-12):
         return BOUNDARY_HOLDS
     return FAILS
-
-
-# ---------------------------------------------------------------------------
-# counting density
-
-
-@dataclass(frozen=True)
-class DensityCurve:
-    """N(r) / r^(1-p) sampled on a radius grid, with its running minimum.
-
-    ``proxy`` approximates liminf N(r)/r^(1-p): the minimum over the top
-    decade of the grid (r >= r_max / 10).
-    """
-
-    r: np.ndarray
-    ratio: np.ndarray
-    running_min: np.ndarray
-    proxy: float
-
-
-def liminf_density(spec: RaySpectrumSpec, p: float, r_grid) -> DensityCurve:
-    """Counting density curve along a positive radius grid."""
-    if not (0.0 <= float(p) < 1.0):
-        raise InputError("p must lie in [0, 1)")
-    r = np.asarray(r_grid, dtype=float)
-    if r.ndim != 1 or r.size == 0 or np.any(r <= 0.0) or np.any(np.diff(r) <= 0.0):
-        raise InputError("r_grid must be a strictly increasing positive grid")
-    moduli = np.sort(np.abs(spec.eigenvalues()))
-    counts = np.searchsorted(moduli, r, side="right")
-    ratio = counts / r ** (1.0 - float(p))
-    running = np.minimum.accumulate(ratio[::-1])[::-1]
-    top = r >= r[-1] / 10.0
-    proxy = float(np.min(ratio[top])) if np.any(top) else math.inf
-    return DensityCurve(r=r, ratio=ratio, running_min=running, proxy=proxy)

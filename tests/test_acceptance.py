@@ -203,9 +203,13 @@ class TestAcceptance:
                     f.append(v / np.linalg.norm(v))
                 return rieszbasis.SubspaceFamily(frames=tuple(f))
 
-            check = rieszbasis.join_constant_check(
-                outer, [tilted(half, 10 + seed), tilted(n - half, 20 + seed)])
-            if not check.holds:
+            # join: refine each outer frame f by an inner family in its coordinates
+            inners = [tilted(half, 10 + seed), tilted(n - half, 20 + seed)]
+            joined = rieszbasis.SubspaceFamily(frames=tuple(
+                f @ g for f, inner in zip(outer.frames, inners) for g in inner.frames))
+            bound = (rieszbasis.riesz_constant(outer).constant
+                     * max(rieszbasis.riesz_constant(inner).constant for inner in inners))
+            if not rieszbasis.riesz_constant(joined).constant <= bound * (1.0 + 1e-8):
                 join_ok = False
 
         # sign-average identity, exhaustive over all 2^m patterns, m up to 10

@@ -62,7 +62,7 @@ class TestAssembleBlock:
         d = np.diag([3.0j])
         system = blockop.assemble_block(a, np.zeros((2, 1)), np.zeros((1, 2)), d, 0.0)
         np.testing.assert_allclose(sorted(system.ray_spec.thetas), [0.0, np.pi / 2], atol=1e-12)
-        got = sorted(system.sigma_g(), key=lambda z: (z.real, z.imag))
+        got = sorted(system.ray_spec.eigenvalues(), key=lambda z: (z.real, z.imag))
         np.testing.assert_allclose(got, [3.0j, 1.0, 2.0], atol=1e-12)
 
     def test_normality_is_checked_per_block(self):

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -68,6 +72,30 @@ NON_FINITE_CASES = [(TRIPLE, [command] + argv) for command in ("project", "riesz
                     for argv in NON_FINITE_GAPS.values()]
 NON_FINITE_IDS = ["%s-%s" % (command, name) for command in ("project", "rieszconst")
                   for name in NON_FINITE_GAPS]
+# non-finite gap and Hamiltonian model parameters, keyed <command>-<parameter>-<value>
+NAN, INF = float("nan"), float("inf")
+RADII = [1.0, 4.0, 9.0, 16.0]
+IDENTITY = {"kind": "identity"}
+NON_FINITE_MODELS = {
+    "gaps-l-nan": {"gapModel": {"radii": RADII, "l": NAN, "p": 0.5}},
+    "gaps-l-inf": {"gapModel": {"radii": RADII, "l": INF, "p": 0.5}},
+    "gaps-c-nan": {"gapModel": {"radii": RADII, "asymptotic": {"c": NAN, "q": 2.0},
+                                "l": 0.5, "p": 0.5}},
+    "gaps-q-nan": {"gapModel": {"radii": RADII, "asymptotic": {"c": 1.0, "q": NAN},
+                                "l": 0.5, "p": 0.5}},
+    "gaps-d-tail-nan": {"gapModel": {"radii": RADII,
+                                     "asymptotic": {"c": 1.0, "q": 2.0, "dTail": [NAN]},
+                                     "l": 0.5, "p": 0.5}},
+    "gaps-q-inf": {"gapModel": {"asymptotic": {"c": 1.0, "q": INF}, "l": 0.5, "p": 0.5,
+                                "kMax": 50}},
+    "gaps-radii-overflow": {"gapModel": {"asymptotic": {"c": 1.0, "q": 400.0}, "l": 0.5,
+                                         "p": 0.5, "kMax": 50}},
+    "blockop-gamma-nan": {"hamiltonian": {"rSeq": [4.0, 8.0, 12.0], "B": IDENTITY,
+                                          "C": IDENTITY, "gamma": NAN, "l": 1.5}},
+    "blockop-gamma-inf": {"hamiltonian": {"rSeq": [4.0, 8.0, 12.0], "B": IDENTITY,
+                                          "C": IDENTITY, "gamma": INF, "l": 1.5}},
+}
+NON_FINITE_MODEL_CASES = [(spec, [name.split("-")[0]]) for name, spec in NON_FINITE_MODELS.items()]
 
 
 class TestSubord:
@@ -334,6 +362,38 @@ class TestSweepAndDemo:
         assert "eigenvalue" in kinds and "parabola_upper" in kinds
 
 
+class TestBlasThreads:
+    def test_unset_thread_variables_give_the_pinned_report(self, tmp_path):
+        # dimension 128: zgees orders the Schur diagonal by the BLAS thread
+        # count here, so a second thread moves every gateMargin
+        n = 64
+        rng = np.random.default_rng(128)
+
+        def hermitian():
+            q, _ = np.linalg.qr(numerics.gaussian(rng, (n, n)))
+            m = (q * rng.uniform(0.5, 1.3, n)) @ q.conj().T
+            return 0.5 * (m + m.conj().T)
+
+        pairs = [[[[z.real, z.imag] for z in row] for row in hermitian()] for _ in "BC"]
+        r_seq = [4.0 * k for k in range(1, n + 1)]
+        spec = write_json(tmp_path / "ham128.json", {
+            "G": {"rays": [{"theta": math.pi / 2, "radii": r_seq + r_seq}]},
+            "S": {"kind": "offdiagonalBlock", "B": pairs[0], "C": pairs[1]},
+            "p": 0.0,
+        })
+        argv = ["project", "--input", spec, "--alpha", "2", "--no-timestamp", "--abscissas",
+                ",".join(repr(4.0 * k + 2.0) for k in range(n + 1))]
+        pinned, unset = tmp_path / "pinned.json", tmp_path / "unset.json"
+        assert cli.main(argv + ["--out", str(pinned)]) == 0
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-m", "specloc.cli", *argv, "--out", str(unset)],
+                       env=env, check=True, capture_output=True)
+        assert unset.read_bytes() == pinned.read_bytes()
+
+
 class TestErrorPaths:
     def test_missing_file(self, tmp_path):
         assert cli.main(["subord", "--input", str(tmp_path / "nope.json")]) == 2
@@ -374,12 +434,13 @@ class TestErrorPaths:
         (None, ["sweep", "--seeds", "0..0", "--alpha-factor", "0"]),
         (TRIPLE, ["enclosure", "--alpha-factor", "inf"]),
         (None, ["sweep", "--seeds", "0..2", "--alpha-factor", "inf"]),
-    ] + NON_FINITE_CASES, ids=["ray-without-theta", "gaussian-without-scale",
-                               "r0-beyond-float-range", "abscissa-not-a-number",
-                               "seeds-not-integers", "empty-seed-range", "negative-sweep-seeds",
-                               "negative-seed", "enclosure-alpha-factor-zero",
-                               "sweep-alpha-factor-zero", "enclosure-alpha-factor-inf",
-                               "sweep-alpha-factor-inf"] + NON_FINITE_IDS)
+    ] + NON_FINITE_CASES + NON_FINITE_MODEL_CASES,
+        ids=["ray-without-theta", "gaussian-without-scale", "r0-beyond-float-range",
+             "abscissa-not-a-number", "seeds-not-integers", "empty-seed-range",
+             "negative-sweep-seeds", "negative-seed", "enclosure-alpha-factor-zero",
+             "sweep-alpha-factor-zero", "enclosure-alpha-factor-inf",
+             "sweep-alpha-factor-inf"] + NON_FINITE_IDS + list(NON_FINITE_MODELS))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_input(self, tmp_path, capsys, spec, argv):
         if spec is not None:
             argv = argv + ["--input", write_json(tmp_path / "spec.json", spec)]

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from specloc import enclosure, instances, numerics, operators, subordination
+from specloc import enclosure, instances, operators, subordination
 from specloc.errors import InputError
 
 from reference_linalg import r0_conditions, svd_extremes
@@ -298,69 +298,6 @@ class TestVerifySpectrum:
         assert len(rows) == 10
         theta, x, y_up, y_lo = rows[-1]
         np.testing.assert_allclose([theta, x, y_up, y_lo], [1.0, 4.0, 4.0, -4.0])
-
-
-class TestResolventDiagnostic:
-    def system(self):
-        g = np.diag([0.0, 10.0])
-        s = np.array([[0.0, 1.0], [0.0, 0.0]])
-        return operators.assemble(g, s, 0.0)
-
-    def test_bounds_hold(self):
-        diag = enclosure.resolvent_diagnostic(self.system(), 5.0, 0.25)
-        assert diag.applicable
-        np.testing.assert_allclose(diag.dist_to_sigma_g, 5.0)
-        np.testing.assert_allclose(diag.norm_g_resolvent, 0.2)
-        np.testing.assert_allclose(diag.norm_sg_resolvent, 0.2)
-        assert diag.in_resolvent_set
-        assert diag.t_bound_ok and diag.st_bound_ok
-        assert diag.norm_t_resolvent <= 0.2 / 0.75 * (1 + 1e-12)
-
-    def test_norm_t_is_inverse_sigma_min(self):
-        system = self.system()
-        diag = enclosure.resolvent_diagnostic(system, 5.0, 0.25)
-        _, smin = svd_extremes(system.t - 5.0 * np.eye(2))
-        np.testing.assert_allclose(diag.norm_t_resolvent, 1.0 / smin, rtol=1e-12)
-
-    def test_not_applicable_when_epsilon_too_small(self):
-        diag = enclosure.resolvent_diagnostic(self.system(), 5.0, 0.1)
-        assert not diag.applicable
-        assert diag.norm_t_resolvent is None
-
-    def test_zero_perturbation_tight(self):
-        g = np.diag([1.0, 3.0])
-        system = operators.assemble(g, np.zeros((2, 2)), 0.0)
-        diag = enclosure.resolvent_diagnostic(system, 2.0, 0.5)
-        assert diag.applicable and diag.t_bound_ok and diag.st_bound_ok
-        np.testing.assert_allclose(diag.norm_t_resolvent, 1.0, rtol=1e-12)
-
-    def test_one_svd_of_t_minus_z_and_no_solve_against_t(self, count_calls):
-        system = self.system()
-        tz = system.t - 5.0 * np.eye(2)
-        svds, solves = count_calls(np.linalg, "svd"), count_calls(np.linalg, "solve")
-        assert enclosure.resolvent_diagnostic(system, 5.0, 0.25).applicable
-        full_svds = [args[0] for args, kw in svds if kw.get("compute_uv", True)]
-        solved = [args[0] for args, _ in solves]
-        assert len(full_svds) == 1 and np.array_equal(full_svds[0], tz)
-        assert not any(np.array_equal(a, tz) for a in solved)
-
-    def test_rejects_spectrum_point(self):
-        with pytest.raises(InputError):
-            enclosure.resolvent_diagnostic(self.system(), 10.0, 0.5)
-
-    def test_randomized_lemma_bounds(self):
-        rng = np.random.default_rng(13)
-        for _ in range(25):
-            n = 8
-            g = np.diag(rng.uniform(1.0, 9.0, n).astype(complex))
-            s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            s *= 0.5 / numerics.opnorm(s)
-            system = operators.assemble(g, s, 0.0)
-            z = complex(rng.uniform(10.5, 20.0), rng.uniform(-5.0, 5.0))
-            diag = enclosure.resolvent_diagnostic(system, z, 0.9)
-            if diag.applicable:
-                assert diag.in_resolvent_set
-                assert diag.t_bound_ok and diag.st_bound_ok
 
 
 class TestRefinedRejectionsAreResolvent:

@@ -111,7 +111,7 @@ class TestAssemble:
         system = operators.assemble(g, s, 0.5, ray_spec=spec)
         np.testing.assert_array_equal(system.t, g + s)
         assert system.p == 0.5
-        np.testing.assert_allclose(system.sigma_g(), np.diag(g))
+        np.testing.assert_allclose(system.ray_spec.eigenvalues(), np.diag(g))
 
     def test_infers_ray_spec(self):
         g = np.diag([1.0, 2.0, 3.0j])
@@ -145,7 +145,7 @@ class TestAssemble:
         g = q @ np.diag([1.0, 2.0, 3.0j]) @ q.T
         system = operators.assemble(g, np.zeros((3, 3)), 0.5)
         np.testing.assert_allclose(sorted(system.ray_spec.thetas), [0.0, np.pi / 2], atol=1e-12)
-        got = sorted(system.sigma_g(), key=lambda z: (z.real, z.imag))
+        got = sorted(system.ray_spec.eigenvalues(), key=lambda z: (z.real, z.imag))
         np.testing.assert_allclose(got, [3.0j, 1.0, 2.0], atol=1e-12)
 
     def test_diagonal_g_takes_no_svd(self, monkeypatch):
@@ -154,7 +154,9 @@ class TestAssemble:
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         system = operators.assemble(np.diag([1.0, 2.0, 3.0j]), np.ones((3, 3)), 0.5)
-        np.testing.assert_array_equal(system.sigma_g(), [1.0, 2.0, 3.0j])
+        # 3i sits on the inferred ray pi/2, where e^{i pi/2} has a real part of 6e-17
+        np.testing.assert_array_equal(system.ray_spec.eigenvalues(),
+                                      [1.0, 2.0, 3.0 * np.exp(0.5j * np.pi)])
 
     def test_rejects_non_diagonal_g(self):
         g = np.array([[1.0, 0.5], [0.0, 2.0]])

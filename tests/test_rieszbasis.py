@@ -1,4 +1,4 @@
-"""Tests for Riesz basis constants, joins and sign-pattern norms."""
+"""Tests for Riesz basis constants and sign-pattern norms."""
 
 import dataclasses
 import itertools
@@ -118,54 +118,6 @@ class TestRieszConstant:
             rieszbasis.SubspaceFamily(frames=(np.array([[2.0], [0.0]]),))  # not unit
         with pytest.raises(InputError):
             rieszbasis.SubspaceFamily(frames=(np.eye(2), np.eye(2)))  # 4 > 2
-
-
-class TestJoin:
-    def test_join_of_coordinate_splits(self):
-        outer = coordinate_family((2, 2), 4)
-        inner = coordinate_family((1, 1), 2)
-        joined = rieszbasis.join_families(outer, [inner, inner])
-        assert len(joined.frames) == 4
-        np.testing.assert_allclose(rieszbasis.riesz_constant(joined).constant, 1.0, rtol=1e-12)
-
-    def test_join_constant_bound_holds(self):
-        rng = np.random.default_rng(12)
-        q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-        outer = rieszbasis.SubspaceFamily(frames=(q[:, :3], q[:, 3:]))
-
-        def tilted_pair(seed):
-            r = np.random.default_rng(seed)
-            f = []
-            for k in range(3):
-                v = np.zeros((3, 1), dtype=complex)
-                v[k, 0] = 1.0
-                v += 0.3 * (r.standard_normal((3, 1)) + 1j * r.standard_normal((3, 1)))
-                f.append(v / np.linalg.norm(v))
-            return rieszbasis.SubspaceFamily(frames=tuple(f))
-
-        check = rieszbasis.join_constant_check(outer, [tilted_pair(1), tilted_pair(2)])
-        assert check.holds
-        assert check.combined_constant <= check.bound * (1.0 + 1e-8)
-
-    def test_join_check_reads_a_generator_once(self):
-        outer = coordinate_family((2, 2), 4)
-        inners = [coordinate_family((1, 1), 2), coordinate_family((2,), 2)]
-        listed = rieszbasis.join_constant_check(outer, inners)
-        assert rieszbasis.join_constant_check(outer, iter(inners)) == listed
-        assert listed.holds
-
-    @pytest.mark.parametrize("inners", [[], iter([])], ids=["list", "generator"])
-    def test_join_check_without_inner_families(self, inners):
-        with pytest.raises(InputError, match="one inner family per outer subspace"):
-            rieszbasis.join_constant_check(coordinate_family((2, 2), 4), inners)
-
-    def test_join_dimension_mismatch(self):
-        outer = coordinate_family((2, 2), 4)
-        inner_bad = coordinate_family((1, 1, 1), 3)
-        with pytest.raises(InputError):
-            rieszbasis.join_families(outer, [inner_bad, inner_bad])
-        with pytest.raises(InputError):
-            rieszbasis.join_families(outer, [coordinate_family((1, 1), 2)])
 
 
 class TestSignPatterns:

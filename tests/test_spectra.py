@@ -1,50 +1,10 @@
-"""Tests for eigenvalue counting, gap sequences and the asymptotic classifier."""
+"""Tests for gap sequences and the asymptotic classifier."""
 
 import numpy as np
 import pytest
 
 from specloc import spectra
 from specloc.errors import InputError
-from specloc.operators import Ray, RaySpectrumSpec
-
-
-def spec_squares(k_max=100):
-    return RaySpectrumSpec(rays=(Ray(theta=0.0, radii=tuple(float(k * k) for k in range(1, k_max + 1))),))
-
-
-class TestCounting:
-    def test_count_radius_closed_ball(self):
-        spec = spec_squares(10)
-        assert spectra.count_radius(spec, 0.5) == 0
-        assert spectra.count_radius(spec, 1.0) == 1  # boundary included
-        assert spectra.count_radius(spec, 99.9) == 9
-        assert spectra.count_radius(spec, 100.0) == 10
-
-    def test_count_radius_multiplicity(self):
-        spec = RaySpectrumSpec(rays=(Ray(theta=0.0, radii=(2.0, 2.0, 3.0)),))
-        assert spectra.count_radius(spec, 2.0) == 2
-
-    def test_count_interval_open(self):
-        spec = spec_squares(10)
-        assert spectra.count_interval(spec, 0.0, 1.0, 4.0) == 0  # endpoints excluded
-        assert spectra.count_interval(spec, 0.0, 0.9, 4.1) == 2
-
-    def test_count_interval_unknown_ray(self):
-        with pytest.raises(InputError):
-            spectra.count_interval(spec_squares(3), 1.0, 0.0, 10.0)
-
-    def test_count_region_predicate(self):
-        spec = RaySpectrumSpec(rays=(Ray(theta=0.0, radii=(1.0, 2.0)),
-                                     Ray(theta=np.pi / 2, radii=(3.0,))))
-        assert spectra.count_region(spec, lambda z: z.imag > 1.0) == 1
-
-    def test_counts_are_monotone_with_unit_jumps(self):
-        spec = spec_squares(20)
-        grid = np.linspace(0.5, 420.0, 500)
-        counts = [spectra.count_radius(spec, r) for r in grid]
-        diffs = np.diff(counts)
-        assert np.all(diffs >= 0)
-        assert set(diffs.tolist()) <= {0, 1}
 
 
 class TestGapSequence:
@@ -99,6 +59,13 @@ class TestAsymptoticClassifier:
     def test_zero_l_always_holds(self):
         assert spectra.classify_asymptotic_gap(1.0, 2.0, 0.0, 0.9) == spectra.HOLDS_EVENTUALLY
 
+    @pytest.mark.parametrize("c, q, l", [(np.nan, 2.0, 0.5), (np.inf, 2.0, 0.5),
+                                         (1.0, np.nan, 0.5), (1.0, np.inf, 0.5),
+                                         (1.0, 2.0, np.nan), (1.0, 2.0, np.inf)])
+    def test_rejects_non_finite_parameters(self, c, q, l):
+        with pytest.raises(InputError, match="finite"):
+            spectra.classify_asymptotic_gap(c, q, l, 0.5)
+
     def test_threshold_scales_with_c(self):
         # threshold = q c^(1/q) / 2 = 3 at c = 9, q = 2
         assert spectra.classify_asymptotic_gap(9.0, 2.0, 2.99, 0.5) == spectra.HOLDS_EVENTUALLY
@@ -134,23 +101,3 @@ class TestAsymptoticClassifier:
             elif verdict == spectra.FAILS:
                 assert not finite, (c, q, l, p)
 
-
-class TestDensity:
-    def test_squares_proxy_near_one(self):
-        curve = spectra.liminf_density(spec_squares(100), 0.5, np.linspace(1.0, 1e4, 400))
-        assert abs(curve.proxy - 1.0) <= 0.1
-        assert np.all(np.diff(curve.running_min[::-1]) <= 1e-15)
-
-    def test_linear_ray_p_zero(self):
-        spec = RaySpectrumSpec(rays=(Ray(theta=0.0, radii=tuple(float(k) for k in range(1, 101))),))
-        curve = spectra.liminf_density(spec, 0.0, np.linspace(1.0, 100.0, 200))
-        assert abs(curve.proxy - 1.0) <= 0.1
-
-    def test_empty_tail_is_small(self):
-        spec = RaySpectrumSpec(rays=(Ray(theta=0.0, radii=(1.0,)),))
-        curve = spectra.liminf_density(spec, 0.0, np.linspace(1.0, 1000.0, 100))
-        assert curve.proxy <= 0.02
-
-    def test_rejects_bad_grid(self):
-        with pytest.raises(InputError):
-            spectra.liminf_density(spec_squares(3), 0.5, [2.0, 1.0])
