@@ -1,14 +1,11 @@
-"""Block operator matrices T = [[A, B], [C, D]] with normal diagonal part,
-and the Hamiltonian special case T = [[A, B], [C, A]] with A skew-adjoint.
+"""The Hamiltonian block operator T = [[A, B], [C, A]] with A = i diag(r_seq)
+skew-adjoint and B, C self-adjoint.
 
-A block operator is the model T = G + S with G = diag(A, D) and
-S = [[0, B], [C, 0]]: ``assemble_block`` checks the block split and the
-normality of A and D one block at a time (a test on G alone is looser), then
-builds the system through ``operators.assemble``.  S is p-subordinate to G
-with constant max of the individual subordination constants of B relative to
-D and C relative to A.  For the Hamiltonian case (p = 0) the spectrum is
-symmetric about the imaginary axis, confined to discs |z - i r_k| <= b, and
-kept away from the imaginary axis by the positivity floor gamma of B and C.
+T is the model G + S with the diagonal G = diag(A, A), whose eigenvalues lie
+on the rays pi/2 and 3 pi/2, and S = [[0, B], [C, 0]]; S is subordinate to G
+with p = 0 and b = max(||B||, ||C||).  The spectrum is symmetric about the
+imaginary axis, confined to discs |z - i r_k| <= b, and kept away from the
+imaginary axis by the positivity floor gamma of B and C.
 """
 
 from __future__ import annotations
@@ -16,32 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import numerics, operators
 from .errors import DimensionError, InputError
-
-
-def assemble_block(a, b, c, d, p: float) -> operators.PerturbedSystem:
-    """Assemble T = [[A, B], [C, D]] as the perturbed system G + S with
-    G = diag(A, D) and S = [[0, B], [C, 0]].
-
-    A and D must each be normal, with spectra on rays; B must be
-    dim A x dim D and C dim D x dim A.
-    """
-    a = numerics.as_matrix(a)
-    d = numerics.as_matrix(d)
-    s = operators.offdiagonal_block(b, c)
-    if np.shape(b) != (a.shape[0], d.shape[0]):
-        raise DimensionError("off-diagonal blocks do not match A (%d) and D (%d)"
-                             % (a.shape[0], d.shape[0]))
-    operators.require_normal(a, "A")
-    operators.require_normal(d, "D")
-    return operators.assemble(scipy.linalg.block_diag(a, d), s, p)
-
-
-# ---------------------------------------------------------------------------
-# Hamiltonian case
 
 
 @dataclass(frozen=True)
@@ -102,9 +76,15 @@ def fundamental_symmetries(n: int):
 
 
 def build_hamiltonian(model: HamiltonianModel) -> operators.PerturbedSystem:
-    """Assemble the Hamiltonian block system (p = 0)."""
-    a = 1j * np.diag(np.asarray(model.r_seq, dtype=float)).astype(complex)
-    return assemble_block(a, model.b_mat, model.c_mat, a, p=0.0)
+    """Assemble the Hamiltonian block system (p = 0): G = diag(A, A) with
+    A = i diag(r_seq) and S = [[0, B], [C, 0]], on the rays pi/2 (r >= 0) and
+    3 pi/2 (r < 0)."""
+    r = np.asarray(model.r_seq + model.r_seq)
+    rays = [operators.Ray(theta, np.abs(r[side])) for theta, side in
+            ((np.pi / 2.0, r >= 0.0), (1.5 * np.pi, r < 0.0)) if side.any()]
+    return operators.assemble(1j * np.diag(r).astype(complex),
+                              operators.offdiagonal_block(model.b_mat, model.c_mat), 0.0,
+                              operators.RaySpectrumSpec(tuple(rays)))
 
 
 @dataclass(frozen=True)

@@ -44,11 +44,12 @@ EXIT_INPUT_ERROR = 2
 
 @contextlib.contextmanager
 def _reading(what: str):
-    """Report a KeyError, TypeError or ValueError raised while reading ``what``
-    from the user as an InputError; usable as a decorator."""
+    """Report a KeyError, TypeError, ValueError or OverflowError (an infinite
+    integer) raised while reading ``what`` from the user as an InputError;
+    usable as a decorator."""
     try:
         yield
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError("malformed %s: %s %s" % (what, type(exc).__name__, exc)) from exc
 
 
@@ -142,9 +143,12 @@ def hamiltonian_from_json(data: dict) -> blockop_mod.HamiltonianModel:
             if value.get("kind") == "identity":
                 return float(value.get("scale", 1.0)) * np.eye(n, dtype=complex)
             if value.get("kind") == "randomSpd":
+                spread = float(value.get("spread", 1.0))
+                if not 0.0 <= spread < math.inf:
+                    raise InputError("randomSpd spread must be finite and non-negative")
                 rng = numerics.subrng(int(value.get("seed", 0)), 30)
                 q, _ = np.linalg.qr(numerics.gaussian(rng, (n, n)))
-                lam = float(value["gamma"]) + rng.uniform(0.0, float(value.get("spread", 1.0)), n)
+                lam = float(value["gamma"]) + rng.uniform(0.0, spread, n)
                 return (q * lam) @ q.conj().T
             raise InputError("unknown block kind %r" % value.get("kind"))
         return _matrix_from_json(value)

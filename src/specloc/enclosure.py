@@ -7,11 +7,10 @@ one parabolic lobe per spectral ray:
 
 Every lobe has the same alpha and p; an ``EnclosureRegion`` validates its own
 parameters.  ``certified_r0`` produces the ball radius from the resolvent
-conditions used to prove the enclosure; ``contains`` optionally applies the
-sharper asymptotic exclusion test (reducing to b < |y| at p = 0).  Both tests
-take an array of points in one pass, on the lobe coordinates e^{-i theta} z
-with the lobes on the last axis.  ``enclose`` runs the whole chain from b to
-the verdict (arrays: the eigenvalues, the violators, their distances) once.
+conditions used to prove the enclosure; ``contains`` takes an array of points
+in one pass, on the lobe coordinates e^{-i theta} z with the lobes on the
+last axis.  ``enclose`` runs the whole chain from b to the verdict (arrays:
+the eigenvalues, the violators, their distances) once.
 """
 
 from __future__ import annotations
@@ -29,16 +28,13 @@ from .operators import PerturbedSystem
 @dataclass(frozen=True)
 class EnclosureRegion:
     """Ball of radius r0 plus one lobe |y| <= alpha x^p around each ray angle
-    in ``thetas``; ``refined`` switches the sharper membership test (which
-    needs the subordination bound ``b``).  alpha, r0 and the angles must be
-    finite, alpha and r0 non-negative, and p in [0, 1)."""
+    in ``thetas``.  alpha, r0 and the angles must be finite, alpha and r0
+    non-negative, and p in [0, 1)."""
 
     r0: float
     thetas: tuple[float, ...]
     alpha: float
     p: float
-    refined: bool = False
-    b: float | None = None
 
     def __post_init__(self):
         r0, alpha, p = float(self.r0), float(self.alpha), float(self.p)
@@ -47,10 +43,7 @@ class EnclosureRegion:
             raise InputError("need finite alpha >= 0, finite r0 >= 0 and p in [0, 1)")
         if not np.all(np.isfinite(thetas)):
             raise InputError("ray angles must be finite")
-        if self.refined and self.b is None:
-            raise InputError("refined membership needs the subordination bound b")
-        for name, value in (("r0", r0), ("thetas", thetas), ("alpha", alpha), ("p", p),
-                            ("refined", bool(self.refined))):
+        for name, value in (("r0", r0), ("thetas", thetas), ("alpha", alpha), ("p", p)):
             object.__setattr__(self, name, value)
 
 
@@ -65,24 +58,11 @@ def _halfwidth(region: EnclosureRegion, x):
     return region.alpha * np.maximum(x, 0.0) ** region.p
 
 
-def _refined_excluded(b: float, p: float, x, y):
-    """Asymptotic resolvent test: True where x + iy (lobe coordinates) is a
-    certified resolvent point of the sharper enclosure boundary."""
-    ay = np.abs(y)
-    if p == 0.0 or b == 0.0:
-        return b < ay  # b >= 0, so y = 0 is never excluded
-    with np.errstate(divide="ignore", invalid="ignore"):  # t = inf at y = 0
-        t = 2.0 * b ** (1.0 / p) * ay ** (1.0 - 1.0 / p)
-        return (t < 1.0) & (x < (ay / b) ** (1.0 / p) * np.sqrt(1.0 - t))
-
-
 def contains(region: EnclosureRegion, z):
     """Closed membership test for the enclosure region, point by point."""
     z = np.asarray(z, dtype=complex)
     x, y = _lobe_coordinates(region, z)
     in_lobe = (x >= 0.0) & (np.abs(y) <= _halfwidth(region, x))
-    if region.refined:
-        in_lobe &= ~_refined_excluded(float(region.b), region.p, x, y)
     return (np.abs(z) <= region.r0) | in_lobe.any(axis=-1)
 
 
@@ -212,7 +192,7 @@ def enclose(system: PerturbedSystem, alpha_factor: float, epsilon: float | None 
     if psi is None:
         psi = min(math.pi / 4.0, system.ray_spec.min_ray_separation() / 2.0)
     r0 = certified_r0(b, system.p, alpha, epsilon, psi)
-    region = EnclosureRegion(r0, system.ray_spec.thetas, alpha, system.p, b=b)
+    region = EnclosureRegion(r0, system.ray_spec.thetas, alpha, system.p)
     parameters = {"b": b, "alpha": alpha, "epsilon": float(epsilon), "psi": float(psi), "r0": r0}
     return Enclosure(parameters, region, verify_spectrum_enclosure(system, region))
 

@@ -99,7 +99,7 @@ def run_enclosure_case(seed: int, alpha_factor: float = 1.1) -> dict:
     b, report = run.parameters["b"], run.report
     neg_alpha = 0.5 * b if b > 0.0 else 0.05
     neg_region = enclosure_mod.EnclosureRegion(run.region.r0, system.ray_spec.thetas, neg_alpha,
-                                               system.p, b=b)
+                                               system.p)
     neg_violators = np.count_nonzero(~enclosure_mod.contains(neg_region, report.eigenvalues))
     return {
         **info,

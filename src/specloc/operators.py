@@ -3,9 +3,10 @@
 
 ``build_normal`` gives the diagonal G with eigenvalues e^{i theta_j} r on
 finitely many rays; ``random_gaussian``, ``banded`` and ``offdiagonal_block``
-(the one writer of [[0, B], [C, 0]]) give S.  ``assemble`` accepts any normal
-G with its spectrum on rays, block-diagonal ones included.  Everything is a
-finite matrix, capped at dimension 512.
+(the one writer of [[0, B], [C, 0]]) give S.  ``assemble`` takes a diagonal G
+with its declared ray spectrum: a normal G is unitarily diagonal, and b, the
+spectrum of T and the Riesz-basis constants are unitarily invariant.
+Everything is a finite matrix, capped at dimension 512.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def offdiagonal_block(b, c) -> np.ndarray:
 
 @dataclass
 class PerturbedSystem:
-    """T = G + S with G normal and its spectrum on the rays of ``ray_spec``;
+    """T = G + S with G diagonal and its spectrum on the rays of ``ray_spec``;
     built by ``assemble``."""
 
     g: np.ndarray
@@ -172,52 +173,13 @@ class PerturbedSystem:
         return self.g.shape[0]
 
 
-def rays_from_values(values) -> RaySpectrumSpec:
-    """Cluster eigenvalue angles into rays (1e-8 rad) and put each eigenvalue
-    on its nearest ray; one off every ray by more than 1e-10 (relative) raises
-    InputError.  Zeros join the first ray."""
-    values = np.asarray(values)
-    nonzero = values[np.abs(values) > 0.0]
-    angles = np.mod(np.angle(nonzero), _TWO_PI)
-
-    def dist(a, r):
-        return min(abs(a - r), _TWO_PI - abs(a - r))
-
-    reps: list[float] = []
-    for a in np.sort(angles):
-        if not reps or min(dist(a, r) for r in reps) > 1e-8:
-            reps.append(float(a))
-    if not reps:
-        reps = [0.0]
-    buckets: dict[float, list[float]] = {r: [] for r in reps}
-    for z, a in zip(nonzero, angles):
-        rep = min(reps, key=lambda r: dist(a, r))
-        if abs(z) * dist(a, rep) > 1e-10 * (1.0 + abs(z)):
-            raise InputError("eigenvalue %r is not on any spectral ray" % (complex(z),))
-        buckets[rep].append(float(abs(z)))
-    buckets[reps[0]].extend([0.0] * (len(values) - len(nonzero)))
-    return RaySpectrumSpec(rays=tuple(Ray(theta=r, radii=tuple(sorted(buckets[r])))
-                                      for r in reps))
-
-
-def require_normal(m: np.ndarray, name: str):
-    """Raise InputError unless ||M M* - M* M|| <= 1e-10 max(||M||^2, 1);
-    a diagonal M passes without an SVD."""
-    if numerics.is_diagonal(m):
-        return
-    norm = numerics.opnorm(m)
-    residual = numerics.opnorm(m @ m.conj().T - m.conj().T @ m)
-    if residual > 1e-10 * max(norm**2, 1.0):
-        raise InputError("%s is not normal (commutator norm %.3e)" % (name, residual))
-
-
-def assemble(g, s, p: float, ray_spec: RaySpectrumSpec | None = None) -> PerturbedSystem:
+def assemble(g, s, p: float, ray_spec: RaySpectrumSpec) -> PerturbedSystem:
     """Validate and assemble T = G + S; the one constructor of PerturbedSystem.
 
-    G must be normal with its eigenvalues on the declared (or inferred) rays.
-    A diagonal G is its own eigendecomposition; any other G must pass
-    ``require_normal`` and its eigenvalues come from the checked
-    ``numerics.eig``.  The subordination exponent p must lie in [0, 1).
+    G must be diagonal, its diagonal the declared ray spectrum as a multiset
+    (to 1e-10 relative): a normal G enters through its eigenvalues, since
+    every quantity specloc certifies is unitarily invariant.  The
+    subordination exponent p must lie in [0, 1).
     """
     g = numerics.as_matrix(g)
     s = numerics.as_matrix(s)
@@ -227,21 +189,16 @@ def assemble(g, s, p: float, ray_spec: RaySpectrumSpec | None = None) -> Perturb
     p = float(p)
     if not (0.0 <= p < 1.0):
         raise InputError("subordination exponent p must lie in [0, 1), got %r" % p)
-    if numerics.is_diagonal(g):
-        values = np.diag(g)
-    else:
-        require_normal(g, "G")
-        values = numerics.eig(g).values
-    if ray_spec is None:
-        ray_spec = rays_from_values(values)
-    else:
-        if ray_spec.dimension != g.shape[0]:
-            raise DimensionError(
-                "ray spec dimension %d != matrix dimension %d" % (ray_spec.dimension, g.shape[0])
-            )
-        want = np.sort_complex(ray_spec.eigenvalues())
-        got = np.sort_complex(values)
-        scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
-        if np.max(np.abs(want - got)) > 1e-10 * scale:
-            raise InputError("spectrum of G does not match the declared ray spectrum")
+    if not numerics.is_diagonal(g):
+        raise InputError("G must be diagonal: a normal G enters through its eigenvalues")
+    if ray_spec.dimension != g.shape[0]:
+        raise DimensionError(
+            "ray spec dimension %d != matrix dimension %d" % (ray_spec.dimension, g.shape[0])
+        )
+    values = np.diag(g)
+    want = np.sort_complex(ray_spec.eigenvalues())
+    got = np.sort_complex(values)
+    scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
+    if np.max(np.abs(want - got)) > 1e-10 * scale:
+        raise InputError("spectrum of G does not match the declared ray spectrum")
     return PerturbedSystem(g=g, s=s, t=g + s, p=p, ray_spec=ray_spec)

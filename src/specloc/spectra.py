@@ -19,6 +19,9 @@ HOLDS_EVENTUALLY = "holdsEventually"
 BOUNDARY_HOLDS = "boundaryHolds"
 FAILS = "fails"
 
+#: largest k_max ``from_asymptotic`` builds radii for (8 MB of float64)
+MAX_K = 10**6
+
 
 @dataclass(frozen=True)
 class AsymptoticModel:
@@ -68,7 +71,10 @@ class GapSequenceModel:
 
 
 def from_asymptotic(c: float, q: float, l: float, p: float, k_max: int, d_tail=()) -> GapSequenceModel:
-    """Build a concrete GapSequenceModel from an asymptotic law up to k_max."""
+    """Build a concrete GapSequenceModel from an asymptotic law up to k_max;
+    a k_max above MAX_K raises InputError."""
+    if k_max > MAX_K:
+        raise InputError("k_max %d exceeds the cap %d" % (k_max, MAX_K))
     model = AsymptoticModel(c=c, q=q, d_tail=tuple(d_tail))
     return GapSequenceModel(radii=model.radii(k_max), l=l, p=p, asymptotic=model)
 

@@ -7,8 +7,9 @@ S is p-subordinate to G with bound b when
 By weighted AM-GM, ||u||^(2-2p) ||G u||^(2p) is the minimum over t > 0 of
 u* ((1-p) t^p + p t^(p-1) G*G) u, attained at t = ||G u||^2 / ||u||^2.
 Swapping the two suprema turns the minimal b into a one-parameter pencil
-problem.  With G = U diag(sigma) V* (for a diagonal G, sigma = |g_ii| and V
-a permutation, with no SVD) and H = (S V)* (S V),
+problem.  G is diagonal (a normal G is unitarily diagonal, and b is
+unitarily invariant), so G = U diag(sigma) V* with sigma = |g_ii| in
+decreasing order and V a permutation, with no SVD; with H = (S V)* (S V),
 
     b^2 = max over t in [sigma_min^2, sigma_max^2] of lambda_max(H, D(t)),
     D(t) = diag((1-p) t^p + p t^(p-1) sigma_i^2).
@@ -38,18 +39,13 @@ from .errors import ConvergenceError, InputError
 #: relative width of the certified bracket: bound <= lower (1 + BRACKET_RTOL)
 BRACKET_RTOL = 1e-6
 
-#: relative rounding pad on the upper end.  For a diagonal G (as built from
-#: rays) sigma is |g_ii| to an ulp and V is a permutation, so each entry of the
-#: scaled pencil D^(-1/2) H D^(-1/2) is a dot product off by at most n eps
-#: times the norms of its two columns.  That moves the pencil by at most
-#: n^2 eps of its norm.  zheevr reduces the pencil with the same zhetrd as a
+#: relative rounding pad on the upper end.  sigma is |g_ii| to an ulp and V
+#: is a permutation, so each entry of the scaled pencil D^(-1/2) H D^(-1/2)
+#: is a dot product off by at most n eps times the norms of its two columns.
+#: That moves the pencil by at most n^2 eps of its norm.  zheevr reduces the pencil with the same zhetrd as a
 #: full eigh, and its top eigenvalue carries the same O(n eps) backward error;
 #: with the minorant's powers and logs that adds O(n eps).  At the dimension
 #: cap n = 512 the sum stays below 6e-11.
-#: For any other G, H carries an absolute error of order n eps ||S||^2, which
-#: the scaling by D >= sigma_min^(2p) and b^2 >= ||S||^2 / sigma_max^(2p) turn
-#: into n eps cond(G)^(2p) relative; the SVD's backward error n eps ||G|| adds
-#: p n eps cond(G).  The pad is then scaled by cond(G)^max(1, 2p).
 ROUNDING_PAD = 1e-10
 
 #: the bracket gives up (ConvergenceError) after MAX_DEPTH bisection levels
@@ -180,16 +176,17 @@ def _pencil_tops(h, sigma2, p, diags):
 def subordination_bound(s, g, p: float) -> SubordinationResult:
     """Certified bracket lower <= b <= bound around the minimal constant b.
 
-    p = 0 reduces to the operator norm of S, whose upper end is sigma_1
-    rounded up by 4 (n + 1) eps (``_round_up``).  When p > 0 and G has a
-    numerical kernel that S does not annihilate, the bound is infinite.
-    The upper end carries the rounding pad ROUNDING_PAD for a diagonal G and
-    ROUNDING_PAD cond(G)^max(1, 2p) for any other G.  Raises ConvergenceError
-    if that pad alone exceeds BRACKET_RTOL, or if the bracket is not within
-    BRACKET_RTOL after MAX_DEPTH bisection levels or within MAX_CELLS cells
-    per level.
+    G must be diagonal (InputError otherwise).  p = 0 reduces to the
+    operator norm of S, whose upper end is sigma_1 rounded up by 4 (n + 1)
+    eps (``_round_up``).  When p > 0 and G has a numerical kernel that S
+    does not annihilate, the bound is infinite.  The upper end carries the
+    rounding pad ROUNDING_PAD.  Raises ConvergenceError if the bracket is not
+    within BRACKET_RTOL after MAX_DEPTH bisection levels or within MAX_CELLS
+    cells per level.
     """
     s, g = _check_pair(s, g)
+    if not numerics.is_diagonal(g):
+        raise InputError("G must be diagonal: a normal G enters through its eigenvalues")
     p = float(p)
     if not (0.0 <= p < 1.0):
         raise InputError("p must lie in [0, 1)")
@@ -208,29 +205,19 @@ def subordination_bound(s, g, p: float) -> SubordinationResult:
         return SubordinationResult(p, max(_round_up(float(sv[0]), n), ratio),
                                    _round_down(ratio, n), witness)
 
+    # G is its own SVD: sigma = |g_ii| and V a permutation
+    order = np.argsort(-np.abs(np.diagonal(g)), kind="stable")
+    sg, vgh = np.abs(np.diagonal(g))[order], np.eye(n)[order]
     # unboundedness: S must vanish on ker G when p > 0
-    diagonal = numerics.is_diagonal(g)
-    if diagonal:
-        # a diagonal G is its own SVD: sigma = |g_ii| and V a permutation
-        order = np.argsort(-np.abs(np.diagonal(g)), kind="stable")
-        sg, vgh = np.abs(np.diagonal(g))[order], np.eye(n)[order]
-    else:
-        _, sg, vgh = np.linalg.svd(g)
     kernel = sg <= 1e-12 * max(sg[0], 1.0)
     if np.any(kernel):
-        kvecs = vgh[kernel].conj().T
+        kvecs = vgh[kernel].T
         if np.all(kernel) or numerics.opnorm(s @ kvecs) > 1e-10 * max(numerics.opnorm(s), 1.0):
             return SubordinationResult(p, math.inf, math.inf, None)
 
     # S vanishes on the kernel, so only the range of G* carries the ratio
-    v = vgh[~kernel].conj().T
+    v = vgh[~kernel].T
     sigma2 = sg[~kernel] ** 2
-    pad = ROUNDING_PAD
-    if not diagonal:
-        pad *= (sigma2[0] / sigma2[-1]) ** max(0.5, p)
-    if pad >= BRACKET_RTOL:
-        raise ConvergenceError("G is too ill-conditioned for a %g bracket: rounding pad %.3g"
-                               % (BRACKET_RTOL, pad), residual=pad)
     sv = s @ v
     h = sv.conj().T @ sv
     cells = np.array([[sigma2[-1], sigma2[0]]])
@@ -244,7 +231,7 @@ def subordination_bound(s, g, p: float) -> SubordinationResult:
         if cand > lower:
             lower, best = cand, u[k]
         lam = np.maximum(lam[:len(cells)], lam[len(cells):])
-        cell_bounds = np.sqrt(lam) * (1.0 + pad)
+        cell_bounds = np.sqrt(lam) * (1.0 + ROUNDING_PAD)
         closed = cell_bounds <= lower * (1.0 + BRACKET_RTOL)
         upper = max(upper, float(np.max(cell_bounds[closed], initial=0.0)))
         cells = cells[~closed]

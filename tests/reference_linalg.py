@@ -48,6 +48,17 @@ def r0_conditions(b: float, p: float, alpha: float, epsilon: float, psi: float):
     return outer, sector, parabolic
 
 
+def refined_excluded(b: float, p: float, x, y):
+    """Asymptotic resolvent test: True where x + iy (lobe coordinates) is a
+    certified resolvent point of the sharper enclosure boundary."""
+    ay = np.abs(y)
+    if p == 0.0 or b == 0.0:
+        return b < ay  # b >= 0, so y = 0 is never excluded
+    with np.errstate(divide="ignore", invalid="ignore"):  # t = inf at y = 0
+        t = 2.0 * b ** (1.0 / p) * ay ** (1.0 - 1.0 / p)
+        return (t < 1.0) & (x < (ay / b) ** (1.0 / p) * np.sqrt(1.0 - t))
+
+
 def lu_reference(t, contour, tol=1e-8):
     """The contour quadrature P = (i / 2 pi) sum_j w_j (T - z_j)^-1, with one LU
     solve of T - z against I per gate point and node doubling until

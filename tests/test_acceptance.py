@@ -14,10 +14,10 @@ import time
 
 import numpy as np
 
-from specloc import (blockop, cli, contours, enclosure, instances, numerics,
-                     operators, projections, rieszbasis, spectra, subordination)
+from specloc import (blockop, cli, contours, instances, numerics, operators, projections,
+                     rieszbasis, spectra, subordination)
 
-from reference_linalg import svd_extremes
+from reference_linalg import refined_excluded, svd_extremes
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -59,7 +59,7 @@ class TestAcceptance:
     def test_03_refined_boundary_resolvent(self):
         # p = 0 reduction: the refined carve-out is exactly b < |y|
         exact = all(
-            enclosure._refined_excluded(b, 0.0, x, y) == (b < abs(y))
+            refined_excluded(b, 0.0, x, y) == (b < abs(y))
             for b in (0.0, 0.3, 1.0, 2.5)
             for x in (0.5, 3.0, 50.0)
             for y in (-3.0, -0.31, 0.0, 0.29, 0.3, 1.0)
@@ -76,7 +76,7 @@ class TestAcceptance:
             for _ in range(8):
                 x = float(np.exp(rng.uniform(np.log(2.0), np.log(info["rMax"]))))
                 y = float(rng.uniform(1.2, 1.6)) * res.bound * x**system.p
-                if not enclosure._refined_excluded(res.bound, system.p, x, y):
+                if not refined_excluded(res.bound, system.p, x, y):
                     continue
                 _, smin = svd_extremes(system.t - complex(x, y) * ident)
                 min_sigma = min(min_sigma, smin / (1.0 + abs(complex(x, y))))
@@ -91,11 +91,14 @@ class TestAcceptance:
         pairs = 0
         while pairs < 10_000:
             n = 8
-            g = np.diag(rng.uniform(1.0, 9.0, n).astype(complex)
-                        * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)))
+            moduli = rng.uniform(1.0, 9.0, n)
+            angles = rng.uniform(0.0, 2.0 * np.pi, n)
+            g = np.diag(moduli.astype(complex) * np.exp(1j * angles))
             s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             s *= rng.uniform(0.05, 0.3) / numerics.opnorm(s)
-            system = operators.assemble(g, s, 0.0)
+            spec = operators.RaySpectrumSpec(tuple(operators.Ray(theta, (r,))
+                                                   for theta, r in zip(angles, moduli)))
+            system = operators.assemble(g, s, 0.0, spec)
             sigma = np.diag(g)
             ident = np.eye(n)
             for _ in range(100):

@@ -5,27 +5,36 @@ import types
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from specloc import blockop, numerics, subordination
+from specloc import blockop, numerics, operators, subordination
 from specloc.errors import DimensionError, InputError
 
 
+def rays(*pairs):
+    """The ray spectrum of (theta, radii) pairs."""
+    return operators.RaySpectrumSpec(tuple(operators.Ray(theta, radii) for theta, radii in pairs))
+
+
+def block_system(a, b, c, d, p, spec):
+    """T = [[A, B], [C, D]] with A and D diagonal (given by their diagonals),
+    assembled as G + S with G = diag(A, D) on the declared rays."""
+    g = np.diag(np.concatenate([a, d])).astype(complex)
+    return operators.assemble(g, operators.offdiagonal_block(b, c), p, spec)
+
+
 class TestAssembleBlock:
+    """Block systems [[A, B], [C, D]] through ``operators.assemble``."""
+
     def test_spectrum_union_without_coupling(self):
-        a = np.diag([1.0, 2.0])
-        d = np.diag([3.0j])
-        system = blockop.assemble_block(a, np.zeros((2, 1)), np.zeros((1, 2)), d, 0.0)
+        system = block_system([1.0, 2.0], np.zeros((2, 1)), np.zeros((1, 2)), [3.0j], 0.0,
+                              rays((0.0, (1.0, 2.0)), (np.pi / 2, (3.0,))))
         values = sorted(np.linalg.eigvals(system.t), key=lambda z: (z.real, z.imag))
         np.testing.assert_allclose(values, [3.0j, 1.0, 2.0], atol=1e-12)
-        thetas = sorted(system.ray_spec.thetas)
-        np.testing.assert_allclose(thetas, [0.0, np.pi / 2], atol=1e-12)
+        np.testing.assert_allclose(sorted(system.ray_spec.thetas), [0.0, np.pi / 2], atol=1e-12)
 
     def test_off_diagonal_layout(self):
-        a = np.diag([1.0])
-        d = np.diag([2.0])
-        b = np.array([[5.0]])
-        c = np.array([[7.0]])
-        system = blockop.assemble_block(a, b, c, d, 0.0)
+        system = block_system([1.0], [[5.0]], [[7.0]], [2.0], 0.0, rays((0.0, (1.0, 2.0))))
         np.testing.assert_array_equal(system.s, [[0.0, 5.0], [7.0, 0.0]])
         np.testing.assert_array_equal(system.g, np.diag([1.0, 2.0]).astype(complex))
 
@@ -33,51 +42,28 @@ class TestAssembleBlock:
         rng = np.random.default_rng(2)
         b = rng.standard_normal((3, 3))
         c = rng.standard_normal((3, 3))
-        system = blockop.assemble_block(np.diag([1.0, 2.0, 3.0]), b, c,
-                                        np.diag([4.0, 5.0, 6.0]), 0.0)
+        system = block_system([1.0, 2.0, 3.0], b, c, [4.0, 5.0, 6.0], 0.0,
+                              rays((0.0, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))))
         res = subordination.subordination_bound(system.s, system.g, 0.0)
         np.testing.assert_allclose(res.bound, max(numerics.opnorm(b), numerics.opnorm(c)),
                                    rtol=1e-12)
 
     def test_rejects_non_normal_diagonal_block(self):
-        a = np.array([[1.0, 1.0], [0.0, 2.0]])
-        with pytest.raises(InputError):
-            blockop.assemble_block(a, np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2), 0.0)
+        g = np.zeros((4, 4))
+        g[:2, :2] = [[1.0, 1.0], [0.0, 2.0]]
+        g[2:, 2:] = np.eye(2)
+        with pytest.raises(InputError, match="diagonal"):
+            operators.assemble(g, np.zeros((4, 4)), 0.0, rays((0.0, (1.0, 2.0, 1.0, 1.0))))
 
     def test_rejects_block_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            blockop.assemble_block(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)),
-                                   np.eye(3), 0.0)
+            block_system([1.0, 1.0], np.zeros((2, 2)), np.zeros((2, 2)), [1.0, 1.0, 1.0], 0.0,
+                         rays((0.0, (1.0,) * 5)))
 
     def test_rejects_off_ray_eigenvalue(self):
-        a = np.diag([10.0, 10.0 * cmath.exp(1e-9j)])
         with pytest.raises(InputError):
-            blockop.assemble_block(a, np.zeros((2, 1)), np.zeros((1, 2)), np.diag([1.0]), 0.0)
-
-    def test_normal_non_diagonal_block(self):
-        # A = Q diag(1, 2) Q* for a unitary Q: normal, not diagonal
-        q = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
-        a = q @ np.diag([1.0, 2.0]) @ q.conj().T
-        assert not numerics.is_diagonal(a)
-        d = np.diag([3.0j])
-        system = blockop.assemble_block(a, np.zeros((2, 1)), np.zeros((1, 2)), d, 0.0)
-        np.testing.assert_allclose(sorted(system.ray_spec.thetas), [0.0, np.pi / 2], atol=1e-12)
-        got = sorted(system.ray_spec.eigenvalues(), key=lambda z: (z.real, z.imag))
-        np.testing.assert_allclose(got, [3.0j, 1.0, 2.0], atol=1e-12)
-
-    def test_normality_is_checked_per_block(self):
-        # diag(A, D) passes the commutator test at the scale of ||D|| = 100,
-        # but A alone is not normal at its own scale
-        a = np.array([[1.0, 1e-4], [0.0, 1.0]])
-        d = 100.0 * np.eye(2)
-        with pytest.raises(InputError):
-            blockop.assemble_block(a, np.zeros((2, 2)), np.zeros((2, 2)), d, 0.0)
-
-    def test_rejects_wrong_block_split(self):
-        # total size 3 either way, but B must be 1x2 for A 1x1 and D 2x2
-        with pytest.raises(DimensionError):
-            blockop.assemble_block(np.eye(1), np.zeros((2, 1)), np.zeros((1, 2)),
-                                   np.eye(2), 0.0)
+            block_system([10.0, 10.0 * cmath.exp(1e-9j)], np.zeros((2, 1)), np.zeros((1, 2)),
+                         [1.0], 0.0, rays((0.0, (10.0, 10.0, 1.0))))
 
 
 class TestHamiltonianModel:
@@ -140,6 +126,25 @@ class TestHamiltonianSpectrum:
         want = sorted(expect, key=lambda z: (round(z.imag, 6), z.real))
         np.testing.assert_allclose(got, want, atol=1e-10)
 
+    def test_mixed_sign_r_seq(self):
+        # G = diag(A, A) with A = i diag(r), bit for bit the block-diagonal
+        # assembly; r < 0 sits on the ray 3 pi/2, r >= 0 on pi/2
+        r = (-12.0, -8.0, -4.0, 0.0, 4.0, 8.0)
+        model = blockop.HamiltonianModel(r_seq=r, b_mat=np.eye(6), c_mat=np.eye(6),
+                                         gamma=1.0, l=1.5)
+        system = blockop.build_hamiltonian(model)
+        a = 1j * np.diag(np.asarray(r)).astype(complex)
+        assert system.g.tobytes() == scipy.linalg.block_diag(a, a).tobytes()
+        np.testing.assert_array_equal(system.s, operators.offdiagonal_block(np.eye(6),
+                                                                            np.eye(6)))
+        spec = system.ray_spec
+        assert [(ray.theta, ray.radii) for ray in spec.rays] == [
+            (np.pi / 2, (0.0, 4.0, 8.0) * 2), (1.5 * np.pi, (12.0, 8.0, 4.0) * 2)]
+        # each eigenvalue of G once: the declared multiset is the diagonal's
+        np.testing.assert_allclose(np.sort_complex(spec.eigenvalues()),
+                                   np.sort_complex(np.diag(system.g)), atol=1e-14)
+        assert blockop.verify_hamiltonian(system, model).clean
+
     def test_verify_clean(self):
         model = self.model()
         system = blockop.build_hamiltonian(model)
@@ -179,8 +184,9 @@ class TestHamiltonianSpectrum:
         model = self.model()
         # weaken the coupling after the fact: eigenvalues move to i r_k +- 1/2,
         # below the declared floor gamma = 1
-        bad = blockop.assemble_block(1j * np.diag(model.r_seq), 0.5 * np.eye(4),
-                                     0.5 * np.eye(4), 1j * np.diag(model.r_seq), 0.0)
+        r = model.r_seq * 2
+        bad = block_system(1j * np.array(model.r_seq), 0.5 * np.eye(4), 0.5 * np.eye(4),
+                           1j * np.array(model.r_seq), 0.0, rays((np.pi / 2, r)))
         report = blockop.verify_hamiltonian(bad, model)
         assert report.real_part_floor_violations
         assert not report.clean
@@ -189,8 +195,8 @@ class TestHamiltonianSpectrum:
     def test_disc_violation_detected(self):
         model = self.model()
         # an operator whose spectrum sits far from every disc center
-        rogue = blockop.assemble_block(np.diag([100.0 + 0.0j] * 4), np.zeros((4, 4)),
-                                       np.zeros((4, 4)), np.diag([100.0 + 0.0j] * 4), 0.0)
+        rogue = block_system([100.0] * 4, np.zeros((4, 4)), np.zeros((4, 4)), [100.0] * 4, 0.0,
+                             rays((0.0, (100.0,) * 8)))
         report = blockop.verify_hamiltonian(rogue, model)
         assert report.disc_violations
         assert not report.clean

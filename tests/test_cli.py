@@ -72,7 +72,8 @@ NON_FINITE_CASES = [(TRIPLE, [command] + argv) for command in ("project", "riesz
                     for argv in NON_FINITE_GAPS.values()]
 NON_FINITE_IDS = ["%s-%s" % (command, name) for command in ("project", "rieszconst")
                   for name in NON_FINITE_GAPS]
-# non-finite gap and Hamiltonian model parameters, keyed <command>-<parameter>-<value>
+# non-finite or out-of-range gap and Hamiltonian model parameters, keyed
+# <command>-<parameter>-<value>
 NAN, INF = float("nan"), float("inf")
 RADII = [1.0, 4.0, 9.0, 16.0]
 IDENTITY = {"kind": "identity"}
@@ -94,6 +95,22 @@ NON_FINITE_MODELS = {
                                           "C": IDENTITY, "gamma": NAN, "l": 1.5}},
     "blockop-gamma-inf": {"hamiltonian": {"rSeq": [4.0, 8.0, 12.0], "B": IDENTITY,
                                           "C": IDENTITY, "gamma": INF, "l": 1.5}},
+    "blockop-randomspd-spread-inf": {"hamiltonian": {
+        "rSeq": [4.0, 8.0, 12.0], "B": {"kind": "randomSpd", "gamma": 0.5, "spread": INF},
+        "C": IDENTITY, "gamma": 0.5, "l": 1.5}},
+    "blockop-randomspd-spread-nan": {"hamiltonian": {
+        "rSeq": [4.0, 8.0, 12.0], "B": {"kind": "randomSpd", "gamma": 0.5, "spread": NAN},
+        "C": IDENTITY, "gamma": 0.5, "l": 1.5}},
+    "blockop-randomspd-spread-negative": {"hamiltonian": {
+        "rSeq": [4.0, 8.0, 12.0], "B": {"kind": "randomSpd", "gamma": 0.5, "spread": -0.1},
+        "C": IDENTITY, "gamma": 0.5, "l": 1.5}},
+    # 1e10 radii would take 80 GB; an infinite kMax is no integer
+    "gaps-kmax-huge": {"gapModel": {"asymptotic": {"c": 1.0, "q": 2.0}, "l": 0.5, "p": 0.5,
+                                    "kMax": 1e10}},
+    "gaps-kmax-inf": {"gapModel": {"asymptotic": {"c": 1.0, "q": 2.0}, "l": 0.5, "p": 0.5,
+                                   "kMax": INF}},
+    "subord-seed-inf": {"G": {"rays": [{"theta": 0.0, "radii": [1.0, 2.0]}]},
+                        "S": {"kind": "randomGaussian", "seed": INF, "scale": 0.1}, "p": 0.5},
 }
 NON_FINITE_MODEL_CASES = [(spec, [name.split("-")[0]]) for name, spec in NON_FINITE_MODELS.items()]
 

@@ -1,5 +1,5 @@
-"""Tests for enclosure regions, certified ball radii and resolvent
-diagnostics."""
+"""Tests for enclosure regions, certified ball radii and the enclosure
+verdict."""
 
 import cmath
 import math
@@ -10,12 +10,18 @@ import pytest
 from specloc import enclosure, instances, operators, subordination
 from specloc.errors import InputError
 
-from reference_linalg import r0_conditions, svd_extremes
+from reference_linalg import r0_conditions, refined_excluded, svd_extremes
+
+
+def on_one_ray(radii, s, p):
+    """The system G + S with G = diag(radii) on the ray theta = 0."""
+    spec = operators.RaySpectrumSpec((operators.Ray(0.0, tuple(radii)),))
+    return operators.assemble(operators.build_normal(spec), s, p, spec)
 
 
 class TestContains:
-    def region(self, alpha=1.0, p=0.5, r0=2.0, thetas=(0.0,), **kw):
-        return enclosure.EnclosureRegion(r0, thetas, alpha, p, **kw)
+    def region(self, alpha=1.0, p=0.5, r0=2.0, thetas=(0.0,)):
+        return enclosure.EnclosureRegion(r0, thetas, alpha, p)
 
     def test_ball_membership(self):
         region = self.region()
@@ -44,31 +50,6 @@ class TestContains:
         assert enclosure.contains(region, 10.0 + 1.0j)
         assert not enclosure.contains(region, 10.0 + 1.1j)
 
-    def test_refined_p_zero_reduces_to_b_below_y(self):
-        region = self.region(alpha=3.0, p=0.0, r0=0.1, refined=True, b=1.0)
-        # |y| <= b stays, b < |y| <= alpha is carved out by the refined test
-        assert enclosure.contains(region, 5.0 + 1.0j)
-        assert not enclosure.contains(region, 5.0 + 2.0j)
-        assert not enclosure.contains(region, 123.0 + 1.5j)
-
-    def test_refined_needs_b(self):
-        with pytest.raises(InputError):
-            self.region(refined=True)
-
-    def test_refined_subset_of_standard(self):
-        rng = np.random.default_rng(1)
-        std = self.region(alpha=1.5, p=0.5, r0=1.0)
-        ref = self.region(alpha=1.5, p=0.5, r0=1.0, refined=True, b=1.0)
-        for _ in range(300):
-            z = complex(rng.uniform(-5, 40), rng.uniform(-8, 8))
-            if enclosure.contains(ref, z):
-                assert enclosure.contains(std, z)
-
-    def test_refined_keeps_narrow_core(self):
-        # points with |y| well below b x^p survive the refined carve-out
-        ref = self.region(alpha=1.5, p=0.5, r0=0.5, refined=True, b=1.0)
-        assert enclosure.contains(ref, 9.0 + 2.0j)  # b x^p = 3 > |y|
-
 
 def reference_contains(region, z) -> bool:
     """The region's definition one lobe at a time, in Python scalars."""
@@ -78,15 +59,13 @@ def reference_contains(region, z) -> bool:
         w = complex(z) * cmath.exp(-1j * theta)
         if w.real < 0.0 or abs(w.imag) > region.alpha * w.real**region.p:
             continue
-        if region.refined and enclosure._refined_excluded(region.b, region.p, w.real, w.imag):
-            continue
         return True
     return False
 
 
 class TestArrayMembership:
-    """contains, _outside_distance and _refined_excluded on arrays: one pass
-    that agrees with the same calls point by point."""
+    """contains and _outside_distance on arrays: one pass that agrees with the
+    same calls point by point."""
 
     THETAS = (0.0, 2.0, 4.0)
 
@@ -100,23 +79,18 @@ class TestArrayMembership:
         return np.concatenate([special, cloud])
 
     @pytest.mark.parametrize("p", [0.0, 0.5])
-    @pytest.mark.parametrize("refined", [False, True])
-    def test_contains_equals_pointwise(self, p, refined):
-        region = enclosure.EnclosureRegion(2.0, self.THETAS, 1.5, p, refined=refined, b=1.0)
+    def test_contains_equals_pointwise(self, p):
+        region = enclosure.EnclosureRegion(2.0, self.THETAS, 1.5, p)
         z = self.points(1.5, p, 2.0)
         inside = enclosure.contains(region, z)
         assert inside.shape == z.shape and inside.dtype == bool
         assert inside.tolist() == [bool(enclosure.contains(region, w)) for w in z]
         assert inside.tolist() == [reference_contains(region, w) for w in z]
         assert inside[:4].all()  # the ball is closed
-        if not refined:
-            assert inside[4:6].all() and not inside[6]  # so is the lobe
+        assert inside[4:6].all() and not inside[6]  # so is the lobe
         assert 0 < inside.sum() < len(z)
         np.testing.assert_array_equal(enclosure.contains(region, z.reshape(3, -1)),
                                       inside.reshape(3, -1))
-        if refined:
-            assert not (inside & ~enclosure.contains(
-                enclosure.EnclosureRegion(2.0, self.THETAS, 1.5, p), z)).any()
 
     @pytest.mark.parametrize("p", [0.0, 0.5])
     def test_outside_distance_equals_pointwise(self, p):
@@ -130,25 +104,9 @@ class TestArrayMembership:
         np.testing.assert_allclose(enclosure._outside_distance(one_lobe, [4.0 + 4.0j, -7.0]),
                                    [4.0 - 1.5 * 4.0**p, 5.0], rtol=1e-12)
 
-    def test_refined_excluded_equals_scalar(self):
-        # b = 1, p = 1/2: t = 2 / |y|, so t >= 1 for |y| <= 2 and nothing is excluded there
-        x = np.array([5.0, 5.0, 5.0, -1.0, 5.0, 20.0, 5.0, 11.0, 12.0, 0.0])
-        y = np.array([0.0, 1.0, -2.0, 2.0, 4.0, 4.0, -4.0, 4.0, 4.0, 3.0])
-        expect = [False, False, False, False, True, False, True, True, False, True]
-        for b, p in ((1.0, 0.5), (0.0, 0.5), (0.7, 0.0), (0.0, 0.0), (0.4, 0.3)):
-            got = enclosure._refined_excluded(b, p, x, y)
-            assert got.shape == x.shape
-            assert got.tolist() == [bool(enclosure._refined_excluded(b, p, float(u), float(v)))
-                                    for u, v in zip(x, y)]
-            if (b, p) == (1.0, 0.5):
-                assert got.tolist() == expect
-            if b == 0.0 or p == 0.0:
-                np.testing.assert_array_equal(got, b < np.abs(y))
-
     def test_violators_in_eigenvalue_order(self):
-        g = np.diag([1.0, 10.0, 20.0, 30.0])
         s = np.diag([0.0, 2.0j, -4.0j, 3.0j])
-        system = operators.assemble(g, s, 0.0)
+        system = on_one_ray([1.0, 10.0, 20.0, 30.0], s, 0.0)
         region = enclosure.EnclosureRegion(2.0, [0.0], 1.0, 0.0)
         report = enclosure.verify_spectrum_enclosure(system, region)
         values = [z for z in report.eigenvalues if not enclosure.contains(region, z)]
@@ -170,11 +128,9 @@ class TestArrayMembership:
             enclosure.EnclosureRegion(*args)
 
     def test_normalizes_its_parameters(self):
-        region = enclosure.EnclosureRegion(np.float64(2), np.float64(0.5), 1, np.float64(0.5),
-                                           refined=1, b=1.0)
+        region = enclosure.EnclosureRegion(np.float64(2), np.float64(0.5), 1, np.float64(0.5))
         assert region.thetas == (0.5,) and type(region.thetas[0]) is float
         assert [type(v) for v in (region.r0, region.alpha, region.p)] == [float] * 3
-        assert region.refined is True
         with pytest.raises(InputError):
             enclosure.EnclosureRegion(1.0, [0.0], -1.0, 0.5)
         with pytest.raises(InputError):
@@ -282,9 +238,8 @@ class TestVerifySpectrum:
         assert report.violators.shape == (0,) and report.distances.shape == (0,)
 
     def test_violators_reported_with_distance(self):
-        g = np.diag([1.0, 10.0])
         s = np.array([[0.0, 0.0], [0.0, 2.0j]])
-        system = operators.assemble(g, s, 0.0)
+        system = on_one_ray([1.0, 10.0], s, 0.0)
         region = enclosure.EnclosureRegion(2.0, [0.0], 1.0, 0.0)
         report = enclosure.verify_spectrum_enclosure(system, region)
         assert not report.all_inside
@@ -305,19 +260,19 @@ class TestRefinedRejectionsAreResolvent:
         # points inside the standard lobe but excluded by the refined test
         # must be genuine resolvent points of T
         rng = np.random.default_rng(23)
-        g = np.diag(np.concatenate([rng.uniform(1.0, 30.0, 14), [40.0, 40.0]]).astype(complex))
+        radii = np.concatenate([rng.uniform(1.0, 30.0, 14), [40.0, 40.0]])
         s = np.zeros((16, 16), dtype=complex)
         b = 0.4
         strength = b * math.sqrt(40.0)
         s[14, 15] = strength
         s[15, 14] = -strength
-        system = operators.assemble(g, s, 0.5)
-        res = subordination.subordination_bound(s, g, 0.5)
+        system = on_one_ray(radii, s, 0.5)
+        res = subordination.subordination_bound(s, system.g, 0.5)
         checked = 0
         for _ in range(200):
             x = float(rng.uniform(5.0, 60.0))
             y = float(rng.uniform(1.3, 1.6) * res.bound * math.sqrt(x))
-            if not enclosure._refined_excluded(res.bound, 0.5, x, y):
+            if not refined_excluded(res.bound, 0.5, x, y):
                 continue
             _, smin = svd_extremes(system.t - complex(x, y) * np.eye(16))
             assert smin > 1e-10

@@ -113,55 +113,37 @@ class TestAssemble:
         assert system.p == 0.5
         np.testing.assert_allclose(system.ray_spec.eigenvalues(), np.diag(g))
 
-    def test_infers_ray_spec(self):
-        g = np.diag([1.0, 2.0, 3.0j])
-        system = operators.assemble(g, np.zeros((3, 3)), 0.0)
-        thetas = sorted(system.ray_spec.thetas)
-        np.testing.assert_allclose(thetas, [0.0, np.pi / 2], atol=1e-12)
-
-    def test_inferred_rays_count_each_eigenvalue_once(self):
-        # angles 6e-10 rad apart: one ray by angle, but the second and third
-        # eigenvalues sit more than 1e-10 (relative) off it; each eigenvalue
-        # must land on exactly one ray, so this is rejected, not double-counted
-        g = np.diag([np.exp(0.5j), 2.0 * np.exp(1j * (0.5 + 6e-10)),
-                     3.0 * np.exp(1j * (0.5 + 1.2e-9))])
-        with pytest.raises(InputError):
-            operators.assemble(g, np.zeros((3, 3)), 0.0)
-
     def test_rejects_p_out_of_range(self):
-        g = np.diag([1.0, 2.0])
+        spec = operators.RaySpectrumSpec(rays=(operators.Ray(theta=0.0, radii=(1.0, 2.0)),))
         for bad in (1.0, -0.1, 2.0):
             with pytest.raises(InputError):
-                operators.assemble(g, np.zeros((2, 2)), bad)
+                operators.assemble(np.diag([1.0, 2.0]), np.zeros((2, 2)), bad, spec)
 
     def test_rejects_dim_mismatch(self):
+        spec = operators.RaySpectrumSpec(rays=(operators.Ray(theta=0.0, radii=(1.0, 2.0)),))
         with pytest.raises(DimensionError):
-            operators.assemble(np.diag([1.0, 2.0]), np.zeros((3, 3)), 0.5)
-
-    def test_accepts_normal_non_diagonal_g(self):
-        # G = Q diag(1, 2, 3i) Q* with a real rotation Q in the first two coordinates
-        c, s = np.cos(0.3), np.sin(0.3)
-        q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        g = q @ np.diag([1.0, 2.0, 3.0j]) @ q.T
-        system = operators.assemble(g, np.zeros((3, 3)), 0.5)
-        np.testing.assert_allclose(sorted(system.ray_spec.thetas), [0.0, np.pi / 2], atol=1e-12)
-        got = sorted(system.ray_spec.eigenvalues(), key=lambda z: (z.real, z.imag))
-        np.testing.assert_allclose(got, [3.0j, 1.0, 2.0], atol=1e-12)
+            operators.assemble(np.diag([1.0, 2.0]), np.zeros((3, 3)), 0.5, spec)
 
     def test_diagonal_g_takes_no_svd(self, monkeypatch):
         def no_svd(*args, **kwargs):
             raise AssertionError("assemble took an SVD of a diagonal G")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        system = operators.assemble(np.diag([1.0, 2.0, 3.0j]), np.ones((3, 3)), 0.5)
-        # 3i sits on the inferred ray pi/2, where e^{i pi/2} has a real part of 6e-17
-        np.testing.assert_array_equal(system.ray_spec.eigenvalues(),
-                                      [1.0, 2.0, 3.0 * np.exp(0.5j * np.pi)])
+        spec = two_ray_spec()
+        system = operators.assemble(np.diag([1.0, 4.0, 2.0j]), np.ones((3, 3)), 0.5, spec)
+        assert system.ray_spec is spec
 
     def test_rejects_non_diagonal_g(self):
-        g = np.array([[1.0, 0.5], [0.0, 2.0]])
-        with pytest.raises(InputError):
-            operators.assemble(g, np.zeros((2, 2)), 0.5)
+        # a non-normal G, and a normal G = Q diag(1, 2, 3i) Q* with the declared
+        # spectrum: only the diagonal form is accepted
+        c, s = np.cos(0.3), np.sin(0.3)
+        q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        spec = operators.RaySpectrumSpec(rays=(operators.Ray(theta=0.0, radii=(1.0, 2.0)),
+                                               operators.Ray(theta=np.pi / 2, radii=(3.0,))))
+        for g in (np.array([[1.0, 0.5, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0j]]),
+                  q @ np.diag([1.0, 2.0, 3.0j]) @ q.T):
+            with pytest.raises(InputError, match="diagonal"):
+                operators.assemble(g, np.zeros((3, 3)), 0.5, spec)
 
     def test_rejects_mismatched_declared_spectrum(self):
         spec = operators.RaySpectrumSpec(rays=(operators.Ray(theta=0.0, radii=(1.0, 2.0)),))
