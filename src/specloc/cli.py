@@ -323,8 +323,7 @@ def cmd_rieszconst(args) -> int:
     _, _, _, family = _gap_family(args)
     c_hat, c_upper = projections.projection_sum_bound(family, seed=args.seed)
     search = rieszbasis.sign_pattern_constant(family, seed=args.seed, report=True)
-    estimate = rieszbasis.verify_projection_estimate(family, search.constant, seed=args.seed,
-                                                     basis=search.basis)
+    estimate = rieszbasis.verify_projection_estimate(family, search.constant)
     write_report({
         "cHat": c_hat, "cUpper": c_upper,
         "signPatternConstant": estimate.constant,

@@ -84,7 +84,8 @@ def _schur_projector(t_mat):
       sigma_min(T - z) >= dist(diag R, Gamma) - ||N|| - ||E|| for every z on
       Gamma, where ``region.distance_bound`` bounds dist from below and ||N||
       is its computed norm over (1 - rho), rho = n^2 u for gesdd's backward
-      error as in the screen.
+      error as in the screen; that SVD runs once per Schur form, only for a
+      contour that ||N|| >= (1 - n u) max_j ||N e_j|| does not already fail.
 
     A diagonal entry within MARGIN_GATE + ||E|| of the contour is an eigenvalue
     of T + E on it, which the region predicate cannot place: that raises
@@ -103,14 +104,16 @@ def _schur_projector(t_mat):
     n = r.shape[0]
     values = np.diag(r)
     error = _schur_error(t_mat, r, q)
-    departure = numerics.opnorm(np.triu(r, 1)) / (1.0 - n * n * numerics.EPS)
+    strict = np.triu(r, 1)
+    column = (1.0 - n * numerics.EPS) * float(np.max(np.linalg.norm(strict, axis=0), initial=0.0))
+    departure = functools.cache(lambda: numerics.opnorm(strict) / (1.0 - n * n * numerics.EPS))
 
     def project(region, gate_points):
         dist = max(float(np.min(region.distance_bound(values), initial=np.inf)), 0.0)
         if not dist > MARGIN_GATE + error:
             raise ContourSpectrumError("Schur diagonal within %.3e of the contour" % dist,
                                        margin=dist)
-        gate_margin = dist - departure - error
+        gate_margin = dist - departure() - error if dist - error - column > MARGIN_GATE else -np.inf
         if not gate_margin > MARGIN_GATE:
             gate_margin = None
             for point in gate_points():
@@ -228,6 +231,11 @@ class ProjectionFamily:
         es = self.entries
         return (np.hstack([e.frame for e in es]),
                 np.hstack([e.coframe * e.singular_values for e in es]))
+
+    @functools.cached_property
+    def frame_singular_values(self) -> np.ndarray:
+        """The singular values of the stacked frames F of ``factors``, on first read."""
+        return np.linalg.svd(self.factors[0], compute_uv=False)
 
     @functools.cached_property
     def owners(self) -> np.ndarray:

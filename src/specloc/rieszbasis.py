@@ -12,7 +12,9 @@ C = max_eps || sum eps_k P_k || and the derived basis constant 4 C^2; a
 screen built from the stacked range frames W bounds every pattern's norm
 (most of them by a Cholesky test in place of an eigensolve), so only the
 patterns that can be the maximum are normed exactly, and kappa(W) bounds
-them all.
+them all.  The singular values of W, taken once per family, also decide the
+two-sided estimate C^-2 sum ||P_k x||^2 <= || sum P_k x ||^2 <= C^2 sum ||P_k x||^2
+for every x at once, with no probe vectors.
 """
 
 from __future__ import annotations
@@ -74,14 +76,6 @@ class SubspaceFamily:
         object.__setattr__(self, "frames", frames)
 
     @property
-    def ambient_dimension(self) -> int:
-        return self.frames[0].shape[0]
-
-    @property
-    def total_dimension(self) -> int:
-        return sum(f.shape[1] for f in self.frames)
-
-    @property
     def stacked(self) -> np.ndarray:
         return np.hstack(self.frames)
 
@@ -89,22 +83,19 @@ class SubspaceFamily:
 @dataclass(frozen=True)
 class RieszConstantReport:
     constant: float
-    sigma_max: float
-    sigma_min: float
     complete: bool
+
+
+def _constant(s) -> float:
+    """max(sigma_max^2, sigma_min^-2) for the singular values ``s``, largest first."""
+    return math.inf if s[-1] == 0.0 else max(float(s[0]) ** 2, float(s[-1]) ** -2)
 
 
 def riesz_constant(family: SubspaceFamily) -> RieszConstantReport:
     """Best two-sided constant of the family, from the stacked-frame SVD."""
     w = family.stacked
-    s = np.linalg.svd(w, compute_uv=False)
-    smax = float(s[0])
-    smin = float(s[-1])
-    constant = math.inf if smin == 0.0 else max(smax**2, smin**-2)
-    return RieszConstantReport(
-        constant=constant, sigma_max=smax, sigma_min=smin,
-        complete=family.total_dimension == family.ambient_dimension,
-    )
+    return RieszConstantReport(constant=_constant(np.linalg.svd(w, compute_uv=False)),
+                               complete=w.shape[1] == w.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +114,6 @@ class SignPatternSearch:
     #: exact lambda~ the screen took by eigvalsh (``_pattern_bounds``); 0
     #: without a screen
     eigensolves: int
-    #: the range frames' Riesz constant, from the SVD that sized the screen;
-    #: None when the family is incomplete or has a rank-zero member
-    basis: RieszConstantReport | None
 
 
 @dataclass(frozen=True)
@@ -139,7 +127,7 @@ class _Screen:
     upper: float
 
 
-def _screen(family: ProjectionFamily, basis: RieszConstantReport) -> _Screen | None:
+def _screen(family: ProjectionFamily) -> _Screen | None:
     """Rounding-error bounds for every sign pattern of a complete family.
 
     W = F = [F_1 ... F_m] stacks the range frames (``ProjectionFamily.factors``,
@@ -179,14 +167,18 @@ def _screen(family: ProjectionFamily, basis: RieszConstantReport) -> _Screen | N
     ||C_k* - Y~_k||_F (one rounded subtraction, inside 1 + rho), covers both, and
     a pattern's computed norm is at most (1 + rho)((1 + r) est + delta).  Every
     ||sum eps_k Q_k|| = ||W D Y|| is at most kappa(W), which the computed
-    singular values give within kappa (1 + rho) / (1 - rho kappa): ``upper``
-    is that in place of est.
+    singular values (``ProjectionFamily.frame_singular_values``) give within
+    kappa (1 + rho) / (1 - rho kappa): ``upper`` is that in place of est.
 
-    None unless W is invertible and r, rho kappa and tau are below 1e-3.
+    None unless the ranks are nonzero and sum to n, W is invertible, and r,
+    rho kappa and tau are below 1e-3.
     """
     w, c = family.factors
     n = w.shape[0]
-    if not basis.sigma_min > 0.0:
+    if w.shape[1] != n or min(e.rank for e in family.entries) == 0:
+        return None
+    s = family.frame_singular_values
+    if not s[-1] > 0.0:
         return None
     try:
         y = np.linalg.inv(w)
@@ -197,7 +189,7 @@ def _screen(family: ProjectionFamily, basis: RieszConstantReport) -> _Screen | N
     y2 = float(np.linalg.norm(y)) ** 2
     r = float(np.linalg.norm(w @ y - np.eye(n))) + g * math.sqrt(w2 * y2)
     rho = n * n * numerics.EPS
-    kappa = basis.sigma_max / basis.sigma_min
+    kappa = float(s[0]) / float(s[-1])
     tau = 5.0 * g * w2 * y2
     if max(r, rho * kappa, tau) >= 1e-3:
         return None
@@ -382,12 +374,8 @@ def sign_pattern_constant(family: ProjectionFamily, seed: int = 0, report: bool 
     else:
         patterns = numerics.subrng(seed, 4).choice((1.0, -1.0), size=(SIGN_SAMPLES, m))
     ranks = [e.rank for e in es]
-    basis = screen = screened = None
-    if sum(ranks) == family.factors[0].shape[0] and min(ranks) > 0:
-        basis = riesz_constant(range_family(family))
-        screen = _screen(family, basis)
-    if screen is not None:
-        screened = _pattern_bounds(patterns, ranks, screen)
+    screen = _screen(family)
+    screened = None if screen is None else _pattern_bounds(patterns, ranks, screen)
     norms = np.full(len(patterns), -1.0)  # -1: not normed
     eigensolves = 0
     if screened is not None:
@@ -412,7 +400,7 @@ def sign_pattern_constant(family: ProjectionFamily, seed: int = 0, report: bool 
     search = SignPatternSearch(constant=float(norms.max()),
                                upper=None if screen is None else screen.upper,
                                normed=int(np.count_nonzero(norms >= 0.0)),
-                               eigensolves=eigensolves, basis=basis)
+                               eigensolves=eigensolves)
     return search if report else search.constant
 
 
@@ -428,64 +416,66 @@ class ProjectionEstimateReport:
     chain_holds: bool
 
 
-def range_family(family: ProjectionFamily) -> SubspaceFamily:
-    """The range frames ``make_family`` took from each projection's SVD."""
+def _check_ranks(family: ProjectionFamily) -> tuple[int, int]:
+    """(n, sum of the ranks); InputError at a rank-zero member or ranks above n."""
     for e in family.entries:
         if e.rank == 0:
             raise InputError("projection %r has rank zero" % (e.label,))
+    n, total = family.factors[0].shape
+    if total > n:
+        raise InputError("total dimension %d exceeds ambient dimension %d" % (total, n))
+    return n, total
+
+
+def range_family(family: ProjectionFamily) -> SubspaceFamily:
+    """The range frames ``make_family`` took from each projection's SVD."""
+    _check_ranks(family)
     return SubspaceFamily(frames=tuple(e.frame for e in family.entries))
 
 
-def verify_projection_estimate(family: ProjectionFamily, constant: float, probe_count: int = 1000,
-                               seed: int = 0,
-                               basis: RieszConstantReport | None = None) -> ProjectionEstimateReport:
-    """Probe the two-sided estimate
+def verify_projection_estimate(family: ProjectionFamily, constant: float,
+                               seed: int = 0) -> ProjectionEstimateReport:
+    """Decide the two-sided estimate
 
         C^-2 sum ||P_k x||^2 <= || sum P_k x ||^2 <= C^2 sum ||P_k x||^2
 
-    on random unit vectors, and check the derived basis-constant chain
-    c(ranges) <= 4 C^2; ``basis`` is c(ranges) when already at hand (the
-    ``SignPatternSearch.basis`` of the same family).
+    for every x, and check the derived basis-constant chain c(ranges) <= 4 C^2;
+    ``seed`` is not read, as the check draws no random numbers.
 
-    The probes read the thin factors P~_k = F_k C_k* (``ProjectionFamily.factors``):
-    with z = C* x, ||P~_k x|| is the norm of member k's rows of z, as F_k is
-    orthonormal, and sum_k P~_k x = F z, so two GEMMs serve every member.  As
-    ||P_k - P~_k|| <= t_k = tail_k, each ||P_k x|| lies within t_k of ||P~_k x|| and
-    ||sum P_k x|| within T = sum_k t_k of ||F z||: the squares move by at most
-    d_sq = sum_k t_k (2 ||P~_k x|| + t_k) and d_mid = T (2 ||F z|| + T).  Each slack
-    is taken less its bound and over the scale sum ||P~_k x||^2 - d_sq, so the check
-    is never looser than one on the P_k (no pad where every tail is 0).
+    With P~_k = F_k C_k* (``ProjectionFamily.factors``) and z = C* x,
+    sum_k ||P~_k x||^2 = ||z||^2 (orthonormal frames) and sum_k P~_k x = F z,
+    so the ratio of the sides lies in [s_min^2, s_max^2], s the singular values
+    of F (``ProjectionFamily.frame_singular_values``, which give c(ranges) too),
+    attained when the ranks sum to n (Gohberg and Krein, ch. VI): with every
+    tail t_k >= ||P_k - P~_k|| 0, the slacks relative to sum ||P_k x||^2 are
+    s_min^2 - C^-2 and C^2 - s_max^2.  Else ||P_k x|| lies within t_k ||x|| of
+    ||z_k||, ||sum P_k x|| within T ||x|| of ||F z|| (T = sum t_k), and if the
+    ranks sum to n, ||x|| <= ||z|| / gamma, gamma = sigma_min(C): with
+    g = T / gamma, (s_min - g)_+^2 / (1 + g)^2 - C^-2 and
+    C^2 - (s_max + g)^2 / (1 - g)^2 lie below every slack of the P_k.  Both
+    slacks are -inf for g >= 1 and when the ranks sum to less than n, as the
+    factors bound nothing on the kernel of C*.  So the check is never looser
+    than one on the P_k, and with no tail it takes no SVD of C.
     """
     es = family.entries
     if not es:
         raise InputError("family is empty")
     c = float(constant)
-    if c <= 0.0:
-        raise InputError("constant must be positive")
-    if probe_count < 1:
-        raise InputError("probe_count must be at least 1, got %d" % probe_count)
-    f, coframes = family.factors
-    # the probe block is not kept: one n x probe_count block less at the peak of F z
-    z = coframes.conj().T @ numerics.unit_columns(numerics.subrng(seed, 5), f.shape[0],
-                                                  probe_count)
-    parts = family.owners @ np.abs(z) ** 2
-    sq = parts.sum(axis=0)
-    mid = np.sum(np.abs(f @ z) ** 2, axis=0)
-    tail = np.array([e.tail for e in es])
-    d_sq = tail @ (2.0 * np.sqrt(parts) + tail[:, None])
-    d_mid = tail.sum() * (2.0 * np.sqrt(mid) + tail.sum())
-    lower_slack = mid - sq / c**2 - (d_mid + d_sq / c**2)
-    upper_slack = c**2 * sq - mid - (c**2 * d_sq + d_mid)
-    scale = np.maximum(sq - d_sq, 1e-300)
-    ok = np.all(lower_slack >= -1e-9 * scale) and np.all(upper_slack >= -1e-9 * scale)
-    if basis is None:
-        basis = riesz_constant(range_family(family))
+    if not 0.0 < c < math.inf:
+        raise InputError("constant must be positive and finite, got %r" % (constant,))
+    n, total = _check_ranks(family)
+    s = family.frame_singular_values
+    basis = _constant(s)
+    tail = sum(e.tail for e in es)
+    gamma = math.inf
+    if tail > 0.0:
+        gamma = float(np.linalg.svd(family.factors[1], compute_uv=False)[-1]) if total == n else 0.0
+    lower = upper = -math.inf
+    if gamma > tail:
+        g = tail / gamma
+        lower = max(float(s[-1]) - g, 0.0) ** 2 / (1.0 + g) ** 2 - c**-2
+        upper = c**2 - (float(s[0]) + g) ** 2 / (1.0 - g) ** 2
     return ProjectionEstimateReport(
-        constant=c,
-        two_sided_holds=bool(ok),
-        worst_lower_slack=float(np.min(lower_slack / scale)),
-        worst_upper_slack=float(np.min(upper_slack / scale)),
-        basis_constant=basis.constant,
-        complete=basis.complete,
-        chain_holds=bool(basis.constant <= 4.0 * c**2 * (1.0 + 1e-9)),
-    )
+        constant=c, two_sided_holds=bool(lower >= -1e-9 and upper >= -1e-9),
+        worst_lower_slack=lower, worst_upper_slack=upper, basis_constant=basis,
+        complete=total == n, chain_holds=bool(basis <= 4.0 * c**2 * (1.0 + 1e-9)))

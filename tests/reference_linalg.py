@@ -5,6 +5,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 
 from specloc import numerics
 
@@ -166,6 +167,20 @@ def probe_estimate_slacks(mats, constant, probe_count=1000, seed=0):
     scale = np.maximum(sq, 1e-300)
     ok = np.all(lower_slack >= -1e-9 * scale) and np.all(upper_slack >= -1e-9 * scale)
     return bool(ok), float(np.min(lower_slack / scale)), float(np.min(upper_slack / scale))
+
+
+def exact_estimate_slacks(mats, constant):
+    """The two-sided estimate decided on the dense P_k of a complete family:
+    the extreme generalized eigenvalues of (sum P_k)* (sum P_k) against
+    sum P_k* P_k (positive definite, as the P_k sum to I) are the extreme
+    ratios of the two sides; returns (holds, worst relative lower slack,
+    worst relative upper slack)."""
+    c = float(constant)
+    total = sum(mats)
+    lam = scipy.linalg.eigh(total.conj().T @ total, sum(m.conj().T @ m for m in mats),
+                            eigvals_only=True)
+    lower, upper = float(lam[0]) - c**-2, c**2 - float(lam[-1])
+    return bool(lower >= -1e-9 and upper >= -1e-9), lower, upper
 
 
 def probe_sum_estimate(mats, probe_count=256, seed=0) -> float:

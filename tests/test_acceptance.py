@@ -257,8 +257,7 @@ class TestAcceptance:
                 mats.append(v @ np.diag(ind) @ vi)
             family = projections.make_family([(str(k), p) for k, p in enumerate(mats)])
             sign_c = rieszbasis.sign_pattern_constant(family)  # exhaustive for m <= 8
-            report = rieszbasis.verify_projection_estimate(family, sign_c,
-                                                           probe_count=10_000, seed=seed)
+            report = rieszbasis.verify_projection_estimate(family, sign_c)
             _, c_upper = projections.projection_sum_bound(family)
             if not (report.two_sided_holds and report.chain_holds
                     and report.basis_constant <= 4.0 * c_upper**2 * (1.0 + 1e-9)):

@@ -279,11 +279,19 @@ class TestRieszConst:
         assert report["signPatternsNormed"] == 1
         assert report["signPatternEigensolves"] == 0
 
-    def test_one_riesz_constant(self, triple_spec, tmp_path, count_calls):
+    def test_one_riesz_constant(self, hamiltonian_spec, tmp_path, count_calls):
+        # the screen and the estimate share one SVD of the stacked frames F,
+        # and no SubspaceFamily check takes one per frame
         calls = count_calls(rieszbasis, "riesz_constant")
-        assert cli.main(["rieszconst", "--input", triple_spec, "--out", str(tmp_path / "r.json"),
-                         "--abscissas", "3,7,11", "--alpha", "1.0"]) == 0
-        assert len(calls) == 1
+        estimates = count_calls(rieszbasis, "verify_projection_estimate")
+        svds = count_calls(np.linalg, "svd")
+        out = tmp_path / "r.json"
+        assert cli.main(["rieszconst", "--input", hamiltonian_spec, "--out", str(out),
+                         *HAMILTONIAN_GAPS]) == 0
+        assert read_report(out)["signPatternUpper"] is not None  # the screen ran
+        [((family, _), _)] = estimates
+        assert calls == []
+        assert [a is family.factors[0] for (a, *_), _ in svds].count(True) == 1
 
 
 class TestBlockop:

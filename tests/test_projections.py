@@ -60,6 +60,18 @@ class TestRieszProjection:
         np.testing.assert_array_equal(none, np.zeros((3, 3)))
         np.testing.assert_allclose(every, np.eye(3), atol=1e-14)
 
+    def test_failing_closed_form_takes_no_svd(self, count_calls):
+        # diag R lies 1 from the circle |z - 1| = 1, and N has a column of norm
+        # 3 > 1: the closed form fails without the SVD of N, and the sampled
+        # gate decides
+        svds = count_calls(np.linalg, "svd")
+        resolvents = count_calls(projections, "_triangular_resolvent")
+        t = np.array([[1.0, 3.0, 0.0], [0.0, 5.0, 3.0], [0.0, 0.0, 9.0]])
+        p = projections.riesz_projection(t, contours.circle(1.0, 1.0, 32))
+        assert svds == [] and len(resolvents) > 0
+        np.testing.assert_allclose(p, projections.spectral_projector_oracle(
+            t, lambda z: abs(z - 1.0) < 1.0), atol=1e-12)
+
     def test_agrees_with_oracle(self):
         rng = np.random.default_rng(6)
         a = np.diag([0.5, 1.0, 1.5, 4.0, 5.0, 6.0]).astype(complex)

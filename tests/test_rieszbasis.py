@@ -204,7 +204,7 @@ class TestSignPatterns:
         patterns = self.searched_patterns(family, seed)
         ranks = [e.rank for e in family.entries]
         search, (bound, capped, eigensolves), rows = self.record_search(monkeypatch, family, seed)
-        screen = rieszbasis._screen(family, search.basis)
+        screen = rieszbasis._screen(family)
         reference = reference_linalg.pattern_bounds(patterns, ranks, screen)
         assert np.all(bound >= reference)
         assert np.array_equal(bound[~capped], reference[~capped])
@@ -278,8 +278,7 @@ class TestSignPatterns:
         family = skew_family(14, 16, 3)
         patterns = self.searched_patterns(family)
         ranks = [e.rank for e in family.entries]
-        screen = rieszbasis._screen(family, rieszbasis.riesz_constant(
-            rieszbasis.range_family(family)))
+        screen = rieszbasis._screen(family)
         reference = reference_linalg.pattern_bounds(patterns, ranks, screen)
         top = int(np.argmax(reference))
         lifted = (self.pattern_norms(family, patterns[top:top + 1])[0] + reference[top]) / 2
@@ -482,12 +481,11 @@ class TestSignPatterns:
         monkeypatch.setattr(numerics, "opnorm", lambda a: shapes.append(np.shape(a)) or opnorm(a))
         if disjoint:
             np.testing.assert_allclose(rieszbasis.sign_pattern_constant(family), 1.0, rtol=1e-5)
-            # then range_family checks the two rank-2 frames (the screen is
-            # sized by their Riesz constant), then come the top pattern
-            # (+1, -1) and (+1, +1) after it: the family lies 9e-7 sqrt(2)
-            # (Frobenius) from the exact projections onto its ranges, and
-            # that pad lifts the bound of (+1, +1) above the top norm 1 + 9e-7
-            assert shapes == [(2, 2, 2, 2), (2, 2), (2, 2), (1, 4, 4), (1, 4, 4)]
+            # then come the top pattern (+1, -1) and (+1, +1) after it: the
+            # family lies 9e-7 sqrt(2) (Frobenius) from the exact projections
+            # onto its ranges, and that pad lifts the bound of (+1, +1) above
+            # the top norm 1 + 9e-7
+            assert shapes == [(2, 2, 2, 2), (1, 4, 4), (1, 4, 4)]
         else:
             with pytest.raises(InputError, match="not pairwise disjoint"):
                 rieszbasis.sign_pattern_constant(family)
@@ -589,10 +587,35 @@ class TestVerifyEstimate:
         with pytest.raises(InputError):
             rieszbasis.verify_projection_estimate(self.family(), 0.0)
 
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_no_probes_rejected(self, count):
-        with pytest.raises(InputError, match="probe_count"):
-            rieszbasis.verify_projection_estimate(self.family(), 2.0, probe_count=count)
+    @pytest.mark.parametrize("constant", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constant_rejected(self, constant):
+        with pytest.raises(InputError, match="positive and finite"):
+            rieszbasis.verify_projection_estimate(self.family(), constant)
+
+    def test_draws_no_random_numbers(self, count_calls):
+        draws = [count_calls(numerics, name) for name in ("subrng", "unit_columns")]
+        family = self.family()
+        report = rieszbasis.verify_projection_estimate(family, 2.0)
+        assert draws == [[], []]
+        assert report == rieszbasis.verify_projection_estimate(family, 2.0, seed=7)
+
+    def test_narrow_worst_direction_is_caught(self):
+        # P = I but for the skew block [[1, 10], [0, 0]] on the first two
+        # coordinates: sum ||P_k x||^2 / ||x||^2 reaches the top eigenvalue
+        # mu = 101 + sqrt(10100) of [[1, 10], [10, 201]] only near e_2, which
+        # 1000 random unit probes of C^64 barely see, so they pass C = 10
+        # (C^-2 = 0.01 above the worst ratio 1 / mu); the exact check does not
+        n = 64
+        p = np.eye(n, dtype=complex)
+        p[:2, :2] = [[1.0, 10.0], [0.0, 0.0]]
+        mats = [p, np.eye(n) - p]
+        family = projections.make_family(zip("ab", mats))
+        assert reference_linalg.probe_estimate_slacks(mats, 10.0)[0]
+        holds, lower, upper = reference_linalg.exact_estimate_slacks(mats, 10.0)
+        report = rieszbasis.verify_projection_estimate(family, 10.0)
+        assert not holds and not report.two_sided_holds
+        np.testing.assert_allclose(lower, 1.0 / (101.0 + math.sqrt(10100.0)) - 0.01, rtol=1e-10)
+        assert report.worst_lower_slack <= lower and report.worst_upper_slack <= upper
 
 
 def chain_family(seed):
@@ -632,10 +655,10 @@ def with_inputs(mats):
     return projections.make_family((str(k), m) for k, m in enumerate(mats)), mats
 
 
-#: builders of the probe checks' families, each with its dense matrices (the
-#: inputs of a make_family family): Hamiltonian gap families (tail 0),
-#: acceptance-style skew families (tail > 0), a family with an empty gap
-#: (rank 0) of a non-normal T, and an incomplete family
+#: builders of the estimate's and the sum bound's families, each with its
+#: dense matrices (the inputs of a make_family family): Hamiltonian gap
+#: families (tail 0), acceptance-style skew families (tail > 0), a family
+#: with an empty gap (rank 0) of a non-normal T, and an incomplete family
 PROBE_FAMILIES = {
     **{"hamiltonian%d" % n: lambda n=n: with_members(hamiltonian_family(n)) for n in (8, 24, 64)},
     **{"chain%d" % seed: lambda seed=seed: with_inputs(chain_matrices(seed))
@@ -649,15 +672,11 @@ PROBE_FAMILIES = {
 }
 
 
-def nonzero_basis(family):
-    """c(ranges) of the members of nonzero rank (``range_family`` rejects rank 0)."""
-    return rieszbasis.riesz_constant(rieszbasis.SubspaceFamily(
-        tuple(e.frame for e in family.entries if e.rank)))
-
-
 class TestProbesFromFactors:
-    """Both probe checks read the thin factors; the dense loops of
-    ``reference_linalg`` multiply every P_k into the probe block."""
+    """The estimate, decided from the thin factors, against the dense exact
+    reference and the dense probes of ``reference_linalg``, which multiply
+    every P_k into the probe block; the sum bound's probes against the dense
+    loop."""
 
     @pytest.mark.parametrize("name", list(PROBE_FAMILIES))
     def test_agree_with_the_dense_reference(self, name):
@@ -665,15 +684,27 @@ class TestProbesFromFactors:
         if name.startswith("chain"):
             assert max(e.tail for e in family.entries) > 0.0
         for c, seed in [(1.1, 0), (3.0, 2)]:
-            report = rieszbasis.verify_projection_estimate(family, c, seed=seed,
-                                                           basis=nonzero_basis(family))
-            holds, lower, upper = reference_linalg.probe_estimate_slacks(mats, c, seed=seed)
-            assert report.two_sided_holds == holds
-            np.testing.assert_allclose([report.worst_lower_slack, report.worst_upper_slack],
-                                       [lower, upper], rtol=0.0, atol=1e-12)
             c_hat, c_upper = projections.projection_sum_bound(family, seed=seed)
             reference = min(reference_linalg.probe_sum_estimate(mats, seed=seed), c_upper)
             assert abs(c_hat - reference) <= 1e-12
+            if name == "empty-gap":
+                with pytest.raises(InputError, match="'gap\\[7,8\\]' has rank zero"):
+                    rieszbasis.verify_projection_estimate(family, c)
+                continue
+            report = rieszbasis.verify_projection_estimate(family, c)
+            slacks = [report.worst_lower_slack, report.worst_upper_slack]
+            # never looser than the probes it replaces
+            _, *probed = reference_linalg.probe_estimate_slacks(mats, c, seed=seed)
+            assert slacks[0] <= probed[0] and slacks[1] <= probed[1]
+            if name == "incomplete":
+                assert not report.two_sided_holds and slacks == [-math.inf, -math.inf]
+                continue
+            holds, *exact = reference_linalg.exact_estimate_slacks(mats, c)
+            assert report.two_sided_holds == holds
+            if name.startswith("hamiltonian"):  # tail 0: the same extremes
+                np.testing.assert_allclose(slacks, exact, rtol=0.0, atol=1e-12)
+            else:
+                assert slacks[0] <= exact[0] and slacks[1] <= exact[1]
 
     def test_read_no_matrix(self):
         # the entries hold no dense matrix, and both checks read their thin
@@ -686,30 +717,28 @@ class TestProbesFromFactors:
                                 coframe=np.full(e.coframe.shape, np.nan))
             for e in family.entries))
         nan.__dict__["factors"] = family.factors  # the cached_property's slot
-        basis = nonzero_basis(family)
-        assert (rieszbasis.verify_projection_estimate(nan, 1.5, seed=3, basis=basis)
-                == rieszbasis.verify_projection_estimate(family, 1.5, seed=3, basis=basis))
+        assert (rieszbasis.verify_projection_estimate(nan, 1.5)
+                == rieszbasis.verify_projection_estimate(family, 1.5))
         assert (projections.projection_sum_bound(nan, seed=3)
                 == projections.projection_sum_bound(family, seed=3))
 
     def test_tail_pads_are_never_looser(self):
-        # diag(0, 0.4) has rank 0 and tail 0.4: its factors drop it, and the
-        # pads keep both checks below the dense ones
+        # diag(0, 0.4) has rank 0 and tail 0.4: its factors drop it, the pad
+        # keeps the sum bound below the dense one, and the estimate rejects
+        # the rank-zero member
         mats = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 0.4, 0.0]), np.diag([0.0, 0.0, 1.0])]
         family = projections.make_family(zip("abc", mats))
-        report = rieszbasis.verify_projection_estimate(family, 1.2, basis=nonzero_basis(family))
-        holds, lower, upper = reference_linalg.probe_estimate_slacks(mats, 1.2)
-        assert holds and not report.two_sided_holds
-        assert report.worst_lower_slack <= lower and report.worst_upper_slack <= upper
-        # the pads in closed form: P~ x = (x_1, 0, x_3), d_sq = 0.4^2, d_mid = 0.4 (2|P~ x| + 0.4)
-        x = numerics.unit_columns(numerics.subrng(0, 5), 3, 1000)
-        sq = np.abs(x[0]) ** 2 + np.abs(x[2]) ** 2
-        d_mid = 0.4 * (2.0 * np.sqrt(sq) + 0.4)
-        scale = np.maximum(sq - 0.16, 1e-300)
-        np.testing.assert_allclose(
-            [report.worst_lower_slack, report.worst_upper_slack],
-            [np.min((sq - sq / 1.44 - d_mid - 0.16 / 1.44) / scale),
-             np.min((1.44 * sq - sq - 1.44 * 0.16 - d_mid) / scale)], rtol=1e-12)
+        with pytest.raises(InputError, match="'b' has rank zero"):
+            rieszbasis.verify_projection_estimate(family, 1.2)
+        # the same tail on a member of rank 1: the ranks sum to 2 < 3, and the
+        # factors bound nothing on the kernel of C*, where the dense members
+        # give P_a x = (0, 0.4 x_2, 0) and hold the estimate: both slacks are -inf
+        tailed = [np.diag([1.0, 0.4, 0.0]), np.diag([0.0, 0.0, 1.0])]
+        report = rieszbasis.verify_projection_estimate(projections.make_family(zip("ab", tailed)),
+                                                       1.2)
+        assert reference_linalg.probe_estimate_slacks(tailed, 1.2)[0]
+        assert not report.two_sided_holds
+        assert [report.worst_lower_slack, report.worst_upper_slack] == [-math.inf, -math.inf]
         c_hat, c_upper = projections.projection_sum_bound(family)
         assert c_upper == 2.4
         assert 0.0 <= c_hat <= reference_linalg.probe_sum_estimate(mats) - 0.4 + 1e-15
