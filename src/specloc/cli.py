@@ -321,8 +321,8 @@ def cmd_project(args) -> int:
 
 def cmd_rieszconst(args) -> int:
     _, _, _, family = _gap_family(args)
-    c_hat, c_upper = projections.projection_sum_bound(family, seed=args.seed)
     search = rieszbasis.sign_pattern_constant(family, seed=args.seed, report=True)
+    c_hat, c_upper = projections.projection_sum_bound(family, search.constant, search.upper)
     estimate = rieszbasis.verify_projection_estimate(family, search.constant)
     write_report({
         "cHat": c_hat, "cUpper": c_upper,
@@ -330,6 +330,7 @@ def cmd_rieszconst(args) -> int:
         "signPatternUpper": search.upper,
         "signPatternsNormed": search.normed,
         "signPatternEigensolves": search.eigensolves,
+        "signPatternsExhaustive": search.exhaustive,
         "twoSidedHolds": estimate.two_sided_holds,
         "basisConstant": estimate.basis_constant,
         "complete": estimate.complete,

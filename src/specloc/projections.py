@@ -343,25 +343,20 @@ def family_from_gaps(t_mat, gap_abscissae, alpha: float, p: float,
     return ProjectionFamily(entries=tuple(entries))
 
 
-def projection_sum_bound(family: ProjectionFamily, probe_count: int = 256, seed: int = 0):
-    """Probe estimate and norm upper bound for C = sup sum_k |(P_k x | y)|.
+def projection_sum_bound(family: ProjectionFamily, constant: float, upper: float | None):
+    """Lower and upper ends (c_hat, c_upper) of C = sup_{||x|| = ||y|| = 1} sum_k |(P_k x | y)|
+    from a ``rieszbasis.SignPatternSearch``'s ``constant`` and ``upper`` (None without a
+    screen) and the entries' norms and tails, T = sum_k tail_k; nothing is drawn.
 
-    Returns (c_hat, c_upper) with c_hat <= c_upper = sum_k ||P_k||, the entries' norms.  The
-    probes read the thin factors P~_k = F_k C_k* (``ProjectionFamily.factors``): with
-    a = F* y and b = C* x, (P~_k x | y) is the sum of conj(a) b over member k's rows, so
-    two GEMMs serve every member.  As ||P_k - P~_k|| <= tail_k, c_hat is the largest probe
-    sum less sum_k tail_k, which lies below that probe's sum for the P_k.
+    C is the largest || sum_k w_k P_k || over unimodular w_k (Gohberg and Krein, ch. VI).
+    Each sign pattern is one such w, and the top singular pair of P_k gives ||P_k|| <= C, so
+    c_hat = max(constant, max_k ||P_k||) - T.  ``upper`` (``rieszbasis._screen``) uses only
+    ||D|| = 1 of D = diag(eps): F D Y~ = (W D Y)(I + R), ||W D Y|| <= kappa(W) and the delta
+    term hold for every diagonal unitary D, so it bounds every || sum_k w_k P~_k ||, and with
+    the triangle inequality c_upper = min(sum_k ||P_k||, upper + T).  Where the ends meet
+    (m = 1: C = ||P_1||) and their roundings cross, c_hat is lowered to c_upper.
     """
-    if probe_count < 1:
-        raise InputError("probe_count must be at least 1, got %d" % probe_count)
-    es = family.entries
-    if not es:
-        return 0.0, 0.0
-    f, c = family.factors
-    rng = numerics.subrng(seed, 3)
-    x = numerics.unit_columns(rng, f.shape[0], probe_count)
-    y = numerics.unit_columns(rng, f.shape[0], probe_count)
-    total = np.abs(family.owners @ ((f.conj().T @ y).conj() * (c.conj().T @ x))).sum(axis=0)
-    c_upper = float(sum(e.norm for e in es))
-    c_hat = min(max(float(total.max()) - sum(e.tail for e in es), 0.0), c_upper)
-    return c_hat, c_upper
+    tail = sum(e.tail for e in family.entries)
+    norms = [e.norm for e in family.entries]
+    c_upper = float(sum(norms)) if upper is None else min(float(sum(norms)), upper + tail)
+    return min(max([constant, *norms]) - tail, c_upper), c_upper

@@ -114,6 +114,8 @@ class SignPatternSearch:
     #: exact lambda~ the screen took by eigvalsh (``_pattern_bounds``); 0
     #: without a screen
     eigensolves: int
+    #: every pattern was searched (m <= SIGN_EXHAUSTIVE_MAX), not a sample
+    exhaustive: bool
 
 
 @dataclass(frozen=True)
@@ -169,6 +171,8 @@ def _screen(family: ProjectionFamily) -> _Screen | None:
     ||sum eps_k Q_k|| = ||W D Y|| is at most kappa(W), which the computed
     singular values (``ProjectionFamily.frame_singular_values``) give within
     kappa (1 + rho) / (1 - rho kappa): ``upper`` is that in place of est.
+    Past est, only ||D|| = 1 enters, so ``upper`` bounds || sum_k w_k P~_k ||
+    for every unimodular w too (``projections.projection_sum_bound``).
 
     None unless the ranks are nonzero and sum to n, W is invertible, and r,
     rho kappa and tau are below 1e-3.
@@ -240,8 +244,8 @@ def _below(h, level: float, rho: float) -> np.ndarray:
     return (info == 0) & (e + rho * (abs(shift) + r2 + e) + u * abs(level) < pad)
 
 
-def _pattern_bounds(patterns, ranks, screen: _Screen,
-                    cap: bool = True) -> tuple[np.ndarray, np.ndarray, int] | None:
+def _pattern_bounds(patterns, ranks,
+                    screen: _Screen) -> tuple[np.ndarray, np.ndarray, int] | None:
     """An upper bound on each pattern's computed norm (``_screen``), with the
     mask of the bounds that are caps and the count of eigvalsh calls; None
     when a Cholesky factorization of M_SS or an eigvalsh fails, or a bound is
@@ -249,8 +253,8 @@ def _pattern_bounds(patterns, ranks, screen: _Screen,
 
     With M_SS = LL*, the exact bound comes from lambda~ = lambda_max(H) by
     eigvalsh, H = L* N_SS L: one batched Cholesky and eigvalsh per size of S
-    (at most n/2), in batches of ``numerics.map_batches``.  With ``cap`` and
-    at least CAP_MIN_PATTERNS patterns, eigvalsh runs only on every
+    (at most n/2), in batches of ``numerics.map_batches``.  From
+    CAP_MIN_PATTERNS patterns on, eigvalsh runs only on every
     CAP_STRIDE-th pattern and on the patterns that LAPACK potrf cannot cap:
     mu' = (1 - CAP_RTOL) mu sits below the largest sampled lambda~ mu, and a
     pattern whose factorization (mu' - pad) I - H = R*R succeeds gets the
@@ -308,7 +312,7 @@ def _pattern_bounds(patterns, ranks, screen: _Screen,
     todo = np.flatnonzero(size > 0)
     level = None
     try:
-        if cap and len(patterns) >= CAP_MIN_PATTERNS:
+        if len(patterns) >= CAP_MIN_PATTERNS:
             sample = todo[todo % CAP_STRIDE == 0]
             lam[sample] = tops(sample)[0]
             todo = todo[todo % CAP_STRIDE != 0]
@@ -340,16 +344,16 @@ def _pattern_norms(rows, family: ProjectionFamily) -> np.ndarray:
 
 def sign_pattern_constant(family: ProjectionFamily, seed: int = 0, report: bool = False):
     """C = max over sign vectors eps of || sum_k eps_k P_k ||; with ``report``,
-    the ``SignPatternSearch`` holding C, its upper end and the count of exact
-    norms.
+    the ``SignPatternSearch`` holding C, its upper end, the counts of exact
+    norms and eigensolves, and whether the search was exhaustive.
 
     Exhaustive for at most SIGN_EXHAUSTIVE_MAX projections, over the 2^(m-1)
     patterns with eps_0 = +1 since ||-A|| = ||A||; randomized (SIGN_SAMPLES
     patterns) beyond that.  For a complete family (``_screen``),
     ``_pattern_bounds`` bounds every pattern's norm, the pattern with the top
     bound is normed exactly, and then only the patterns whose bound reaches
-    that norm; a capped bound that reaches it first gives way to the exact
-    one, so the normed patterns are those of exact bounds throughout.
+    that norm; a cap is a bound too, so a capped pattern that reaches it is
+    normed like any other.
     Without a screen (an incomplete family, a singular frame, a
     failed Cholesky or a non-finite bound), or when a normed pattern exceeds
     its own bound, every pattern is normed.  Either way C is the maximum of
@@ -373,22 +377,14 @@ def sign_pattern_constant(family: ProjectionFamily, seed: int = 0, report: bool 
                              for rest in itertools.product((1.0, -1.0), repeat=m - 1)])
     else:
         patterns = numerics.subrng(seed, 4).choice((1.0, -1.0), size=(SIGN_SAMPLES, m))
-    ranks = [e.rank for e in es]
     screen = _screen(family)
-    screened = None if screen is None else _pattern_bounds(patterns, ranks, screen)
+    screened = None if screen is None else _pattern_bounds(patterns, [e.rank for e in es], screen)
     norms = np.full(len(patterns), -1.0)  # -1: not normed
     eigensolves = 0
     if screened is not None:
-        bound, capped, eigensolves = screened
+        bound, _, eigensolves = screened
         top = int(np.argmax(bound))
         norms[top] = _pattern_norms(patterns[top:top + 1], family)[0]
-        reach = np.flatnonzero(capped & (bound >= norms[top]))
-        if reach.size:  # caps that reach the top norm give way to exact bounds
-            screened = _pattern_bounds(patterns[reach], ranks, screen, cap=False)
-            if screened is not None:
-                bound[reach], _, more = screened
-                eigensolves += more
-    if screened is not None:
         keep = np.flatnonzero(bound >= norms[top])
         keep = keep[keep != top]
         norms[keep] = _pattern_norms(patterns[keep], family)
@@ -400,7 +396,7 @@ def sign_pattern_constant(family: ProjectionFamily, seed: int = 0, report: bool 
     search = SignPatternSearch(constant=float(norms.max()),
                                upper=None if screen is None else screen.upper,
                                normed=int(np.count_nonzero(norms >= 0.0)),
-                               eigensolves=eigensolves)
+                               eigensolves=eigensolves, exhaustive=m <= SIGN_EXHAUSTIVE_MAX)
     return search if report else search.constant
 
 

@@ -183,14 +183,13 @@ def exact_estimate_slacks(mats, constant):
     return bool(lower >= -1e-9 and upper >= -1e-9), lower, upper
 
 
-def probe_sum_estimate(mats, probe_count=256, seed=0) -> float:
-    """The largest sum_k |(P_k x | y)| over ``projection_sum_bound``'s probe
-    pairs, each P_k multiplied into the probe block as a dense matrix."""
-    n = mats[0].shape[0]
-    rng = numerics.subrng(seed, 3)
-    x = numerics.unit_columns(rng, n, probe_count)
-    y = numerics.unit_columns(rng, n, probe_count)
-    total = np.zeros(probe_count)
-    for mat in mats:
-        total += np.abs(np.einsum("ij,ij->j", y.conj(), mat @ x))
-    return float(total.max())
+def phase_grid_constant(mats, points=64) -> float:
+    """The largest || sum_k w_k P_k || of dense matrices over the phase grid
+    w_0 = 1, w_k = exp(2 pi i j_k / points) for k >= 1 (points^(m - 1) sums,
+    so m <= 3), the sums formed by one einsum and normed by one batched SVD."""
+    assert 1 <= len(mats) <= 3
+    grid = np.exp(2j * np.pi * np.arange(points) / points)
+    w = np.array(list(itertools.product(grid, repeat=len(mats) - 1)), dtype=complex)
+    w = w.reshape(points ** (len(mats) - 1), len(mats) - 1)
+    sums = mats[0] + np.einsum("pk,kij->pij", w, np.reshape(mats[1:], (-1, *mats[0].shape)))
+    return float(np.linalg.svd(sums, compute_uv=False)[:, 0].max())

@@ -256,9 +256,9 @@ class TestAcceptance:
                 ind[lo:hi] = 1.0
                 mats.append(v @ np.diag(ind) @ vi)
             family = projections.make_family([(str(k), p) for k, p in enumerate(mats)])
-            sign_c = rieszbasis.sign_pattern_constant(family)  # exhaustive for m <= 8
-            report = rieszbasis.verify_projection_estimate(family, sign_c)
-            _, c_upper = projections.projection_sum_bound(family)
+            search = rieszbasis.sign_pattern_constant(family, report=True)  # exhaustive, m <= 8
+            report = rieszbasis.verify_projection_estimate(family, search.constant)
+            _, c_upper = projections.projection_sum_bound(family, search.constant, search.upper)
             if not (report.two_sided_holds and report.chain_holds
                     and report.basis_constant <= 4.0 * c_upper**2 * (1.0 + 1e-9)):
                 ok = False

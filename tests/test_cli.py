@@ -11,7 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from specloc import cli, enclosure, numerics, rieszbasis, subordination
+import test_golden
+from specloc import cli, enclosure, numerics, projections, rieszbasis, subordination
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
 
@@ -254,7 +255,7 @@ class TestRieszConst:
         report = read_report(out)
         assert report["twoSidedHolds"] is True
         assert report["chainHolds"] is True
-        assert report["cHat"] <= report["cUpper"] + 1e-12
+        assert report["cHat"] <= report["cUpper"]
         assert report["basisConstant"] >= 1.0
 
     def test_sign_pattern_bracket(self, hamiltonian_spec, tmp_path):
@@ -268,6 +269,9 @@ class TestRieszConst:
         # too few to cap, so each pattern but (+, +, +) = I takes an eigvalsh
         assert report["signPatternsNormed"] == 1
         assert report["signPatternEigensolves"] == 3
+        # the gap family has no tail: C's ends are the search's
+        assert report["cHat"] == report["signPatternConstant"]
+        assert report["cUpper"] == report["signPatternUpper"]
 
     def test_incomplete_family_has_no_upper(self, triple_spec, tmp_path):
         out = tmp_path / "report.json"
@@ -278,6 +282,55 @@ class TestRieszConst:
         assert report["signPatternUpper"] is None
         assert report["signPatternsNormed"] == 1
         assert report["signPatternEigensolves"] == 0
+        assert report["cHat"] <= report["cUpper"]
+
+    @staticmethod
+    def four_blocks(tmp_path, cuts, *options):
+        """rieszconst on the 4-block Hamiltonian of the benchmark's generator
+        (eigenvalues near +-1 + 4ki, k = 1..4): (exit code, report, T)."""
+        payload = test_golden.hamiltonian_spec(0, 4)
+        spec, out = write_json(tmp_path / "ham4.json", payload), tmp_path / "r.json"
+        code = cli.main(["rieszconst", "--input", spec, "--out", str(out), "--abscissas", cuts,
+                         "--alpha", "2", *options])
+        return code, read_report(out), cli.system_from_json(payload).t
+
+    def test_one_member_bounds_c_by_its_norm(self, tmp_path):
+        # m = 1: C = sigma_1(P) = 1.0032 for the skew projection onto the
+        # eigenvalues near 4i, which the search's one pattern norms
+        code, report, t = self.four_blocks(tmp_path, "2,6")
+        p = projections.spectral_projector_oracle(t, lambda z: 2.0 < z.imag < 6.0)
+        norm = float(np.linalg.svd(p, compute_uv=False)[0])
+        assert code == 0 and report["complete"] is False and norm > 1.003
+        assert report["cHat"] == report["cUpper"]
+        np.testing.assert_allclose([report["cHat"], report["signPatternConstant"]], norm,
+                                   rtol=1e-10)
+
+    def test_the_identity_bounds_c_by_one(self, tmp_path):
+        # every eigenvalue lies in one gap: P = I, and C = 1
+        code, report, _ = self.four_blocks(tmp_path, "0.5,18")
+        assert code == 0 and report["complete"] is True
+        assert abs(report["cHat"] - 1.0) <= 1e-12
+        assert report["cHat"] <= report["cUpper"]
+
+    def test_an_exhaustive_search_draws_no_random_numbers(self, tmp_path, count_calls):
+        draws = count_calls(numerics, "subrng")
+        code, report, _ = self.four_blocks(tmp_path, "2,6,10,14,18", "--seed", "5")
+        assert code == 0 and report["signPatternsExhaustive"] is True
+        assert draws == []
+
+    def test_a_sampled_search_draws_its_patterns_from_the_seed(self, tmp_path, count_calls):
+        # 13 gaps: above SIGN_EXHAUSTIVE_MAX, so 4096 patterns from spawn key 4
+        payload = test_golden.hamiltonian_spec(0, 13)
+        spec, out = write_json(tmp_path / "ham13.json", payload), tmp_path / "r.json"
+        draws = count_calls(numerics, "subrng")
+        assert cli.main(["rieszconst", "--input", spec, "--out", str(out), "--abscissas",
+                         ",".join(str(4 * k + 2) for k in range(14)), "--alpha", "2",
+                         "--seed", "5"]) == 0
+        report = read_report(out)
+        assert report["signPatternsExhaustive"] is False
+        assert draws == [((5, 4), {})]
+        assert report["cHat"] == report["signPatternConstant"]
+        assert report["cUpper"] == report["signPatternUpper"]
 
     def test_one_riesz_constant(self, hamiltonian_spec, tmp_path, count_calls):
         # the screen and the estimate share one SVD of the stacked frames F,

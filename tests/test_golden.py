@@ -249,6 +249,17 @@ def test_golden_reports(tmp_path, monkeypatch):
     assert {name: e[:5] for name, e in errors.items() if e} == {}
 
 
+def test_rieszconst_goldens_take_both_ends_of_c_from_the_search():
+    # gap families have no tail, and the sign patterns decide both ends of
+    # C = sup sum_k |(P_k x | y)|: C's lower end is the largest pattern norm
+    # and its upper end the screen's
+    for n, seed in HAMILTONIANS:
+        report = json.loads((GOLDEN / ("rieszconst-ham%d-%d.json" % (n, seed))).read_text())
+        assert report["cHat"] == report["signPatternConstant"] <= report["signPatternUpper"]
+        assert report["cUpper"] == report["signPatternUpper"]
+        assert report["signPatternsExhaustive"] is False  # 24 and 64 gaps: sampled
+
+
 if __name__ == "__main__":
     # rewrite tests/golden from the current source
     with tempfile.TemporaryDirectory() as tmp:

@@ -8,7 +8,7 @@ import scipy.linalg
 
 import reference_linalg
 from reference_linalg import cross_talk_pad, entry_matrix, lu_reference, max_cross_product_norm
-from specloc import contours, instances, numerics, projections
+from specloc import contours, instances, numerics, projections, rieszbasis
 from specloc.errors import AmbiguousClusterError, ContourSpectrumError, InputError
 
 
@@ -510,15 +510,18 @@ class TestFamilyFromGaps:
 
 
 class TestSumBound:
-    def orthogonal_family(self):
-        mats = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])]
-        return projections.make_family([(str(k), m) for k, m in enumerate(mats)])
+    @staticmethod
+    def ends(family):
+        """``projection_sum_bound`` from the family's own sign-pattern search."""
+        search = rieszbasis.sign_pattern_constant(family, report=True)
+        return projections.projection_sum_bound(family, search.constant, search.upper)
 
-    def test_orthogonal_probe_below_one(self):
-        family = self.orthogonal_family()
-        c_hat, c_upper = projections.projection_sum_bound(family)
-        assert c_hat <= 1.0 + 1e-10
-        np.testing.assert_allclose(c_upper, 3.0)
+    def test_orthogonal_family_is_one(self):
+        mats = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])]
+        c_hat, c_upper = self.ends(projections.make_family(
+            [(str(k), m) for k, m in enumerate(mats)]))
+        assert c_hat <= c_upper
+        np.testing.assert_allclose([c_hat, c_upper], 1.0, rtol=1e-12)
 
     def test_hat_below_upper(self):
         rng = np.random.default_rng(3)
@@ -530,24 +533,22 @@ class TestSumBound:
             ind[k] = 1.0
             mats.append(v @ np.diag(ind) @ vi)
         family = projections.make_family([(str(k), m) for k, m in enumerate(mats)])
-        c_hat, c_upper = projections.projection_sum_bound(family, probe_count=64)
-        assert 0.0 < c_hat <= c_upper
+        c_hat, c_upper = self.ends(family)
+        assert 1.0 < c_hat <= c_upper
 
     def test_empty_family(self):
         family = projections.make_family([])
-        assert projections.projection_sum_bound(family) == (0.0, 0.0)
-
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_no_probes_rejected(self, count):
-        with pytest.raises(InputError, match="probe_count"):
-            projections.projection_sum_bound(hamiltonian_gap_family(8, 0), probe_count=count)
+        assert projections.projection_sum_bound(family, 0.0, None) == (0.0, 0.0)
 
     def test_upper_from_the_family_svds(self, count_calls):
+        # without the search's upper end, c_upper is sum_k sigma_1(P_k), read
+        # from the entries with no SVD; the smaller end wins
         family = hamiltonian_gap_family(8, 0)
         svds = count_calls(np.linalg, "svd")
-        _, c_upper = projections.projection_sum_bound(family)
+        c_hat, c_upper = projections.projection_sum_bound(family, 0.0, None)
         assert svds == []
         expect = sum(np.linalg.svd(entry_matrix(e), compute_uv=False)[0]
                      for e in family.entries)
         np.testing.assert_allclose(c_upper, expect, rtol=1e-13)
-
+        assert c_hat == max(e.norm for e in family.entries)
+        assert projections.projection_sum_bound(family, 0.0, 1.5) == (c_hat, 1.5)

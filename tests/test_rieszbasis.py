@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import reference_linalg
-from specloc import numerics, projections, rieszbasis
+from specloc import cli, numerics, projections, rieszbasis
 from specloc.errors import InputError
+from test_golden import hamiltonian_spec
 from test_projections import HAMILTONIAN_REGION, hamiltonian_gap_family, shifted_hamiltonian
 
 
@@ -183,8 +184,8 @@ class TestSignPatterns:
 
     @staticmethod
     def record_search(monkeypatch, family, seed=0):
-        """The search's report, the first (bound, capped, eigensolves) of
-        ``_pattern_bounds`` and the patterns it normed, one row each."""
+        """The search's report, the (bound, capped, eigensolves) of its one
+        ``_pattern_bounds`` call and the patterns it normed, one row each."""
         screened, normed = [], []
         pattern_bounds, pattern_norms = rieszbasis._pattern_bounds, rieszbasis._pattern_norms
         monkeypatch.setattr(rieszbasis, "_pattern_bounds", lambda *args, **kwargs: screened.append(
@@ -192,15 +193,17 @@ class TestSignPatterns:
         monkeypatch.setattr(rieszbasis, "_pattern_norms", lambda rows, family: normed.append(
             rows) or pattern_norms(rows, family))
         search = rieszbasis.sign_pattern_constant(family, seed, report=True)
-        return search, screened[0], np.concatenate(normed)
+        [screened] = screened
+        return search, screened, np.concatenate(normed)
 
     def assert_reference_flow(self, monkeypatch, family, seed=0, norms=None):
         """Against the all-eigvalsh reference bounds: every bound the search
-        uses is at least the reference (equal where it took an eigvalsh), no
-        capped pattern is normed, and C, its upper end and the count of exact
-        norms are those of the reference flow (norm the top pattern, then
-        every pattern whose bound reaches that norm, or every pattern when
-        one exceeds its bound)."""
+        uses is at least the reference (equal where it took an eigvalsh), the
+        search norms the top pattern, then every pattern whose bound, cap or
+        not, reaches that norm (or every pattern when one exceeds its bound),
+        which includes every pattern the reference flow norms; so C, its upper
+        end and the count of exact norms are those of the reference flow but
+        for the capped patterns that reach the top norm."""
         patterns = self.searched_patterns(family, seed)
         ranks = [e.rank for e in family.entries]
         search, (bound, capped, eigensolves), rows = self.record_search(monkeypatch, family, seed)
@@ -208,8 +211,6 @@ class TestSignPatterns:
         reference = reference_linalg.pattern_bounds(patterns, ranks, screen)
         assert np.all(bound >= reference)
         assert np.array_equal(bound[~capped], reference[~capped])
-        normed_rows = (patterns[:, None, :] == rows[None]).all(axis=2).any(axis=1)
-        assert not np.any(normed_rows & capped)
         known = np.full(len(patterns), np.nan) if norms is None else norms
 
         def norms_of(mask):
@@ -217,17 +218,27 @@ class TestSignPatterns:
             known[todo] = self.pattern_norms(family, patterns[todo])
             return known[mask]
 
+        # the top pattern is never capped, so both flows start from its norm
         top = int(np.argmax(reference))
-        normed = reference >= norms_of(np.arange(len(patterns)) == top)[0]
-        normed[top] = True
-        if np.any(norms_of(normed) > reference[normed]):
-            normed[:] = True
+        assert top == int(np.argmax(bound)) and not capped[top]
+        top_norm = norms_of(np.arange(len(patterns)) == top)[0]
+
+        def flow(bounds):
+            normed = bounds >= top_norm
+            normed[top] = True
+            if np.any(norms_of(normed) > bounds[normed]):
+                normed[:] = True
+            return normed
+
+        normed, expect = flow(bound), flow(reference)
+        assert not np.any(expect & ~normed)
+        normed_rows = (patterns[:, None, :] == rows[None]).all(axis=2).any(axis=1)
+        assert len(rows) == np.count_nonzero(normed) and normed_rows[normed].all()
         assert (search.constant, search.upper, search.normed) == (
-            norms_of(normed).max(), screen.upper, np.count_nonzero(normed))
+            norms_of(expect).max(), screen.upper, np.count_nonzero(normed))
         # an eigvalsh for every uncapped pattern but +-(1, ..., 1), whose sum is +-I
         plain = np.all(patterns == patterns[:, :1], axis=1)
-        assert eigensolves == np.count_nonzero(~capped & ~plain)
-        assert search.eigensolves >= eigensolves
+        assert search.eigensolves == eigensolves == np.count_nonzero(~capped & ~plain)
         return search, capped, reference
 
     def assert_screen_certified(self, monkeypatch, family, seed=0):
@@ -272,34 +283,38 @@ class TestSignPatterns:
         assert search.eigensolves < rieszbasis.SIGN_SAMPLES // 10
 
     def test_caps_that_reach_the_top_norm_give_way(self, monkeypatch):
-        # caps lifted between the top norm and the top bound: every capped
-        # pattern takes its exact bound before the survivors are chosen, and
-        # the search still keeps the reference flow
+        # caps lifted between the top norm and the top bound: a cap bounds its
+        # pattern's norm like an exact bound, so one bounding pass, every
+        # lifted pattern gives way to its exact norm, and C keeps its bits
         family = skew_family(14, 16, 3)
+        before = rieszbasis.sign_pattern_constant(family, report=True)
         patterns = self.searched_patterns(family)
         ranks = [e.rank for e in family.entries]
         screen = rieszbasis._screen(family)
         reference = reference_linalg.pattern_bounds(patterns, ranks, screen)
         top = int(np.argmax(reference))
-        lifted = (self.pattern_norms(family, patterns[top:top + 1])[0] + reference[top]) / 2
+        top_norm = self.pattern_norms(family, patterns[top:top + 1])[0]
+        lifted = (top_norm + reference[top]) / 2
         calls = []
         pattern_bounds = rieszbasis._pattern_bounds
 
-        def lift(rows, ranks, screen, cap=True):
-            bound, capped, eigensolves = pattern_bounds(rows, ranks, screen, cap)
-            calls.append((len(rows), np.count_nonzero(capped)))
+        def lift(*args):
+            bound, capped, eigensolves = pattern_bounds(*args)
+            calls.append(capped)
             bound[capped] = lifted
             return bound, capped, eigensolves
 
         monkeypatch.setattr(rieszbasis, "_pattern_bounds", lift)
         search = rieszbasis.sign_pattern_constant(family, report=True)
-        assert calls[0][1] > 0 and calls[1:] == [(calls[0][1], 0)]
-        assert search.eigensolves == len(patterns) - np.count_nonzero(
-            np.all(patterns == patterns[:, :1], axis=1))
-        normed = reference >= self.pattern_norms(family, patterns[top:top + 1])[0]
+        [capped] = calls
+        assert capped.any()
+        plain = np.all(patterns == patterns[:, :1], axis=1)
+        assert search.eigensolves == before.eigensolves == np.count_nonzero(~capped & ~plain)
+        normed = (reference >= top_norm) | capped
         normed[top] = True
-        assert search.normed == np.count_nonzero(normed)
-        assert search.constant == max(self.pattern_norms(family, patterns[normed]))
+        assert search.normed == np.count_nonzero(normed) > before.normed
+        assert search.constant == before.constant == max(
+            self.pattern_norms(family, patterns[normed]))
 
     def test_small_families_are_not_capped(self, monkeypatch):
         # 2^(6-1) patterns, below CAP_MIN_PATTERNS: eigvalsh for all but (1, ..., 1)
@@ -672,21 +687,45 @@ PROBE_FAMILIES = {
 }
 
 
+def sum_bound(family):
+    """``projection_sum_bound`` from the family's own sign-pattern search."""
+    search = rieszbasis.sign_pattern_constant(family, report=True)
+    return search, projections.projection_sum_bound(family, search.constant, search.upper)
+
+
+#: complete families of at most three members, each with its dense matrices:
+#: Hamiltonian gap families (tail 0; the 4-block one of the benchmark's
+#: generator with a gap of rank 4) and acceptance test_07 families (tails > 0)
+PHASE_FAMILIES = {
+    "hamiltonian3": lambda: with_members(hamiltonian_family(3)),
+    **{"ham4-%s" % "-".join(map(str, cuts)): lambda cuts=cuts: with_members(
+        projections.family_from_gaps(cli.system_from_json(hamiltonian_spec(0, 4)).t, cuts,
+                                     **HAMILTONIAN_REGION))
+       for cuts in ((2, 10, 18), (2, 6, 10, 18))},
+    **{"chain%d" % seed: lambda seed=seed: with_inputs(chain_matrices(seed))
+       for seed in (0, 1, 7, 8)},
+}
+
+
 class TestProbesFromFactors:
     """The estimate, decided from the thin factors, against the dense exact
     reference and the dense probes of ``reference_linalg``, which multiply
-    every P_k into the probe block; the sum bound's probes against the dense
-    loop."""
+    every P_k into the probe block; the sum bound's ends against the dense
+    members."""
 
     @pytest.mark.parametrize("name", list(PROBE_FAMILIES))
     def test_agree_with_the_dense_reference(self, name):
         family, mats = PROBE_FAMILIES[name]()
         if name.startswith("chain"):
             assert max(e.tail for e in family.entries) > 0.0
+        # each sigma_1(P_k) is a lower end of C and their sum an upper end
+        search, (c_hat, c_upper) = sum_bound(family)
+        norms = [reference_linalg.svd_extremes(m)[0] for m in mats]
+        tail = sum(e.tail for e in family.entries)
+        assert max(norms) - tail - 1e-12 <= c_hat <= c_upper <= sum(norms) + 1e-12
+        if name.startswith("hamiltonian"):  # tail 0, and the sign patterns decide both ends
+            assert (c_hat, c_upper) == (search.constant, search.upper)
         for c, seed in [(1.1, 0), (3.0, 2)]:
-            c_hat, c_upper = projections.projection_sum_bound(family, seed=seed)
-            reference = min(reference_linalg.probe_sum_estimate(mats, seed=seed), c_upper)
-            assert abs(c_hat - reference) <= 1e-12
             if name == "empty-gap":
                 with pytest.raises(InputError, match="'gap\\[7,8\\]' has rank zero"):
                     rieszbasis.verify_projection_estimate(family, c)
@@ -706,8 +745,19 @@ class TestProbesFromFactors:
             else:
                 assert slacks[0] <= exact[0] and slacks[1] <= exact[1]
 
+    @pytest.mark.parametrize("name", list(PHASE_FAMILIES))
+    def test_phase_grid_lies_between_the_ends(self, name):
+        # C is the largest || sum_k w_k P_k || over unimodular w, not only
+        # over signs: a 64-point phase grid per member lies within the ends
+        family, mats = PHASE_FAMILIES[name]()
+        search, (c_hat, c_upper) = sum_bound(family)
+        assert search.upper is not None and len(mats) <= 3
+        if name.startswith("chain"):
+            assert max(e.tail for e in family.entries) > 0.0
+        assert c_hat - 1e-12 <= reference_linalg.phase_grid_constant(mats) <= c_upper
+
     def test_read_no_matrix(self):
-        # the entries hold no dense matrix, and both checks read their thin
+        # the entries hold no dense matrix, and the checks read their thin
         # factors only as the stacked ``factors``: entries whose frames and
         # coframes are NaN, beside the original's stacked factors, give the
         # same reports
@@ -719,13 +769,12 @@ class TestProbesFromFactors:
         nan.__dict__["factors"] = family.factors  # the cached_property's slot
         assert (rieszbasis.verify_projection_estimate(nan, 1.5)
                 == rieszbasis.verify_projection_estimate(family, 1.5))
-        assert (projections.projection_sum_bound(nan, seed=3)
-                == projections.projection_sum_bound(family, seed=3))
+        assert sum_bound(nan) == sum_bound(family)
 
     def test_tail_pads_are_never_looser(self):
         # diag(0, 0.4) has rank 0 and tail 0.4: its factors drop it, the pad
-        # keeps the sum bound below the dense one, and the estimate rejects
-        # the rank-zero member
+        # keeps the sum bound's lower end below the dense C, and the estimate
+        # rejects the rank-zero member
         mats = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 0.4, 0.0]), np.diag([0.0, 0.0, 1.0])]
         family = projections.make_family(zip("abc", mats))
         with pytest.raises(InputError, match="'b' has rank zero"):
@@ -739,6 +788,10 @@ class TestProbesFromFactors:
         assert reference_linalg.probe_estimate_slacks(tailed, 1.2)[0]
         assert not report.two_sided_holds
         assert [report.worst_lower_slack, report.worst_upper_slack] == [-math.inf, -math.inf]
-        c_hat, c_upper = projections.projection_sum_bound(family)
+        # the pad fails the search's disjointness test, so the factors' own
+        # sign-pattern constant stands in for its result
+        patterns = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+        constant = max(reference_linalg.factored_pattern_norms(family, patterns))
+        c_hat, c_upper = projections.projection_sum_bound(family, constant, None)
         assert c_upper == 2.4
-        assert 0.0 <= c_hat <= reference_linalg.probe_sum_estimate(mats) - 0.4 + 1e-15
+        assert 0.0 <= c_hat <= reference_linalg.phase_grid_constant(mats) - 0.4 + 1e-15
