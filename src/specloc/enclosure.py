@@ -10,7 +10,7 @@ parameters.  ``certified_r0`` produces the ball radius from the resolvent
 conditions used to prove the enclosure; ``contains`` takes an array of points
 in one pass, on the lobe coordinates e^{-i theta} z with the lobes on the
 last axis.  ``enclose`` runs the whole chain from b to the verdict (arrays:
-the eigenvalues, the violators, their distances) once.
+the eigenvalues and the violators) once.
 """
 
 from __future__ import annotations
@@ -47,22 +47,13 @@ class EnclosureRegion:
             object.__setattr__(self, name, value)
 
 
-def _lobe_coordinates(region: EnclosureRegion, z):
-    """(x, y) with x + iy = e^{-i theta} z, one column per lobe on the last axis."""
-    w = np.asarray(z, dtype=complex)[..., None] * np.exp(-1j * np.asarray(region.thetas))
-    return w.real, w.imag
-
-
-def _halfwidth(region: EnclosureRegion, x):
-    """alpha x^p, meaningful where x >= 0."""
-    return region.alpha * np.maximum(x, 0.0) ** region.p
-
-
 def contains(region: EnclosureRegion, z):
     """Closed membership test for the enclosure region, point by point."""
     z = np.asarray(z, dtype=complex)
-    x, y = _lobe_coordinates(region, z)
-    in_lobe = (x >= 0.0) & (np.abs(y) <= _halfwidth(region, x))
+    # x + iy = e^{-i theta} z, one column per lobe on the last axis
+    w = z[..., None] * np.exp(-1j * np.asarray(region.thetas))
+    x, y = w.real, w.imag
+    in_lobe = (x >= 0.0) & (np.abs(y) <= region.alpha * np.maximum(x, 0.0) ** region.p)
     return (np.abs(z) <= region.r0) | in_lobe.any(axis=-1)
 
 
@@ -131,31 +122,21 @@ def certified_r0(b: float, p: float, alpha: float, epsilon: float, psi: float) -
 
 @dataclass(frozen=True)
 class EnclosureReport:
-    """The eigenvalues of T, those outside the region (``violators``, in
-    eigenvalue order) and their ``distances`` to it."""
+    """The eigenvalues of T and those outside the region (``violators``, in
+    eigenvalue order)."""
 
     eigenvalues: np.ndarray
     violators: np.ndarray
-    distances: np.ndarray
 
     @property
     def all_inside(self) -> bool:
         return not self.violators.size
 
 
-def _outside_distance(region: EnclosureRegion, z):
-    """Rough distance estimate from each outside point to the region."""
-    z = np.asarray(z, dtype=complex)
-    x, y = _lobe_coordinates(region, z)
-    lobes = np.where(x >= 0.0, np.abs(y) - _halfwidth(region, x), np.hypot(x, y))
-    return np.maximum(np.minimum(np.abs(z) - region.r0, lobes.min(axis=-1, initial=np.inf)), 0.0)
-
-
 def verify_spectrum_enclosure(system: PerturbedSystem, region: EnclosureRegion) -> EnclosureReport:
     """Check every eigenvalue of T against the region in one array pass."""
     values = numerics.eig(system.t).values
-    outside = values[~contains(region, values)]
-    return EnclosureReport(values, outside, _outside_distance(region, outside))
+    return EnclosureReport(values, values[~contains(region, values)])
 
 
 @dataclass(frozen=True)

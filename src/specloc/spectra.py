@@ -39,9 +39,9 @@ class AsymptoticModel:
 
     def radii(self, k_max: int) -> np.ndarray:
         k = np.arange(1, k_max + 1, dtype=float)
-        d = np.zeros(k_max)
-        tail = np.asarray(self.d_tail, dtype=float)
-        d[: min(len(tail), k_max)] = tail[:k_max]
+        tail = np.asarray(self.d_tail, dtype=float)[:len(k)]
+        d = np.zeros_like(k)
+        d[:len(tail)] = tail
         # overflow leaves inf or nan radii, which GapSequenceModel rejects
         with np.errstate(over="ignore", invalid="ignore"):
             return self.c * k**self.q + d * k ** (self.q - 1.0)
@@ -49,8 +49,8 @@ class AsymptoticModel:
 
 @dataclass(frozen=True)
 class GapSequenceModel:
-    """Increasing radii (any real sequence, stored as a tuple of floats) with
-    gap parameter l and exponent p in [0, 1)."""
+    """At least two increasing radii (any real sequence, stored as a tuple of
+    floats) with gap parameter l and exponent p in [0, 1)."""
 
     radii: tuple[float, ...]
     l: float
@@ -63,6 +63,8 @@ class GapSequenceModel:
         if not (0.0 <= self.p < 1.0):
             raise InputError("p must lie in [0, 1)")
         radii = np.asarray(self.radii, dtype=float)
+        if len(radii) < 2:
+            raise InputError("a gap sequence needs at least two radii, got %d" % len(radii))
         if np.any(~np.isfinite(radii) | (radii < 0)):
             raise InputError("radii must be finite and non-negative")
         if np.any(np.diff(radii) <= 0):
@@ -72,7 +74,7 @@ class GapSequenceModel:
 
 def from_asymptotic(c: float, q: float, l: float, p: float, k_max: int, d_tail=()) -> GapSequenceModel:
     """Build a concrete GapSequenceModel from an asymptotic law up to k_max;
-    a k_max above MAX_K raises InputError."""
+    a k_max below 2 or above MAX_K raises InputError."""
     if k_max > MAX_K:
         raise InputError("k_max %d exceeds the cap %d" % (k_max, MAX_K))
     model = AsymptoticModel(c=c, q=q, d_tail=tuple(d_tail))

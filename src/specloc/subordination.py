@@ -67,34 +67,33 @@ def _check_pair(s, g):
     return s, g
 
 
-def subordination_ratio(s, g, p: float, u) -> float:
-    """||S u|| / (||u||^(1-p) ||G u||^p) with the 0/0 -> 0 convention.
+def _ratios(s, g, p, u):
+    """||S u_j|| / (||u_j||^(1-p) ||G u_j||^p) for each column u_j of u, with
+    0/0 -> 0 and x/0 -> inf (p > 0, G u_j = 0 and S u_j != 0: no bound holds)."""
+    su = np.linalg.norm(s @ u, axis=0)
+    gp = np.linalg.norm(g @ u, axis=0) ** p if p else 1.0
+    den = np.linalg.norm(u, axis=0) ** (1.0 - p) * gp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(su == 0.0, 0.0, su / den)
 
-    Returns inf when p > 0, G u = 0 and S u != 0 (the bound cannot hold).
-    """
+
+def subordination_ratio(s, g, p: float, u) -> float:
+    """The subordination ratio of one nonzero vector u (``_ratios``)."""
     s, g = _check_pair(s, g)
     p = float(p)
     if not (0.0 <= p < 1.0):
         raise InputError("p must lie in [0, 1)")
-    u = np.asarray(u, dtype=complex).reshape(-1)
-    nu = float(np.linalg.norm(u))
-    if nu == 0.0:
+    u = np.asarray(u, dtype=complex).reshape(-1, 1)
+    if not np.any(u):
         raise InputError("u must be nonzero")
-    su = float(np.linalg.norm(s @ u))
-    if p == 0.0:
-        return su / nu
-    gu = float(np.linalg.norm(g @ u))
-    if gu == 0.0:
-        return 0.0 if su == 0.0 else math.inf
-    return su / (nu ** (1.0 - p) * gu**p)
+    return float(_ratios(s, g, p, u)[0])
 
 
 @dataclass(frozen=True)
 class SubordinationResult:
-    p: float
     #: certified upper end of the bracket [lower, bound] around the minimal b
     bound: float
-    #: subordination_ratio of the witness rounded down by 4 (n + 1) eps:
+    #: the witness's subordination ratio rounded down by 4 (n + 1) eps:
     #: lower <= b <= bound <= lower (1 + BRACKET_RTOL)
     lower: float
     witness: np.ndarray | None
@@ -118,19 +117,6 @@ def _round_up(x: float, n: int) -> float:
     ``_round_down``, the same 4 (n + 1) eps allowance for gesdd's O(n eps)
     error in sigma_1 (for S = cI at n = 26..28, sigma_1 came out an ulp below c)."""
     return x * (1.0 + 4.0 * (n + 1) * np.finfo(float).eps)
-
-
-def _column_ratios(s, g, p, u):
-    """Ratio for each unit column of u (columns assumed normalized)."""
-    su = np.linalg.norm(s @ u, axis=0)
-    if p == 0.0:
-        return su
-    gu = np.linalg.norm(g @ u, axis=0)
-    out = np.full(u.shape[1], np.inf)
-    ok = gu > 0.0
-    out[ok] = su[ok] / gu[ok] ** p
-    out[(~ok) & (su == 0.0)] = 0.0
-    return out
 
 
 def _weights(sigma2, p, t):
@@ -192,17 +178,17 @@ def subordination_bound(s, g, p: float) -> SubordinationResult:
         raise InputError("p must lie in [0, 1)")
     n = g.shape[0]
     if n == 0:
-        return SubordinationResult(p, 0.0, 0.0, None)
+        return SubordinationResult(0.0, 0.0, None)
     if not np.any(s):
         e = np.zeros(n, dtype=complex)
         e[0] = 1.0
-        return SubordinationResult(p, 0.0, 0.0, e)
+        return SubordinationResult(0.0, 0.0, e)
 
     if p == 0.0:
         _, sv, vh = np.linalg.svd(s)
         witness = vh[0].conj()
         ratio = subordination_ratio(s, g, p, witness)
-        return SubordinationResult(p, max(_round_up(float(sv[0]), n), ratio),
+        return SubordinationResult(max(_round_up(float(sv[0]), n), ratio),
                                    _round_down(ratio, n), witness)
 
     # G is its own SVD: sigma = |g_ii| and V a permutation
@@ -213,7 +199,7 @@ def subordination_bound(s, g, p: float) -> SubordinationResult:
     if np.any(kernel):
         kvecs = vgh[kernel].T
         if np.all(kernel) or numerics.opnorm(s @ kvecs) > 1e-10 * max(numerics.opnorm(s), 1.0):
-            return SubordinationResult(p, math.inf, math.inf, None)
+            return SubordinationResult(math.inf, math.inf, None)
 
     # S vanishes on the kernel, so only the range of G* carries the ratio
     v = vgh[~kernel].T
@@ -227,7 +213,7 @@ def subordination_bound(s, g, p: float) -> SubordinationResult:
         # a cell end and there bounds lambda_max(H, D(t)) over the whole cell
         lam, u, ratio2 = _pencil_tops(h, sigma2, p, _minorant(sigma2, p, cells[:, 0], cells[:, 1]))
         k = int(np.argmax(ratio2))
-        cand = _round_down(subordination_ratio(s, g, p, v @ u[k]), n)
+        cand = _round_down(float(_ratios(s, g, p, v @ u[k, :, None])[0]), n)
         if cand > lower:
             lower, best = cand, u[k]
         lam = np.maximum(lam[:len(cells)], lam[len(cells):])
@@ -248,7 +234,7 @@ def subordination_bound(s, g, p: float) -> SubordinationResult:
         cells = np.concatenate([np.stack([cells[:, 0], mid], axis=1),
                                 np.stack([mid, cells[:, 1]], axis=1)])
 
-    return SubordinationResult(p, upper, lower, v @ best)
+    return SubordinationResult(upper, lower, v @ best)
 
 
 def verify_bound(s, g, p: float, b: float, sample_count: int = 1000, seed: int = 0):
@@ -262,6 +248,6 @@ def verify_bound(s, g, p: float, b: float, sample_count: int = 1000, seed: int =
         raise InputError("sample_count must be non-negative")
     n = g.shape[0]
     u = numerics.unit_columns(numerics.subrng(seed, 2), n, sample_count)
-    r = _column_ratios(s, g, float(p), u)
+    r = _ratios(s, g, float(p), u)
     bad = np.flatnonzero(r > float(b) * (1.0 + 1e-9))
     return [{"index": int(i), "ratio": float(r[i]), "vector": u[:, i].copy()} for i in bad]

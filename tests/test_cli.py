@@ -187,6 +187,17 @@ class TestGaps:
         assert report["failures"] == [1]
         assert report["asymptoticVerdict"] is None
 
+    @pytest.mark.parametrize("model, count", [
+        ({"radii": [1.0]}, 1),
+        ({"radii": []}, 0),
+        ({"asymptotic": {"c": 1.0, "q": 2.0, "dTail": [0.5, 0.2]}, "kMax": -1}, 0),
+    ], ids=["one-radius", "no-radii", "negative-kMax"])
+    def test_too_few_radii(self, tmp_path, capsys, model, count):
+        spec = write_json(tmp_path / "gaps.json", {"gapModel": {**model, "l": 0.5, "p": 0.5}})
+        assert cli.main(["gaps", "--input", spec, "--out", str(tmp_path / "report.json")]) == 2
+        assert capsys.readouterr().err == (
+            "specloc: input error: a gap sequence needs at least two radii, got %d\n" % count)
+
 
 class TestProject:
     def test_family_report(self, triple_spec, tmp_path):

@@ -5,8 +5,10 @@ the exit codes of a fixed set of runs: ``blockop``, ``project``,
 ``rieszconst`` and ``subord`` on four Hamiltonian specs of the benchmark's
 kind (n = 24 with seeds 0, 3 and 7919, n = 64 with seed 0), ``blockop`` on a
 mixed-sign ``rSeq``, ``enclosure`` (with ``--points`` and ``--lobes``) and
-``subord`` on the small specs of ``test_cli.py``, ``sweep --seeds 0..199``
-and ``demo figure4 --points``.  ``test_golden_reports`` regenerates them in
+``subord`` on the small specs of ``test_cli.py`` and on a ``banded`` spec,
+``gaps`` on a ``radii`` spec that carries its ``asymptotic`` law and on an
+asymptotic-only spec with ``kMax``, ``sweep --seeds 0..199`` and ``demo
+figure4 --points``.  ``test_golden_reports`` regenerates them in
 process and compares them field by field: exit codes, verdicts, counts,
 ranks, labels, keys and lengths exactly, floats within the tolerances below.
 It does not gate on bytes, since OpenBLAS picks its kernels by CPU, but it
@@ -108,6 +110,17 @@ def specs():
                           "B": [[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 1.1]],
                           "C": [[0.9, -0.1, 0.0], [-0.1, 1.2, 0.2], [0.0, 0.2, 0.7]]},
                     "p": 0.0}, 12.0)
+    out["banded"] = ({"G": {"rays": [{"theta": 0.0, "radii": [1.0, 4.0, 9.0, 16.0, 25.0]},
+                                     {"theta": math.pi, "radii": [2.0, 6.0, 12.0]}]},
+                      "S": {"kind": "banded", "seed": 5, "scale": 0.5, "bandwidth": 1},
+                      "p": 0.5}, 25.0)
+    # gap sequences: explicit radii that also carry their law, and the law alone
+    out["gaps-radii"] = ({"gapModel": {
+        "radii": [1.0, 4.0, 9.0, 16.0, 25.0, 36.0], "l": 1.2, "p": 0.5,
+        "asymptotic": {"c": 1.0, "q": 2.0}}}, 36.0)
+    out["gaps-asymptotic"] = ({"gapModel": {
+        "asymptotic": {"c": 1.0, "q": 2.0, "dTail": [0.5, -0.25]}, "kMax": 50,
+        "l": 0.9, "p": 0.5}}, 2500.0)
     return out
 
 
@@ -128,6 +141,12 @@ def runs():
         table["enclosure-" + spec] = (["enclosure"], spec,
                                       (("--points", "points"), ("--lobes", "lobes")))
         table["subord-" + spec] = (["subord"], spec, ())
+    # alpha = 4b gives r0 = 8.76, so the eigenvalues near 9, 12, 16 and 25 sit in lobes
+    table["enclosure-banded"] = (["enclosure", "--alpha-factor", "4"], "banded",
+                                 (("--points", "points"), ("--lobes", "lobes")))
+    table["subord-banded"] = (["subord"], "banded", ())
+    for spec in ("gaps-radii", "gaps-asymptotic"):
+        table[spec] = (["gaps"], spec, ())
     table["sweep"] = (["sweep", "--seeds", "0..199"], None, ())
     table["demo-figure4"] = (["demo", "figure4"], None, (("--points", "points"),))
     return table
