@@ -82,7 +82,7 @@ def build_hamiltonian(model: HamiltonianModel) -> operators.PerturbedSystem:
     r = np.asarray(model.r_seq + model.r_seq)
     rays = [operators.Ray(theta, np.abs(r[side])) for theta, side in
             ((np.pi / 2.0, r >= 0.0), (1.5 * np.pi, r < 0.0)) if side.any()]
-    return operators.assemble(1j * np.diag(r).astype(complex),
+    return operators.assemble(1j * r,
                               operators.offdiagonal_block(model.b_mat, model.c_mat), 0.0,
                               operators.RaySpectrumSpec(tuple(rays)))
 

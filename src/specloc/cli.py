@@ -126,9 +126,8 @@ def system_from_json(data: dict) -> operators.PerturbedSystem:
         raise InputError("declared dimension %r != ray dimension %d" % (declared, n))
     if "p" not in data:
         raise InputError("spec needs the subordination exponent p")
-    g = operators.build_normal(ray_spec)
     s = perturbation_from_json(data, n)
-    return operators.assemble(g, s, float(data["p"]), ray_spec=ray_spec)
+    return operators.assemble(ray_spec.eigenvalues(), s, float(data["p"]), ray_spec=ray_spec)
 
 
 @_reading("hamiltonian spec")
@@ -393,9 +392,8 @@ def cmd_demo(args) -> int:
     k = np.arange(1, 13)
     radii = (k**2).astype(float)
     ray_spec = operators.RaySpectrumSpec(rays=(operators.Ray(theta=0.0, radii=tuple(radii)),))
-    g = operators.build_normal(ray_spec)
     s = operators.random_gaussian(ray_spec.dimension, args.seed, 0.8)
-    system = operators.assemble(g, s, 0.5, ray_spec=ray_spec)
+    system = operators.assemble(ray_spec.eigenvalues(), s, 0.5, ray_spec=ray_spec)
     b = subordination.subordination_bound(system.s, system.g, system.p).bound
     alpha = 1.5 * b
     abscissae = [float((x + 0.5) ** 2) for x in k[:-1]]

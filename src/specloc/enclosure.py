@@ -24,6 +24,9 @@ from . import numerics, subordination
 from .errors import InputError
 from .operators import PerturbedSystem
 
+#: abscissae per lobe in ``lobe_boundary``
+LOBE_POINTS = 200
+
 
 @dataclass(frozen=True)
 class EnclosureRegion:
@@ -178,14 +181,14 @@ def enclose(system: PerturbedSystem, alpha_factor: float, epsilon: float | None 
     return Enclosure(parameters, region, verify_spectrum_enclosure(system, region))
 
 
-def lobe_boundary(region: EnclosureRegion, x_max: float, count: int = 200):
-    """Boundary polylines of each lobe in lobe coordinates.
+def lobe_boundary(region: EnclosureRegion, x_max: float):
+    """Boundary polylines of each lobe in lobe coordinates at LOBE_POINTS abscissae.
 
     Yields rows (theta, x, y_upper, y_lower) for CSV dumps.
     """
-    if x_max <= 0.0 or count < 2:
-        raise InputError("need x_max > 0 and count >= 2")
-    xs = np.linspace(0.0, float(x_max), int(count)).tolist()
+    if x_max <= 0.0:
+        raise InputError("need x_max > 0")
+    xs = np.linspace(0.0, float(x_max), LOBE_POINTS).tolist()
     # scalar powers: numpy's vector pow moves about 5% of them by an ulp at p != 1/2
     halfwidths = [region.alpha * x ** region.p for x in xs]
     for theta in region.thetas:

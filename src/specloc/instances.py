@@ -65,25 +65,24 @@ def enclosure_instance(seed: int):
         if rs:
             rays.append(operators.Ray(theta=float(theta), radii=tuple(rs)))
     ray_spec = operators.RaySpectrumSpec(rays=tuple(rays))
-    g = operators.build_normal(ray_spec)
+    g = ray_spec.eigenvalues()
 
-    # indices of the planted pair in the assembled diagonal
-    diag = np.diag(g)
-    pair = np.flatnonzero(np.isclose(np.abs(diag), r_max) & np.isclose(
-        np.mod(np.angle(diag), _TWO_PI), np.mod(thetas[0], _TWO_PI), atol=1e-9))[:2]
+    # indices of the planted pair in G's diagonal
+    pair = np.flatnonzero(np.isclose(np.abs(g), r_max) & np.isclose(
+        np.mod(np.angle(g), _TWO_PI), np.mod(thetas[0], _TWO_PI), atol=1e-9))[:2]
 
     strength = b_target * r_max**p
-    s = np.zeros((len(diag), len(diag)), dtype=complex)
+    s = np.zeros((len(g), len(g)), dtype=complex)
     i, j = int(pair[0]), int(pair[1])
     phase = np.exp(1j * thetas[0])
     s[i, j] = strength * phase
     s[j, i] = -strength * phase
-    bg = numerics.gaussian(rng, (len(diag), len(diag)))
+    bg = numerics.gaussian(rng, (len(g), len(g)))
     bg *= 0.1 * b_target / numerics.opnorm(bg)
     s += bg
 
     system = operators.assemble(g, s, p, ray_spec=ray_spec)
-    info = {"seed": idx, "n": int(len(diag)), "p": float(p), "rays": int(len(rays)),
+    info = {"seed": idx, "n": int(len(g)), "p": float(p), "rays": int(len(rays)),
             "bTarget": b_target, "rMax": float(r_max)}
     return system, info
 

@@ -47,10 +47,15 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def is_diagonal(m) -> bool:
-    """True when every off-diagonal entry of the square matrix ``m`` is exactly 0."""
-    m = np.asarray(m)
-    return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
+def as_diagonal(g) -> np.ndarray:
+    """Validate ``g`` as the diagonal of G, a finite complex vector, and return a copy."""
+    v = np.array(g, dtype=complex)
+    if v.ndim != 1:
+        raise InputError("G is given by its diagonal: expected a vector, got shape %r"
+                         % (v.shape,))
+    if not np.all(np.isfinite(v)):
+        raise InputError("the diagonal of G contains non-finite entries")
+    return v
 
 
 def opnorm(a) -> float | np.ndarray:

@@ -1,12 +1,12 @@
 """Normal operators with ray-localized spectra, perturbation builders, and
 ``assemble``, the one constructor of perturbed systems T = G + S.
 
-``build_normal`` gives the diagonal G with eigenvalues e^{i theta_j} r on
-finitely many rays; ``random_gaussian``, ``banded`` and ``offdiagonal_block``
-(the one writer of [[0, B], [C, 0]]) give S.  ``assemble`` takes a diagonal G
+A ray spectrum's ``eigenvalues`` e^{i theta_j} r are the normal G, given by
+its diagonal; ``random_gaussian``, ``banded`` and ``offdiagonal_block`` (the
+one writer of [[0, B], [C, 0]]) give S.  ``assemble`` takes G as that vector
 with its declared ray spectrum: a normal G is unitarily diagonal, and b, the
 spectrum of T and the Riesz-basis constants are unitarily invariant.
-Everything is a finite matrix, capped at dimension 512.
+Everything is finite, capped at dimension 512.
 """
 
 from __future__ import annotations
@@ -74,8 +74,6 @@ class RaySpectrumSpec:
 
     def eigenvalues(self) -> np.ndarray:
         """All eigenvalues, concatenated ray by ray in declaration order."""
-        if self.dimension == 0:
-            return np.zeros(0, dtype=complex)
         return np.concatenate([r.eigenvalues() for r in self.rays])
 
     def min_ray_separation(self) -> float:
@@ -90,12 +88,6 @@ class RaySpectrumSpec:
 def _check_dimension(n: int):
     if n > MAX_DIMENSION:
         raise DimensionError("dimension %d exceeds cap %d" % (n, MAX_DIMENSION))
-
-
-def build_normal(spec: RaySpectrumSpec) -> np.ndarray:
-    """Diagonal matrix with the spec's eigenvalues, in declaration order."""
-    _check_dimension(spec.dimension)
-    return np.diag(spec.eigenvalues())
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +151,8 @@ def offdiagonal_block(b, c) -> np.ndarray:
 
 @dataclass
 class PerturbedSystem:
-    """T = G + S with G diagonal and its spectrum on the rays of ``ray_spec``;
-    built by ``assemble``."""
+    """T = G + S with G normal, ``g`` its eigenvalues in T's coordinate order,
+    on the rays of ``ray_spec``; built by ``assemble``."""
 
     g: np.ndarray
     s: np.ndarray
@@ -168,37 +160,31 @@ class PerturbedSystem:
     p: float
     ray_spec: RaySpectrumSpec
 
-    @property
-    def dimension(self) -> int:
-        return self.g.shape[0]
-
 
 def assemble(g, s, p: float, ray_spec: RaySpectrumSpec) -> PerturbedSystem:
-    """Validate and assemble T = G + S; the one constructor of PerturbedSystem.
+    """Validate and assemble T = diag(g) + S; the one constructor of PerturbedSystem.
 
-    G must be diagonal, its diagonal the declared ray spectrum as a multiset
-    (to 1e-10 relative): a normal G enters through its eigenvalues, since
-    every quantity specloc certifies is unitarily invariant.  The
-    subordination exponent p must lie in [0, 1).
+    ``g`` is the vector of G's n eigenvalues, finite and in T's coordinate
+    order, and must be the declared ray spectrum as a multiset (to 1e-10
+    relative): a normal G enters through its eigenvalues, since every
+    quantity specloc certifies is unitarily invariant.  The subordination
+    exponent p must lie in [0, 1).
     """
-    g = numerics.as_matrix(g)
+    g = numerics.as_diagonal(g)
     s = numerics.as_matrix(s)
-    if g.shape != s.shape:
-        raise DimensionError("G is %r but S is %r" % (g.shape, s.shape))
-    _check_dimension(g.shape[0])
+    if len(g) != len(s):
+        raise DimensionError("G has %d eigenvalues but S is %r" % (len(g), s.shape))
+    _check_dimension(len(g))
     p = float(p)
     if not (0.0 <= p < 1.0):
         raise InputError("subordination exponent p must lie in [0, 1), got %r" % p)
-    if not numerics.is_diagonal(g):
-        raise InputError("G must be diagonal: a normal G enters through its eigenvalues")
-    if ray_spec.dimension != g.shape[0]:
+    if ray_spec.dimension != len(g):
         raise DimensionError(
-            "ray spec dimension %d != matrix dimension %d" % (ray_spec.dimension, g.shape[0])
+            "ray spec dimension %d != matrix dimension %d" % (ray_spec.dimension, len(g))
         )
-    values = np.diag(g)
     want = np.sort_complex(ray_spec.eigenvalues())
-    got = np.sort_complex(values)
-    scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
+    got = np.sort_complex(g)
+    scale = max(1.0, float(np.max(np.abs(g), initial=0.0)))
     if np.max(np.abs(want - got)) > 1e-10 * scale:
         raise InputError("spectrum of G does not match the declared ray spectrum")
-    return PerturbedSystem(g=g, s=s, t=g + s, p=p, ray_spec=ray_spec)
+    return PerturbedSystem(g=g, s=s, t=np.diag(g) + s, p=p, ray_spec=ray_spec)

@@ -245,11 +245,10 @@ def _below(h, level: float, rho: float) -> np.ndarray:
 
 
 def _pattern_bounds(patterns, ranks,
-                    screen: _Screen) -> tuple[np.ndarray, np.ndarray, int] | None:
+                    screen: _Screen) -> tuple[np.ndarray, int] | None:
     """An upper bound on each pattern's computed norm (``_screen``), with the
-    mask of the bounds that are caps and the count of eigvalsh calls; None
-    when a Cholesky factorization of M_SS or an eigvalsh fails, or a bound is
-    not finite.
+    count of eigvalsh calls; None when a Cholesky factorization of M_SS or an
+    eigvalsh fails, or a bound is not finite.
 
     With M_SS = LL*, the exact bound comes from lambda~ = lambda_max(H) by
     eigvalsh, H = L* N_SS L: one batched Cholesky and eigvalsh per size of S
@@ -325,7 +324,7 @@ def _pattern_bounds(patterns, ranks,
     bound = _bound(lam, screen)
     if not np.all(np.isfinite(bound)):
         return None
-    return bound, capped, int(np.count_nonzero(size > 0) - np.count_nonzero(capped))
+    return bound, int(np.count_nonzero(size > 0) - np.count_nonzero(capped))
 
 
 def _pattern_norms(rows, family: ProjectionFamily) -> np.ndarray:
@@ -382,7 +381,7 @@ def sign_pattern_constant(family: ProjectionFamily, seed: int = 0, report: bool 
     norms = np.full(len(patterns), -1.0)  # -1: not normed
     eigensolves = 0
     if screened is not None:
-        bound, _, eigensolves = screened
+        bound, eigensolves = screened
         top = int(np.argmax(bound))
         norms[top] = _pattern_norms(patterns[top:top + 1], family)[0]
         keep = np.flatnonzero(bound >= norms[top])

@@ -83,15 +83,14 @@ def from_asymptotic(c: float, q: float, l: float, p: float, k_max: int, d_tail=(
 
 @dataclass(frozen=True)
 class GapReport:
-    """The gap condition ``lhs <= rhs`` at each inspected index ``k``, as
-    aligned arrays."""
+    """The gap condition ``lhs <= rhs`` at each index ``k``, as aligned arrays."""
 
     k: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
     holds: np.ndarray
-    #: smallest k such that the condition holds from k through the end of the
-    #: inspected window; None when it fails at the last inspected index
+    #: smallest k such that the condition holds from k through the last pair;
+    #: None when it fails at the last pair
     first_hold_index: int | None
 
     @property
@@ -99,20 +98,14 @@ class GapReport:
         return bool(self.holds.all())
 
 
-def check_gap_sequence(model: GapSequenceModel, k_range: tuple[int, int] | None = None) -> GapReport:
-    """Evaluate the gap condition for consecutive radii indices in k_range.
+def check_gap_sequence(model: GapSequenceModel) -> GapReport:
+    """Evaluate the gap condition at every pair of consecutive radii.
 
     Indices are 1-based positions into ``model.radii``; the condition at k
     compares r_k with r_{k+1}.
     """
     r = np.asarray(model.radii)
-    n_pairs = len(r) - 1
-    if k_range is None:
-        k_range = (1, n_pairs)
-    k_lo, k_hi = int(k_range[0]), int(k_range[1])
-    if k_lo < 1 or k_hi > n_pairs or k_lo > k_hi:
-        raise InputError("k_range %r out of bounds for %d radius pairs" % (k_range, n_pairs))
-    ks = np.arange(k_lo, k_hi + 1)
+    ks = np.arange(1, len(r))
     lhs = r[ks - 1] + model.l * r[ks - 1] ** model.p
     rhs = r[ks] - model.l * r[ks] ** model.p
     holds = lhs <= rhs

@@ -7,9 +7,9 @@ S is p-subordinate to G with bound b when
 By weighted AM-GM, ||u||^(2-2p) ||G u||^(2p) is the minimum over t > 0 of
 u* ((1-p) t^p + p t^(p-1) G*G) u, attained at t = ||G u||^2 / ||u||^2.
 Swapping the two suprema turns the minimal b into a one-parameter pencil
-problem.  G is diagonal (a normal G is unitarily diagonal, and b is
-unitarily invariant), so G = U diag(sigma) V* with sigma = |g_ii| in
-decreasing order and V a permutation, with no SVD; with H = (S V)* (S V),
+problem.  G is its diagonal g (a normal G is unitarily diagonal and b is
+unitarily invariant), so G = U diag(sigma) V* with sigma = |g_i| sorted down,
+V a permutation and S V a column selection of S; with H = (S V)* (S V),
 
     b^2 = max over t in [sigma_min^2, sigma_max^2] of lambda_max(H, D(t)),
     D(t) = diag((1-p) t^p + p t^(p-1) sigma_i^2).
@@ -39,8 +39,8 @@ from .errors import ConvergenceError, InputError
 #: relative width of the certified bracket: bound <= lower (1 + BRACKET_RTOL)
 BRACKET_RTOL = 1e-6
 
-#: relative rounding pad on the upper end.  sigma is |g_ii| to an ulp and V
-#: is a permutation, so each entry of the scaled pencil D^(-1/2) H D^(-1/2)
+#: relative rounding pad on the upper end.  sigma is |g_i| to an ulp and S V
+#: is a column selection, so each entry of the scaled pencil D^(-1/2) H D^(-1/2)
 #: is a dot product off by at most n eps times the norms of its two columns.
 #: That moves the pencil by at most n^2 eps of its norm.  zheevr reduces the pencil with the same zhetrd as a
 #: full eigh, and its top eigenvalue carries the same O(n eps) backward error;
@@ -58,20 +58,20 @@ _HEEVR = scipy.linalg.get_lapack_funcs("heevr", dtype=complex)
 
 
 def _check_pair(s, g):
-    g = numerics.as_matrix(g)
+    g = numerics.as_diagonal(g)
     s = np.array(s, dtype=complex)
-    if s.ndim != 2 or s.shape[1] != g.shape[0]:
-        raise InputError("S must have %d columns, got shape %r" % (g.shape[0], s.shape))
+    if s.ndim != 2 or s.shape[1] != len(g):
+        raise InputError("S must have %d columns, got shape %r" % (len(g), s.shape))
     if s.size and not np.all(np.isfinite(s)):
         raise InputError("S contains non-finite entries")
     return s, g
 
 
 def _ratios(s, g, p, u):
-    """||S u_j|| / (||u_j||^(1-p) ||G u_j||^p) for each column u_j of u, with
-    0/0 -> 0 and x/0 -> inf (p > 0, G u_j = 0 and S u_j != 0: no bound holds)."""
+    """||S u_j|| / (||u_j||^(1-p) ||G u_j||^p), G = diag(g), for each column u_j of u,
+    with 0/0 -> 0 and x/0 -> inf (p > 0, G u_j = 0 and S u_j != 0: no bound holds)."""
     su = np.linalg.norm(s @ u, axis=0)
-    gp = np.linalg.norm(g @ u, axis=0) ** p if p else 1.0
+    gp = np.linalg.norm(g[:, None] * u, axis=0) ** p if p else 1.0
     den = np.linalg.norm(u, axis=0) ** (1.0 - p) * gp
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(su == 0.0, 0.0, su / den)
@@ -162,7 +162,7 @@ def _pencil_tops(h, sigma2, p, diags):
 def subordination_bound(s, g, p: float) -> SubordinationResult:
     """Certified bracket lower <= b <= bound around the minimal constant b.
 
-    G must be diagonal (InputError otherwise).  p = 0 reduces to the
+    G is given by its diagonal g (InputError otherwise).  p = 0 reduces to the
     operator norm of S, whose upper end is sigma_1 rounded up by 4 (n + 1)
     eps (``_round_up``).  When p > 0 and G has a numerical kernel that S
     does not annihilate, the bound is infinite.  The upper end carries the
@@ -171,12 +171,10 @@ def subordination_bound(s, g, p: float) -> SubordinationResult:
     cells per level.
     """
     s, g = _check_pair(s, g)
-    if not numerics.is_diagonal(g):
-        raise InputError("G must be diagonal: a normal G enters through its eigenvalues")
     p = float(p)
     if not (0.0 <= p < 1.0):
         raise InputError("p must lie in [0, 1)")
-    n = g.shape[0]
+    n = len(g)
     if n == 0:
         return SubordinationResult(0.0, 0.0, None)
     if not np.any(s):
@@ -191,20 +189,20 @@ def subordination_bound(s, g, p: float) -> SubordinationResult:
         return SubordinationResult(max(_round_up(float(sv[0]), n), ratio),
                                    _round_down(ratio, n), witness)
 
-    # G is its own SVD: sigma = |g_ii| and V a permutation
-    order = np.argsort(-np.abs(np.diagonal(g)), kind="stable")
-    sg, vgh = np.abs(np.diagonal(g))[order], np.eye(n)[order]
+    # G is its own SVD: sigma = |g_i| and V the permutation ``order``
+    order = np.argsort(-np.abs(g), kind="stable")
+    sg = np.abs(g)[order]
     # unboundedness: S must vanish on ker G when p > 0
     kernel = sg <= 1e-12 * max(sg[0], 1.0)
     if np.any(kernel):
-        kvecs = vgh[kernel].T
-        if np.all(kernel) or numerics.opnorm(s @ kvecs) > 1e-10 * max(numerics.opnorm(s), 1.0):
+        if (np.all(kernel) or numerics.opnorm(s[:, order[kernel]])
+                > 1e-10 * max(numerics.opnorm(s), 1.0)):
             return SubordinationResult(math.inf, math.inf, None)
 
     # S vanishes on the kernel, so only the range of G* carries the ratio
-    v = vgh[~kernel].T
+    cols = order[~kernel]
     sigma2 = sg[~kernel] ** 2
-    sv = s @ v
+    sv = s[:, cols]
     h = sv.conj().T @ sv
     cells = np.array([[sigma2[-1], sigma2[0]]])
     lower, best, upper = -math.inf, None, 0.0
@@ -213,9 +211,11 @@ def subordination_bound(s, g, p: float) -> SubordinationResult:
         # a cell end and there bounds lambda_max(H, D(t)) over the whole cell
         lam, u, ratio2 = _pencil_tops(h, sigma2, p, _minorant(sigma2, p, cells[:, 0], cells[:, 1]))
         k = int(np.argmax(ratio2))
-        cand = _round_down(float(_ratios(s, g, p, v @ u[k, :, None])[0]), n)
+        w = np.zeros(n, dtype=complex)
+        w[cols] = u[k]  # back from V coordinates into T's
+        cand = _round_down(float(_ratios(s, g, p, w[:, None])[0]), n)
         if cand > lower:
-            lower, best = cand, u[k]
+            lower, best = cand, w
         lam = np.maximum(lam[:len(cells)], lam[len(cells):])
         cell_bounds = np.sqrt(lam) * (1.0 + ROUNDING_PAD)
         closed = cell_bounds <= lower * (1.0 + BRACKET_RTOL)
@@ -234,7 +234,7 @@ def subordination_bound(s, g, p: float) -> SubordinationResult:
         cells = np.concatenate([np.stack([cells[:, 0], mid], axis=1),
                                 np.stack([mid, cells[:, 1]], axis=1)])
 
-    return SubordinationResult(upper, lower, v @ best)
+    return SubordinationResult(upper, lower, best)
 
 
 def verify_bound(s, g, p: float, b: float, sample_count: int = 1000, seed: int = 0):
@@ -246,7 +246,7 @@ def verify_bound(s, g, p: float, b: float, sample_count: int = 1000, seed: int =
     s, g = _check_pair(s, g)
     if sample_count < 0:
         raise InputError("sample_count must be non-negative")
-    n = g.shape[0]
+    n = len(g)
     u = numerics.unit_columns(numerics.subrng(seed, 2), n, sample_count)
     r = _ratios(s, g, float(p), u)
     bad = np.flatnonzero(r > float(b) * (1.0 + 1e-9))

@@ -19,8 +19,7 @@ def rays(*pairs):
 def block_system(a, b, c, d, p, spec):
     """T = [[A, B], [C, D]] with A and D diagonal (given by their diagonals),
     assembled as G + S with G = diag(A, D) on the declared rays."""
-    g = np.diag(np.concatenate([a, d])).astype(complex)
-    return operators.assemble(g, operators.offdiagonal_block(b, c), p, spec)
+    return operators.assemble(np.concatenate([a, d]), operators.offdiagonal_block(b, c), p, spec)
 
 
 class TestAssembleBlock:
@@ -36,7 +35,8 @@ class TestAssembleBlock:
     def test_off_diagonal_layout(self):
         system = block_system([1.0], [[5.0]], [[7.0]], [2.0], 0.0, rays((0.0, (1.0, 2.0))))
         np.testing.assert_array_equal(system.s, [[0.0, 5.0], [7.0, 0.0]])
-        np.testing.assert_array_equal(system.g, np.diag([1.0, 2.0]).astype(complex))
+        np.testing.assert_array_equal(system.g, [1.0, 2.0])
+        assert system.g.ndim == 1
 
     def test_p_zero_bound_is_max_of_block_norms(self):
         rng = np.random.default_rng(2)
@@ -127,22 +127,24 @@ class TestHamiltonianSpectrum:
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_mixed_sign_r_seq(self):
-        # G = diag(A, A) with A = i diag(r), bit for bit the block-diagonal
-        # assembly; r < 0 sits on the ray 3 pi/2, r >= 0 on pi/2
+        # G = diag(A, A) with A = i diag(r), given by its diagonal i (r, r); T
+        # bit for bit the dense block-diagonal assembly G + S; r < 0 sits on
+        # the ray 3 pi/2, r >= 0 on pi/2
         r = (-12.0, -8.0, -4.0, 0.0, 4.0, 8.0)
         model = blockop.HamiltonianModel(r_seq=r, b_mat=np.eye(6), c_mat=np.eye(6),
                                          gamma=1.0, l=1.5)
         system = blockop.build_hamiltonian(model)
+        assert system.g.tobytes() == (1j * np.asarray(r + r)).tobytes()
         a = 1j * np.diag(np.asarray(r)).astype(complex)
-        assert system.g.tobytes() == scipy.linalg.block_diag(a, a).tobytes()
-        np.testing.assert_array_equal(system.s, operators.offdiagonal_block(np.eye(6),
-                                                                            np.eye(6)))
+        s = operators.offdiagonal_block(np.eye(6), np.eye(6))
+        np.testing.assert_array_equal(system.s, s)
+        assert system.t.tobytes() == (scipy.linalg.block_diag(a, a) + s).tobytes()
         spec = system.ray_spec
         assert [(ray.theta, ray.radii) for ray in spec.rays] == [
             (np.pi / 2, (0.0, 4.0, 8.0) * 2), (1.5 * np.pi, (12.0, 8.0, 4.0) * 2)]
         # each eigenvalue of G once: the declared multiset is the diagonal's
         np.testing.assert_allclose(np.sort_complex(spec.eigenvalues()),
-                                   np.sort_complex(np.diag(system.g)), atol=1e-14)
+                                   np.sort_complex(system.g), atol=1e-14)
         assert blockop.verify_hamiltonian(system, model).clean
 
     def test_verify_clean(self):

@@ -126,7 +126,7 @@ class TestSubord:
         lower, bound = report["lowerBound"], report["bound"]
         assert lower <= bound <= lower * (1.0 + subordination.BRACKET_RTOL)
         witness = [complex(re, im) for re, im in report["witness"]]
-        g = np.diag([1.0, 4.0])
+        g = [1.0, 4.0]
         np.testing.assert_allclose(subordination.subordination_ratio(E12, g, 0.5, witness),
                                    lower, rtol=1e-12)
         assert subordination.verify_bound(E12, g, 0.5, bound, sample_count=100_000) == []

@@ -16,7 +16,7 @@ from reference_linalg import r0_conditions, refined_excluded, svd_extremes
 def on_one_ray(radii, s, p):
     """The system G + S with G = diag(radii) on the ray theta = 0."""
     spec = operators.RaySpectrumSpec((operators.Ray(0.0, tuple(radii)),))
-    return operators.assemble(operators.build_normal(spec), s, p, spec)
+    return operators.assemble(spec.eigenvalues(), s, p, spec)
 
 
 class TestContains:
@@ -213,8 +213,7 @@ class TestVerifySpectrum:
             operators.Ray(theta=0.3, radii=(1.0, 5.0, 9.0)),
             operators.Ray(theta=2.5, radii=(2.0, 4.0)),
         ))
-        g = operators.build_normal(spec)
-        system = operators.assemble(g, np.zeros_like(g), 0.5, ray_spec=spec)
+        system = operators.assemble(spec.eigenvalues(), np.zeros((5, 5)), 0.5, ray_spec=spec)
         region = enclosure.EnclosureRegion(0.0, spec.thetas, 0.5, 0.5)
         report = enclosure.verify_spectrum_enclosure(system, region)
         assert report.all_inside
@@ -231,10 +230,14 @@ class TestVerifySpectrum:
 
     def test_lobe_boundary_rows(self):
         region = enclosure.EnclosureRegion(1.0, [0.0, 1.0], 2.0, 0.5)
-        rows = list(enclosure.lobe_boundary(region, 4.0, count=5))
-        assert len(rows) == 10
-        theta, x, y_up, y_lo = rows[-1]
-        np.testing.assert_allclose([theta, x, y_up, y_lo], [1.0, 4.0, 4.0, -4.0])
+        rows = np.array(list(enclosure.lobe_boundary(region, 4.0)))
+        assert rows.shape == (2 * enclosure.LOBE_POINTS, 4) and enclosure.LOBE_POINTS == 200
+        np.testing.assert_array_equal(rows[:, 0], np.repeat([0.0, 1.0], 200))
+        np.testing.assert_array_equal(rows[:200, 1:], rows[200:, 1:])
+        np.testing.assert_allclose(rows[:200, 1], np.linspace(0.0, 4.0, 200), rtol=1e-15)
+        np.testing.assert_allclose(rows[:200, 2], 2.0 * np.sqrt(rows[:200, 1]), rtol=1e-15)
+        np.testing.assert_array_equal(rows[:, 3], -rows[:, 2])
+        np.testing.assert_allclose(rows[-1], [1.0, 4.0, 4.0, -4.0])
 
 
 class TestRefinedRejectionsAreResolvent:

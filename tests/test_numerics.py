@@ -114,16 +114,6 @@ class TestEig:
                 < 4.0 * numerics.EIG_RESIDUAL_RTOL)
 
 
-class TestIsDiagonal:
-    def test_exact_zeros_only(self):
-        assert numerics.is_diagonal(np.diag([1.0, 2.0j, 0.0]))
-        assert numerics.is_diagonal(np.zeros((3, 3)))
-        assert numerics.is_diagonal(np.zeros((0, 0)))
-        off = np.diag([1.0, 2.0]).astype(complex)
-        off[1, 0] = 1e-300j
-        assert not numerics.is_diagonal(off)
-
-
 class TestSvdExtremes:
     def test_identity(self):
         assert svd_extremes(np.eye(4)) == (1.0, 1.0)

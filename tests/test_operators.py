@@ -15,21 +15,23 @@ def two_ray_spec():
 
 
 class TestBuildNormal:
+    """The normal G of a ray spectrum: its eigenvalues, in declaration order."""
+
     def test_diagonal_entries(self):
-        g = operators.build_normal(two_ray_spec())
-        np.testing.assert_allclose(np.diag(g), [1.0, 4.0, 2.0j], atol=1e-15)
-        assert numerics.opnorm(g - np.diag(np.diag(g))) == 0.0
+        g = two_ray_spec().eigenvalues()
+        assert g.shape == (3,)
+        np.testing.assert_allclose(g, [1.0, 4.0, 2.0j], atol=1e-15)
 
     def test_is_normal(self):
-        g = operators.build_normal(two_ray_spec())
-        comm = g @ g.conj().T - g.conj().T @ g
+        spec = two_ray_spec()
+        system = operators.assemble(spec.eigenvalues(), np.zeros((3, 3)), 0.5, spec)
+        comm = system.t @ system.t.conj().T - system.t.conj().T @ system.t
         assert numerics.opnorm(comm) <= 1e-14
 
     def test_eigenvalue_multiset(self):
         spec = operators.RaySpectrumSpec(rays=(
             operators.Ray(theta=np.pi, radii=(3.0, 3.0, 1.0)),))
-        g = operators.build_normal(spec)
-        got = sorted(np.diag(g), key=lambda z: (z.real, z.imag))
+        got = sorted(spec.eigenvalues(), key=lambda z: (z.real, z.imag))
         want = sorted([-3.0 + 0j, -3.0 + 0j, -1.0 + 0j], key=lambda z: (z.real, z.imag))
         np.testing.assert_allclose(got, want, atol=1e-14)
 
@@ -37,7 +39,7 @@ class TestBuildNormal:
         spec = operators.RaySpectrumSpec(rays=(
             operators.Ray(theta=0.0, radii=tuple(float(k) for k in range(1, 514))),))
         with pytest.raises(DimensionError):
-            operators.build_normal(spec)
+            operators.assemble(spec.eigenvalues(), np.zeros((513, 513)), 0.5, spec)
 
     def test_rejects_duplicate_ray_angles(self):
         with pytest.raises(InputError):
@@ -106,23 +108,24 @@ class TestBuildPerturbation:
 class TestAssemble:
     def test_basic(self):
         spec = two_ray_spec()
-        g = operators.build_normal(spec)
+        g = spec.eigenvalues()
         s = 0.1 * np.ones((3, 3), dtype=complex)
         system = operators.assemble(g, s, 0.5, ray_spec=spec)
-        np.testing.assert_array_equal(system.t, g + s)
+        np.testing.assert_array_equal(system.g, g)
+        np.testing.assert_array_equal(system.t, np.diag(g) + s)
         assert system.p == 0.5
-        np.testing.assert_allclose(system.ray_spec.eigenvalues(), np.diag(g))
+        np.testing.assert_allclose(system.ray_spec.eigenvalues(), system.g)
 
     def test_rejects_p_out_of_range(self):
         spec = operators.RaySpectrumSpec(rays=(operators.Ray(theta=0.0, radii=(1.0, 2.0)),))
         for bad in (1.0, -0.1, 2.0):
             with pytest.raises(InputError):
-                operators.assemble(np.diag([1.0, 2.0]), np.zeros((2, 2)), bad, spec)
+                operators.assemble([1.0, 2.0], np.zeros((2, 2)), bad, spec)
 
     def test_rejects_dim_mismatch(self):
         spec = operators.RaySpectrumSpec(rays=(operators.Ray(theta=0.0, radii=(1.0, 2.0)),))
         with pytest.raises(DimensionError):
-            operators.assemble(np.diag([1.0, 2.0]), np.zeros((3, 3)), 0.5, spec)
+            operators.assemble([1.0, 2.0], np.zeros((3, 3)), 0.5, spec)
 
     def test_diagonal_g_takes_no_svd(self, monkeypatch):
         def no_svd(*args, **kwargs):
@@ -130,23 +133,23 @@ class TestAssemble:
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         spec = two_ray_spec()
-        system = operators.assemble(np.diag([1.0, 4.0, 2.0j]), np.ones((3, 3)), 0.5, spec)
+        system = operators.assemble([1.0, 4.0, 2.0j], np.ones((3, 3)), 0.5, spec)
         assert system.ray_spec is spec
 
-    def test_rejects_non_diagonal_g(self):
-        # a non-normal G, and a normal G = Q diag(1, 2, 3i) Q* with the declared
-        # spectrum: only the diagonal form is accepted
-        c, s = np.cos(0.3), np.sin(0.3)
-        q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        spec = operators.RaySpectrumSpec(rays=(operators.Ray(theta=0.0, radii=(1.0, 2.0)),
-                                               operators.Ray(theta=np.pi / 2, radii=(3.0,))))
-        for g in (np.array([[1.0, 0.5, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0j]]),
-                  q @ np.diag([1.0, 2.0, 3.0j]) @ q.T):
-            with pytest.raises(InputError, match="diagonal"):
-                operators.assemble(g, np.zeros((3, 3)), 0.5, spec)
+    @pytest.mark.parametrize("g, match", [
+        (np.diag([1.0, 4.0, 2.0j]), "diagonal"),
+        ([1.0, 4.0], "eigenvalues"),
+        ([1.0, 4.0, 2.0j, 0.0], "eigenvalues"),
+        ([1.0, np.nan, 2.0j], "non-finite"),
+        ([1.0, np.inf, 2.0j], "non-finite"),
+    ], ids=["matrix", "short", "long", "nan", "inf"])
+    def test_rejects_malformed_g(self, g, match):
+        # G enters as the vector of its n eigenvalues, finite
+        with pytest.raises(InputError, match=match):
+            operators.assemble(g, np.zeros((3, 3)), 0.5, two_ray_spec())
 
     def test_rejects_mismatched_declared_spectrum(self):
         spec = operators.RaySpectrumSpec(rays=(operators.Ray(theta=0.0, radii=(1.0, 2.0)),))
-        g = np.diag([1.0, 3.0])
+        g = [1.0, 3.0]
         with pytest.raises(InputError):
             operators.assemble(g, np.zeros((2, 2)), 0.5, ray_spec=spec)

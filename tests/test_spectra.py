@@ -26,13 +26,6 @@ class TestGapSequence:
         model = spectra.GapSequenceModel(radii=(1.0, 10.0, 10.5), l=1.0, p=0.0)
         assert spectra.check_gap_sequence(model).first_hold_index is None
 
-    def test_k_range_window(self):
-        model = spectra.from_asymptotic(c=1.0, q=2.0, l=0.5, p=0.5, k_max=50)
-        report = spectra.check_gap_sequence(model, k_range=(10, 20))
-        assert report.k.tolist() == list(range(10, 21))
-        with pytest.raises(InputError):
-            spectra.check_gap_sequence(model, k_range=(0, 10))
-
     def test_rejects_non_increasing_radii(self):
         with pytest.raises(InputError):
             spectra.GapSequenceModel(radii=(1.0, 1.0), l=0.1, p=0.0)
@@ -94,8 +87,8 @@ class TestAsymptoticClassifier:
                 l = float(rng.uniform(0.5, 2.0))
             verdict = spectra.classify_asymptotic_gap(c, q, l, p)
             model = spectra.from_asymptotic(c=c, q=q, l=l, p=p, k_max=k_max)
-            tail = spectra.check_gap_sequence(model, k_range=(k_max // 2, k_max - 1))
-            finite = tail.all_hold
+            # the window k_max / 2 .. k_max - 1 of the full report
+            finite = bool(spectra.check_gap_sequence(model).holds[k_max // 2 - 1:].all())
             if verdict == spectra.HOLDS_EVENTUALLY:
                 assert finite, (c, q, l, p)
             elif verdict == spectra.FAILS:

@@ -24,10 +24,10 @@ def assert_certified(res, s, g, p):
 def multiscale_instance(seed, p, n=24):
     """Moduli log-uniform in [1, 1e4] and a rank-2 coupling scaled by |g|^(p/2)."""
     rng = np.random.default_rng(seed)
-    g = np.diag(np.exp(rng.uniform(0.0, np.log(1e4), n))).astype(complex)
+    g = np.exp(rng.uniform(0.0, np.log(1e4), n)).astype(complex)
     low = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) @ (
         rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
-    w = np.abs(np.diag(g)) ** (p / 2.0)
+    w = np.abs(g) ** (p / 2.0)
     return w[:, None] * low * w[None, :], g
 
 
@@ -38,53 +38,53 @@ def closed_form_case(seed, p):
     moduli = np.exp(rng.uniform(0.0, np.log(1e4), n))
     if seed % 2:
         moduli = rng.choice(moduli[:max(1, n // 3)], size=n)
-    g = np.diag(moduli * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)))
+    g = moduli * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
     c = float(rng.uniform(0.1, 2.0))
-    return c * np.diag(np.abs(np.diag(g)) ** p), g, c
+    return c * np.diag(np.abs(g) ** p), g, c
 
 
 class TestRatio:
     def test_analytic_two_by_two(self):
         # max of ||Su|| / (||u||^(1/2) ||Gu||^(1/2)) sits at u = e2
-        g = np.diag([1.0, 4.0])
+        g = [1.0, 4.0]
         r = subordination.subordination_ratio(E12, g, 0.5, [0.0, 1.0])
         np.testing.assert_allclose(r, 0.5)
 
     def test_p_zero_is_plain_ratio(self):
-        r = subordination.subordination_ratio(E12, np.zeros((2, 2)), 0.0, [0.0, 2.0])
+        r = subordination.subordination_ratio(E12, [0.0, 0.0], 0.0, [0.0, 2.0])
         np.testing.assert_allclose(r, 1.0)
 
     def test_kernel_conventions(self):
-        g = np.diag([0.0, 1.0])
+        g = [0.0, 1.0]
         assert subordination.subordination_ratio(np.zeros((2, 2)), g, 0.5, [1.0, 0.0]) == 0.0
         assert subordination.subordination_ratio(np.eye(2), g, 0.5, [1.0, 0.0]) == math.inf
 
     def test_rejects_zero_vector(self):
         with pytest.raises(InputError):
-            subordination.subordination_ratio(E12, np.eye(2), 0.5, [0.0, 0.0])
+            subordination.subordination_ratio(E12, [1.0, 1.0], 0.5, [0.0, 0.0])
 
 
 class TestBound:
     def test_p_zero_is_operator_norm(self):
         rng = np.random.default_rng(0)
         s = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        res = subordination.subordination_bound(s, np.diag(np.arange(1.0, 7.0)), 0.0)
+        res = subordination.subordination_bound(s, np.arange(1.0, 7.0), 0.0)
         np.testing.assert_allclose(res.bound, numerics.opnorm(s), rtol=1e-12)
-        assert_certified(res, s, np.diag(np.arange(1.0, 7.0)), 0.0)
+        assert_certified(res, s, np.arange(1.0, 7.0), 0.0)
 
     def test_analytic_half(self):
-        res = subordination.subordination_bound(E12, np.diag([1.0, 4.0]), 0.5)
+        res = subordination.subordination_bound(E12, [1.0, 4.0], 0.5)
         np.testing.assert_allclose(res.bound, 0.5, rtol=1e-6)
-        ratio = subordination.subordination_ratio(E12, np.diag([1.0, 4.0]), 0.5, res.witness)
+        ratio = subordination.subordination_ratio(E12, [1.0, 4.0], 0.5, res.witness)
         np.testing.assert_allclose(ratio, res.bound, rtol=1e-8)
 
     def test_zero_perturbation(self):
-        res = subordination.subordination_bound(np.zeros((3, 3)), np.diag([1.0, 2.0, 3.0]), 0.5)
+        res = subordination.subordination_bound(np.zeros((3, 3)), [1.0, 2.0, 3.0], 0.5)
         assert res.bound == 0.0
 
     def test_unbounded_on_kernel(self):
         # the second case is all kernel, with S below the kernel test's tolerance
-        for s, g in ((np.eye(2), np.diag([0.0, 1.0])), (1e-12 * E12, np.zeros((2, 2)))):
+        for s, g in ((np.eye(2), [0.0, 1.0]), (1e-12 * E12, [0.0, 0.0])):
             res = subordination.subordination_bound(s, g, 0.5)
             assert res.bound == math.inf
             assert res.witness is None
@@ -93,7 +93,7 @@ class TestBound:
         # bound(t^p S, t G, p) = bound(S, G, p)
         rng = np.random.default_rng(2)
         s = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        g = np.diag([1.0, 2.0, 5.0])
+        g = np.array([1.0, 2.0, 5.0])
         p, t = 0.5, 10.0
         base = subordination.subordination_bound(s, g, p)
         scaled = subordination.subordination_bound(t**p * s, t * g, p)
@@ -103,7 +103,7 @@ class TestBound:
         # sigma_min(G) >= 1 makes the ratio pointwise non-increasing in p
         rng = np.random.default_rng(8)
         s = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        g = np.diag([1.0, 3.0, 9.0])
+        g = [1.0, 3.0, 9.0]
         bounds = [subordination.subordination_bound(s, g, p).bound
                   for p in (0.0, 0.25, 0.5, 0.75)]
         for lo, hi in zip(bounds[1:], bounds):
@@ -114,7 +114,7 @@ class TestBound:
         for n in (2, 3):
             for _ in range(3):
                 s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                g = np.diag(rng.uniform(1.0, 5.0, n).astype(complex))
+                g = rng.uniform(1.0, 5.0, n).astype(complex)
                 res = subordination.subordination_bound(s, g, 0.4)
                 assert_certified(res, s, g, 0.4)
 
@@ -123,10 +123,10 @@ class TestBound:
         # S = c |G|^p gives b = c exactly: by Hoelder,
         # sum |g_i|^(2p) |u_i|^2 <= ||u||^(2-2p) ||G u||^(2p), with equality at e_k
         rng = np.random.default_rng(31)
-        g = np.diag(np.exp(rng.uniform(0.0, np.log(1e4), 16))
-                    * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 16)))
+        g = (np.exp(rng.uniform(0.0, np.log(1e4), 16))
+             * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 16)))
         c = 0.3
-        s = c * np.diag(np.abs(np.diag(g)) ** p)
+        s = c * np.diag(np.abs(g) ** p)
         res = subordination.subordination_bound(s, g, p)
         assert res.lower <= c <= res.bound
         assert res.bound <= res.lower * (1.0 + subordination.BRACKET_RTOL)
@@ -157,15 +157,21 @@ class TestBound:
         assert_certified(res, s, g, 0.5)
 
     @pytest.mark.parametrize("p", [0.0, 0.5])
-    def test_rejects_non_diagonal_g(self, p):
-        # a normal G = Q diag(sigma) Q* enters through its eigenvalues, not rotated
-        rng = np.random.default_rng(12)
-        q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-        sigma = np.geomspace(1.0, 100.0, 8)
-        g = q @ np.diag(sigma) @ q.conj().T
-        s = 0.3 * q @ np.diag(sigma**p) @ q.conj().T
-        with pytest.raises(InputError, match="diagonal"):
-            subordination.subordination_bound(s, g, p)
+    @pytest.mark.parametrize("g, match", [
+        (np.diag([1.0, 4.0]), "diagonal"),
+        ([1.0], "columns"),
+        ([1.0, 4.0, 9.0], "columns"),
+        ([1.0, np.nan], "non-finite"),
+        ([np.inf, 4.0], "non-finite"),
+    ], ids=["matrix", "short", "long", "nan", "inf"])
+    def test_rejects_malformed_g(self, g, match, p):
+        # G enters as the vector of its n eigenvalues, finite, in every public call
+        with pytest.raises(InputError, match=match):
+            subordination.subordination_bound(E12, g, p)
+        with pytest.raises(InputError, match=match):
+            subordination.subordination_ratio(E12, g, p, [1.0, 1.0])
+        with pytest.raises(InputError, match=match):
+            subordination.verify_bound(E12, g, p, 1.0, sample_count=10)
 
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.8])
     def test_multiscale_beats_coordinate_vectors(self, p):
@@ -175,23 +181,23 @@ class TestBound:
         assert res.bound >= best_coordinate
         assert_certified(res, s, g, p)
         # weighted AM-GM: every t gives lambda_max(S*S, D(t)) <= b^2
-        sigma2 = np.abs(np.diag(g)) ** 2
+        sigma2 = np.abs(g) ** 2
         for t in np.geomspace(sigma2.min(), sigma2.max(), 400):
             d = np.diag((1.0 - p) * t**p + p * t ** (p - 1.0) * sigma2)
             assert scipy.linalg.eigh(s.conj().T @ s, d, eigvals_only=True)[-1] <= res.bound**2
 
     def test_rejects_bad_p(self):
         with pytest.raises(InputError):
-            subordination.subordination_bound(E12, np.eye(2), 1.0)
+            subordination.subordination_bound(E12, [1.0, 1.0], 1.0)
 
 
 class TestVerifyBound:
     def test_true_bound_has_no_violations(self):
-        g = np.diag([1.0, 4.0])
+        g = [1.0, 4.0]
         assert subordination.verify_bound(E12, g, 0.5, 0.5, sample_count=500, seed=0) == []
 
     def test_undersized_bound_is_caught(self):
-        g = np.diag([1.0, 4.0])
+        g = [1.0, 4.0]
         violations = subordination.verify_bound(E12, g, 0.5, 0.2, sample_count=2000, seed=0)
         assert violations
         worst = max(v["ratio"] for v in violations)
@@ -201,7 +207,7 @@ class TestVerifyBound:
             np.testing.assert_allclose(r, v["ratio"], rtol=1e-10)
 
     def test_zero_samples(self):
-        assert subordination.verify_bound(E12, np.eye(2), 0.5, 1.0, sample_count=0) == []
+        assert subordination.verify_bound(E12, [1.0, 1.0], 0.5, 1.0, sample_count=0) == []
 
 
 class TestPencilTops:
@@ -222,11 +228,11 @@ class TestPencilTops:
             z = np.sqrt(d) * vec
             np.testing.assert_allclose(np.linalg.norm(z), 1.0, rtol=1e-14)
             assert np.linalg.norm(scaled @ z - top * z) <= 1e-13 * numerics.opnorm(scaled)
-            ratio = subordination.subordination_ratio(s, np.diag(sigma), p, vec)
+            ratio = subordination.subordination_ratio(s, sigma, p, vec)
             np.testing.assert_allclose(r2, ratio**2, rtol=1e-12)
 
     def test_lapack_failure_raises(self, monkeypatch):
         heevr = subordination._HEEVR
         monkeypatch.setattr(subordination, "_HEEVR", lambda *a, **kw: (*heevr(*a, **kw)[:4], 3))
         with pytest.raises(ConvergenceError, match="info 3"):
-            subordination.subordination_bound(E12, np.diag([1.0, 4.0]), 0.5)
+            subordination.subordination_bound(E12, [1.0, 4.0], 0.5)
