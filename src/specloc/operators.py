@@ -174,6 +174,8 @@ def assemble(g, s, p: float, ray_spec: RaySpectrumSpec) -> PerturbedSystem:
     s = numerics.as_matrix(s)
     if len(g) != len(s):
         raise DimensionError("G has %d eigenvalues but S is %r" % (len(g), s.shape))
+    if len(g) == 0:
+        raise InputError("the system has dimension zero")
     _check_dimension(len(g))
     p = float(p)
     if not (0.0 <= p < 1.0):

@@ -1,12 +1,13 @@
 """Riesz basis constants for subspace families and skew projection families.
 
-A family of subspaces with orthonormal frames F_k is quantified by the best
-constant c with
+A family of subspaces is the n x k matrix W = [F_1 ... F_m] of its stacked
+orthonormal frames F_k, and is quantified by the best constant c with
 
     c^-1 sum ||x_k||^2  <=  || sum x_k ||^2  <=  c sum ||x_k||^2,
 
-x_k ranging over the subspaces.  For stacked frames W = [F_1 ... F_m] this is
-c = max(sigma_max(W)^2, sigma_min(W)^-2).  Families of pairwise-disjoint
+x_k ranging over the subspaces: c = max(sigma_max(W)^2, sigma_min(W)^-2),
+from one SVD of W (``riesz_constant``); a projection family's ranges are the
+frames of its ``factors`` (``range_family``).  Families of pairwise-disjoint
 projections are quantified through the sign-pattern norm
 C = max_eps || sum eps_k P_k || and the derived basis constant 4 C^2; a
 screen built from the stacked range frames W bounds every pattern's norm
@@ -53,34 +54,6 @@ _POTRF = scipy.linalg.get_lapack_funcs("potrf", dtype=complex)
 
 
 @dataclass(frozen=True)
-class SubspaceFamily:
-    """Orthonormal frames (columns) of finitely many subspaces of C^n."""
-
-    frames: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        frames = tuple(np.asarray(f, dtype=complex) for f in self.frames)
-        if not frames:
-            raise InputError("need at least one subspace")
-        n = frames[0].shape[0]
-        total = 0
-        for f in frames:
-            if f.ndim != 2 or f.shape[0] != n or f.shape[1] == 0:
-                raise InputError("frames must be nonempty column blocks of equal height")
-            gram = f.conj().T @ f
-            if numerics.opnorm(gram - np.eye(f.shape[1])) > 1e-12:
-                raise InputError("frame columns must be orthonormal")
-            total += f.shape[1]
-        if total > n:
-            raise InputError("total dimension %d exceeds ambient dimension %d" % (total, n))
-        object.__setattr__(self, "frames", frames)
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.hstack(self.frames)
-
-
-@dataclass(frozen=True)
 class RieszConstantReport:
     constant: float
     complete: bool
@@ -91,11 +64,13 @@ def _constant(s) -> float:
     return math.inf if s[-1] == 0.0 else max(float(s[0]) ** 2, float(s[-1]) ** -2)
 
 
-def riesz_constant(family: SubspaceFamily) -> RieszConstantReport:
-    """Best two-sided constant of the family, from the stacked-frame SVD."""
-    w = family.stacked
-    return RieszConstantReport(constant=_constant(np.linalg.svd(w, compute_uv=False)),
-                               complete=w.shape[1] == w.shape[0])
+def riesz_constant(frames: np.ndarray) -> RieszConstantReport:
+    """Best two-sided constant of the family whose orthonormal frames stack to
+    the n x k matrix ``frames``, k >= 1, from one SVD of it; infinite for
+    k > n, as the columns are then dependent."""
+    n, k = frames.shape
+    s = np.linalg.svd(frames, compute_uv=False)
+    return RieszConstantReport(constant=math.inf if k > n else _constant(s), complete=k == n)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +387,10 @@ class ProjectionEstimateReport:
 
 
 def _check_ranks(family: ProjectionFamily) -> tuple[int, int]:
-    """(n, sum of the ranks); InputError at a rank-zero member or ranks above n."""
+    """(n, sum of the ranks); InputError at an empty family, a rank-zero member
+    or ranks above n."""
+    if not family.entries:
+        raise InputError("family is empty")
     for e in family.entries:
         if e.rank == 0:
             raise InputError("projection %r has rank zero" % (e.label,))
@@ -422,10 +400,11 @@ def _check_ranks(family: ProjectionFamily) -> tuple[int, int]:
     return n, total
 
 
-def range_family(family: ProjectionFamily) -> SubspaceFamily:
-    """The range frames ``make_family`` took from each projection's SVD."""
+def range_family(family: ProjectionFamily) -> np.ndarray:
+    """The ranges as the stacked frames F of ``factors``, the frames
+    ``make_family`` took from each projection's SVD."""
     _check_ranks(family)
-    return SubspaceFamily(frames=tuple(e.frame for e in family.entries))
+    return family.factors[0]
 
 
 def verify_projection_estimate(family: ProjectionFamily, constant: float,
@@ -452,16 +431,13 @@ def verify_projection_estimate(family: ProjectionFamily, constant: float,
     factors bound nothing on the kernel of C*.  So the check is never looser
     than one on the P_k, and with no tail it takes no SVD of C.
     """
-    es = family.entries
-    if not es:
-        raise InputError("family is empty")
     c = float(constant)
     if not 0.0 < c < math.inf:
         raise InputError("constant must be positive and finite, got %r" % (constant,))
     n, total = _check_ranks(family)
     s = family.frame_singular_values
     basis = _constant(s)
-    tail = sum(e.tail for e in es)
+    tail = sum(e.tail for e in family.entries)
     gamma = math.inf
     if tail > 0.0:
         gamma = float(np.linalg.svd(family.factors[1], compute_uv=False)[-1]) if total == n else 0.0

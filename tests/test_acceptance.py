@@ -162,7 +162,7 @@ class TestAcceptance:
     def test_06_riesz_constant_exactness(self):
         # two lines at pi/3
         phi = math.pi / 3
-        two_lines = rieszbasis.SubspaceFamily(frames=(
+        two_lines = np.hstack((
             np.array([[1.0], [0.0]], dtype=complex),
             np.array([[math.cos(phi)], [math.sin(phi)]], dtype=complex),
         ))
@@ -179,9 +179,8 @@ class TestAcceptance:
                 v[k, 0] = 1.0
                 v += 0.03 * (rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1)))
                 frames.append(v / np.linalg.norm(v))
-            family = rieszbasis.SubspaceFamily(frames=tuple(frames))
-            c = rieszbasis.riesz_constant(family).constant
-            w = family.stacked
+            w = np.hstack(frames)
+            c = rieszbasis.riesz_constant(w).constant
             a = rng.standard_normal((4, 100_000)) + 1j * rng.standard_normal((4, 100_000))
             quot = (np.linalg.norm(w @ a, axis=0) / np.linalg.norm(a, axis=0)) ** 2
             c_mc = max(float(quot.max()), 1.0 / float(quot.min()))
@@ -194,7 +193,7 @@ class TestAcceptance:
             rng = np.random.default_rng(seed)
             q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
             half = n // 2
-            outer = rieszbasis.SubspaceFamily(frames=(q[:, :half], q[:, half:]))
+            outer = q  # the frames q[:, :half] and q[:, half:]
 
             def tilted(m, s):
                 r = np.random.default_rng(s)
@@ -204,12 +203,11 @@ class TestAcceptance:
                     v[k, 0] = 1.0
                     v += 0.3 * (r.standard_normal((m, 1)) + 1j * r.standard_normal((m, 1)))
                     f.append(v / np.linalg.norm(v))
-                return rieszbasis.SubspaceFamily(frames=tuple(f))
+                return np.hstack(f)
 
             # join: refine each outer frame f by an inner family in its coordinates
             inners = [tilted(half, 10 + seed), tilted(n - half, 20 + seed)]
-            joined = rieszbasis.SubspaceFamily(frames=tuple(
-                f @ g for f, inner in zip(outer.frames, inners) for g in inner.frames))
+            joined = np.hstack((q[:, :half] @ inners[0], q[:, half:] @ inners[1]))
             bound = (rieszbasis.riesz_constant(outer).constant
                      * max(rieszbasis.riesz_constant(inner).constant for inner in inners))
             if not rieszbasis.riesz_constant(joined).constant <= bound * (1.0 + 1e-8):

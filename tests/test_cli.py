@@ -345,7 +345,7 @@ class TestRieszConst:
 
     def test_one_riesz_constant(self, hamiltonian_spec, tmp_path, count_calls):
         # the screen and the estimate share one SVD of the stacked frames F,
-        # and no SubspaceFamily check takes one per frame
+        # and riesz_constant, which would take a second, is not called
         calls = count_calls(rieszbasis, "riesz_constant")
         estimates = count_calls(rieszbasis, "verify_projection_estimate")
         svds = count_calls(np.linalg, "svd")

@@ -153,3 +153,10 @@ class TestAssemble:
         g = [1.0, 3.0]
         with pytest.raises(InputError):
             operators.assemble(g, np.zeros((2, 2)), 0.5, ray_spec=spec)
+
+    def test_rejects_zero_dimension(self):
+        # an empty ray spectrum with an empty G and S is refused before the
+        # multiset check, whose maximum has nothing to reduce
+        spec = operators.RaySpectrumSpec(rays=(operators.Ray(theta=0.0, radii=()),))
+        with pytest.raises(InputError, match="dimension zero"):
+            operators.assemble(np.zeros(0), np.zeros((0, 0)), 0.5, spec)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import os
 import threading
@@ -12,7 +13,7 @@ import pytest
 import reference_linalg
 from specloc import cli, numerics, projections, rieszbasis
 from specloc.errors import InputError
-from test_golden import hamiltonian_spec
+from test_golden import GOLDEN, hamiltonian_spec
 from test_projections import HAMILTONIAN_REGION, hamiltonian_gap_family, shifted_hamiltonian
 
 
@@ -24,7 +25,7 @@ def coordinate_family(splits, n):
         f[start:start + width] = np.eye(width)
         frames.append(f)
         start += width
-    return rieszbasis.SubspaceFamily(frames=tuple(frames))
+    return np.hstack(frames)
 
 
 def skew_pair_matrices(t):
@@ -56,11 +57,8 @@ class TestRieszConstant:
 
     def test_two_lines_at_sixty_degrees(self):
         phi = math.pi / 3
-        family = rieszbasis.SubspaceFamily(frames=(
-            np.array([[1.0], [0.0]], dtype=complex),
-            np.array([[math.cos(phi)], [math.sin(phi)]], dtype=complex),
-        ))
-        report = rieszbasis.riesz_constant(family)
+        report = rieszbasis.riesz_constant(np.array([[1.0, math.cos(phi)],
+                                                     [0.0, math.sin(phi)]], dtype=complex))
         np.testing.assert_allclose(report.constant, 2.0, atol=1e-10)
         assert report.complete
 
@@ -68,15 +66,18 @@ class TestRieszConstant:
         rng = np.random.default_rng(5)
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
         base = coordinate_family((2, 2), 5)
-        tilted = rieszbasis.SubspaceFamily(frames=tuple(q @ f for f in base.frames))
+        tilted = q @ base
         c0 = rieszbasis.riesz_constant(base).constant
         c1 = rieszbasis.riesz_constant(tilted).constant
         np.testing.assert_allclose(c0, c1, atol=1e-10)
 
     def test_repeated_line_is_unbounded(self):
         f = np.array([[1.0], [0.0]], dtype=complex)
-        family = rieszbasis.SubspaceFamily(frames=(f, f.copy()))
-        assert rieszbasis.riesz_constant(family).constant == math.inf
+        assert rieszbasis.riesz_constant(np.hstack((f, f))).constant == math.inf
+        # 4 > 2 columns are dependent, though both singular values of the
+        # 2 x 4 matrix are sqrt(2)
+        report = rieszbasis.riesz_constant(np.hstack((np.eye(2), np.eye(2))))
+        assert report.constant == math.inf and not report.complete
 
     def test_two_sided_inequality_sampled(self):
         rng = np.random.default_rng(7)
@@ -84,9 +85,8 @@ class TestRieszConstant:
         for _ in range(3):
             q, _ = np.linalg.qr(rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))
             frames.append(q)
-        family = rieszbasis.SubspaceFamily(frames=tuple(frames))
-        c = rieszbasis.riesz_constant(family).constant
-        w = family.stacked
+        w = np.hstack(frames)
+        c = rieszbasis.riesz_constant(w).constant
         a = rng.standard_normal((6, 4000)) + 1j * rng.standard_normal((6, 4000))
         sum_sq = np.linalg.norm(a, axis=0) ** 2  # = sum_k ||x_k||^2 (orthonormal frames)
         mid = np.linalg.norm(w @ a, axis=0) ** 2
@@ -103,22 +103,13 @@ class TestRieszConstant:
             v[k, 0] = 1.0
             v += 0.03 * (rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1)))
             frames.append(v / np.linalg.norm(v))
-        family = rieszbasis.SubspaceFamily(frames=tuple(frames))
-        report = rieszbasis.riesz_constant(family)
-        w = family.stacked
+        w = np.hstack(frames)
+        report = rieszbasis.riesz_constant(w)
         a = rng.standard_normal((4, 100_000)) + 1j * rng.standard_normal((4, 100_000))
         quot = (np.linalg.norm(w @ a, axis=0) / np.linalg.norm(a, axis=0)) ** 2
         c_mc = max(quot.max(), 1.0 / quot.min())
         assert c_mc <= report.constant * (1.0 + 1e-12)
         assert c_mc >= report.constant * 0.99
-
-    def test_validation(self):
-        with pytest.raises(InputError):
-            rieszbasis.SubspaceFamily(frames=())
-        with pytest.raises(InputError):
-            rieszbasis.SubspaceFamily(frames=(np.array([[2.0], [0.0]]),))  # not unit
-        with pytest.raises(InputError):
-            rieszbasis.SubspaceFamily(frames=(np.eye(2), np.eye(2)))  # 4 > 2
 
 
 class TestSignPatterns:
@@ -578,18 +569,29 @@ class TestVerifyEstimate:
         assert not report.two_sided_holds
 
     def test_range_family_ranks(self):
-        ranges = rieszbasis.range_family(self.family())
-        assert [f.shape[1] for f in ranges.frames] == [2, 2, 2]
+        family = self.family()
+        ranges = rieszbasis.range_family(family)
+        assert [e.rank for e in family.entries] == [2, 2, 2]
+        assert ranges.shape == (6, 6)
         assert rieszbasis.riesz_constant(ranges).complete
 
     def test_range_family_reuses_the_frames(self, count_calls):
         family = self.family()
         svds = count_calls(np.linalg, "svd")
+        opnorms = count_calls(numerics, "opnorm")
         ranges = rieszbasis.range_family(family)
-        uv_flags = [kw.get("compute_uv", True) for _, kw in svds]
-        assert all(f is e.frame for f, e in zip(ranges.frames, family.entries))
-        # no frame SVD: only SubspaceFamily's orthonormality opnorm per frame
-        assert uv_flags == [False] * len(family.entries)
+        assert ranges is family.factors[0]
+        for k, e in enumerate(family.entries):
+            np.testing.assert_array_equal(ranges[:, 2 * k:2 * k + 2], e.frame)
+        # the stacked frames are the family's own: no SVD and no norm of them
+        assert svds == [] and opnorms == []
+
+    def test_empty_family_rejected(self):
+        family = projections.make_family([])
+        with pytest.raises(InputError, match="family is empty"):
+            rieszbasis.range_family(family)
+        with pytest.raises(InputError, match="family is empty"):
+            rieszbasis.verify_projection_estimate(family, 1.0)
 
     def test_range_family_rejects_rank_zero(self):
         family = projections.make_family([("a", np.diag([1.0, 0.0])), ("z", np.zeros((2, 2)))])
@@ -799,3 +801,40 @@ class TestProbesFromFactors:
         c_hat, c_upper = projections.projection_sum_bound(family, constant, None)
         assert c_upper == 2.4
         assert 0.0 <= c_hat <= reference_linalg.phase_grid_constant(mats) - 0.4 + 1e-15
+
+
+class TestOracleChain:
+    """``riesz_constant(range_family(f))``, the chain of the benchmark's
+    set-up check, on the gap families of the ham24 goldens."""
+
+    @staticmethod
+    def spec_t(seed):
+        return cli.system_from_json(hamiltonian_spec(seed, 24)).t
+
+    @pytest.mark.parametrize("seed", [0, 3, 7919])
+    def test_gap_family_chain_is_the_golden_basis_constant(self, seed, count_calls):
+        golden = json.loads((GOLDEN / ("rieszconst-ham24-%d.json" % seed)).read_text())
+        cuts = [4.0 * k + 2.0 for k in range(25)]
+        family = projections.family_from_gaps(self.spec_t(seed), cuts, **HAMILTONIAN_REGION)
+        svds = count_calls(np.linalg, "svd")
+        opnorms = count_calls(numerics, "opnorm")
+        frames = rieszbasis.range_family(family)
+        assert frames is family.factors[0]
+        assert svds == [] and opnorms == []
+        chain = rieszbasis.riesz_constant(frames).constant
+        estimate = rieszbasis.verify_projection_estimate(family, golden["signPatternConstant"])
+        assert chain == estimate.basis_constant == golden["basisConstant"]
+
+    @pytest.mark.parametrize("seed", [0, 3, 7919])
+    def test_oracle_family_chain_matches_the_golden(self, seed):
+        # the benchmark's expected value: the ranges of the eigendecomposition
+        # oracle's projectors onto the gaps, to its relative 1e-6
+        golden = json.loads((GOLDEN / ("rieszconst-ham24-%d.json" % seed)).read_text())
+        t = self.spec_t(seed)
+        cuts = [4.0 * k + 2.0 for k in range(25)]
+        family = projections.make_family(
+            ("gap%d" % k, projections.spectral_projector_oracle(
+                t, lambda z, lo=lo, hi=hi: lo < z.imag < hi))
+            for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])))
+        chain = rieszbasis.riesz_constant(rieszbasis.range_family(family)).constant
+        assert abs(chain - golden["basisConstant"]) <= 1e-6 * golden["basisConstant"]
