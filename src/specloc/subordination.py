@@ -23,6 +23,13 @@ the whole cell from above, to second order in the cell width.  Only the top
 eigenpair of each scaled pencil is computed, one LAPACK zheevr call each.
 Its eigenvectors are witnesses; the best witness's ratio, evaluated directly
 and rounded down by 4 (n + 1) eps, is the lower end.
+
+For p > 0 the kernel of G is decided exactly, with no tolerance: it is
+{i : g_i == 0}, and b is infinite if and only if S has a nonzero entry in
+one of those columns.  A near-kernel modulus is a modulus like any other, so
+the bracket stays true however many decades the nonzero moduli span, up to
+a range guard: they must keep the pencil weights finite and positive.
+``verify_bound`` probes random unit vectors and G's eigenvectors e_i.
 """
 
 from __future__ import annotations
@@ -164,8 +171,12 @@ def subordination_bound(s, g, p: float) -> SubordinationResult:
 
     G is given by its diagonal g (InputError otherwise).  p = 0 reduces to the
     operator norm of S, whose upper end is sigma_1 rounded up by 4 (n + 1)
-    eps (``_round_up``).  When p > 0 and G has a numerical kernel that S
-    does not annihilate, the bound is infinite.  The upper end carries the
+    eps (``_round_up``).  When p > 0, ker G is exactly {i : g_i == 0}: if S
+    has a nonzero entry in one of those columns the bound is infinite at both
+    ends, and otherwise those columns drop out and every nonzero modulus,
+    however small or large, enters the branch-and-bound.  Nonzero moduli that
+    leave a pencil weight at either end of [sigma_min^2, sigma_max^2] other
+    than a finite positive float raise InputError.  The upper end carries the
     rounding pad ROUNDING_PAD.  Raises ConvergenceError if the bracket is not
     within BRACKET_RTOL after MAX_DEPTH bisection levels or within MAX_CELLS
     cells per level.
@@ -192,16 +203,19 @@ def subordination_bound(s, g, p: float) -> SubordinationResult:
     # G is its own SVD: sigma = |g_i| and V the permutation ``order``
     order = np.argsort(-np.abs(g), kind="stable")
     sg = np.abs(g)[order]
-    # unboundedness: S must vanish on ker G when p > 0
-    kernel = sg <= 1e-12 * max(sg[0], 1.0)
-    if np.any(kernel):
-        if (np.all(kernel) or numerics.opnorm(s[:, order[kernel]])
-                > 1e-10 * max(numerics.opnorm(s), 1.0)):
-            return SubordinationResult(math.inf, math.inf, None)
+    # ker G is where g is zero, and with p > 0 S must vanish there exactly
+    kernel = sg == 0.0
+    if np.any(s[:, order[kernel]]):
+        return SubordinationResult(math.inf, math.inf, None)
 
     # S vanishes on the kernel, so only the range of G* carries the ratio
-    cols = order[~kernel]
-    sigma2 = sg[~kernel] ** 2
+    cols, sg = order[~kernel], sg[~kernel]
+    with np.errstate(all="ignore"):
+        sigma2 = sg**2
+        ends = _weights(sigma2, p, sigma2[[-1, 0], None])
+    if not np.all(np.isfinite(ends) & (ends > 0.0)):
+        raise InputError("the nonzero moduli of G, from %g to %g, put the pencil weights"
+                         " outside the floating-point range at p = %g" % (sg[-1], sg[0], p))
     sv = s[:, cols]
     h = sv.conj().T @ sv
     cells = np.array([[sigma2[-1], sigma2[0]]])
@@ -238,16 +252,19 @@ def subordination_bound(s, g, p: float) -> SubordinationResult:
 
 
 def verify_bound(s, g, p: float, b: float, sample_count: int = 1000, seed: int = 0):
-    """Sample unit vectors and report any with ratio > b (1 + 1e-9).
+    """Probe unit vectors and report any with ratio > b (1 + 1e-9).
 
+    The probes are ``sample_count`` random unit vectors, then the n
+    coordinate vectors e_i, G's eigenvectors (index sample_count + i), which
+    see a bound that fails near ker G where random vectors miss it.
     Returns a list of {'index', 'ratio', 'vector'} dicts; empty list means no
-    sampled violation.
+    probed violation.
     """
     s, g = _check_pair(s, g)
     if sample_count < 0:
         raise InputError("sample_count must be non-negative")
     n = len(g)
-    u = numerics.unit_columns(numerics.subrng(seed, 2), n, sample_count)
+    u = np.hstack([numerics.unit_columns(numerics.subrng(seed, 2), n, sample_count), np.eye(n)])
     r = _ratios(s, g, float(p), u)
     bad = np.flatnonzero(r > float(b) * (1.0 + 1e-9))
     return [{"index": int(i), "ratio": float(r[i]), "vector": u[:, i].copy()} for i in bad]

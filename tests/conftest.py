@@ -2,6 +2,7 @@
 
 import os
 
+from hypothesis import settings
 import pytest
 
 # one BLAS thread, set before any test module imports numpy: OpenBLAS's own
@@ -9,6 +10,12 @@ import pytest
 # the workers of numerics.map_batches
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+# the property tests replay the same examples on every run and keep no
+# example database, so Tier-1 stays deterministic and its time bounded
+settings.register_profile("specloc", derandomize=True, deadline=None, database=None,
+                          max_examples=100)
+settings.load_profile("specloc")
 
 
 @pytest.fixture

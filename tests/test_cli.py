@@ -112,6 +112,10 @@ NON_FINITE_MODELS = {
                                    "kMax": INF}},
     "subord-seed-inf": {"G": {"rays": [{"theta": 0.0, "radii": [1.0, 2.0]}]},
                         "S": {"kind": "randomGaussian", "seed": INF, "scale": 0.1}, "p": 0.5},
+    # (1e-200)^2 underflows, so the pencil weights of the bracket would be NaN
+    "subord-radius-underflow": {"G": {"rays": [{"theta": 0.0, "radii": [1e-200, 1.0, 2.0]}]},
+                                "S": {"kind": "randomGaussian", "seed": 1, "scale": 0.3},
+                                "p": 0.5},
 }
 NON_FINITE_MODEL_CASES = [(spec, [name.split("-")[0]]) for name, spec in NON_FINITE_MODELS.items()]
 
@@ -132,6 +136,21 @@ class TestSubord:
         assert subordination.verify_bound(E12, g, 0.5, bound, sample_count=100_000) == []
         assert report["sampleViolations"] == 0
         assert len(report["input"]["digest"]) == 64
+
+    def test_multiscale_moduli_have_no_kernel(self, tmp_path):
+        # moduli 1, 2 and 1e13 span 13 decades, but none is zero: G has no kernel
+        spec = write_json(tmp_path / "multiscale.json", {
+            "G": {"rays": [{"theta": 0.0, "radii": [1.0, 2.0, 1e13]}]},
+            "S": {"kind": "randomGaussian", "seed": 1, "scale": 0.3},
+            "p": 0.5,
+        })
+        out = tmp_path / "report.json"
+        assert cli.main(["subord", "--input", spec, "--out", str(out)]) == 0
+        report = read_report(out)
+        lower, bound = report["lowerBound"], report["bound"]
+        assert lower <= 0.2242721 <= bound <= lower * (1.0 + subordination.BRACKET_RTOL)
+        assert report["sampleViolations"] == 0
+        assert cli.main(["enclosure", "--input", spec, "--out", str(tmp_path / "e.json")]) == 0
 
 
 class TestEnclosure:

@@ -1,7 +1,9 @@
 """Tests for subordination ratios and the certified minimal-bound bracket."""
 
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -29,6 +31,17 @@ def multiscale_instance(seed, p, n=24):
         rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
     w = np.abs(g) ** (p / 2.0)
     return w[:, None] * low * w[None, :], g
+
+
+def near_kernel_case():
+    """G = diag(1e-13, 1, 2) and S with one entry 1e-11 on e_1: at p = 0.9 the
+    ratio at e_1 is 1e-11 / 1e-13^0.9 = 10^0.7 = 5.0118723..."""
+    g = np.array([1e-13, 1.0, 2.0])
+    rng = np.random.default_rng(3)
+    s = np.zeros((3, 3), dtype=complex)
+    s[:, 1:] = 0.2 * (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
+    s[1, 0] = 1e-11
+    return s, g
 
 
 def closed_form_case(seed, p):
@@ -83,11 +96,43 @@ class TestBound:
         assert res.bound == 0.0
 
     def test_unbounded_on_kernel(self):
-        # the second case is all kernel, with S below the kernel test's tolerance
+        # the second case is all kernel, and one entry of 1e-12 in S is enough
         for s, g in ((np.eye(2), [0.0, 1.0]), (1e-12 * E12, [0.0, 0.0])):
             res = subordination.subordination_bound(s, g, 0.5)
             assert res.bound == math.inf
             assert res.witness is None
+
+    def test_small_column_on_an_exact_kernel_is_unbounded(self):
+        # S e_1 = 1e-11 e_2 while G e_1 = 0, so no finite b holds
+        res = subordination.subordination_bound([[0.0, 0.0], [1e-11, 0.0]], [0.0, 1.0], 0.5)
+        assert res.bound == res.lower == math.inf
+        assert res.witness is None
+
+    def test_near_kernel_modulus_enters_the_bracket(self):
+        # 1e-13 is a modulus like any other: the bracket must reach the ratio at e_1
+        s, g = near_kernel_case()
+        res = subordination.subordination_bound(s, g, 0.9)
+        with mpmath.workdps(50):
+            at_e1 = mpmath.mpf(1e-11) / mpmath.mpf(1e-13) ** mpmath.mpf(0.9)
+            assert res.bound >= at_e1
+        assert res.lower <= res.bound <= res.lower * (1.0 + 1e-6) * (1.0 + 1e-10)
+        assert_certified(res, s, g, 0.9)
+
+    def test_kernel_columns_drop_out(self):
+        # S vanishes on ker G = {0}, so b is that of the 2 x 2 block on {1, 2}
+        s, g = near_kernel_case()
+        s[1, 0] = 0.0
+        res = subordination.subordination_bound(s, np.array([0.0, 1.0, 2.0]), 0.9)
+        block = subordination.subordination_bound(s[:, 1:], g[1:], 0.9)
+        np.testing.assert_allclose(res.bound, block.bound, rtol=1e-15)
+        assert res.witness[0] == 0.0
+
+    @pytest.mark.parametrize("modulus", [1e-200, 1e200])
+    def test_rejects_moduli_beyond_the_float_range(self, modulus):
+        # sigma^2 under- or overflows: the pencil weights would turn to NaN
+        g = [modulus, 1.0, 2.0]
+        with pytest.raises(InputError, match=re.escape("%g" % modulus)):
+            subordination.subordination_bound(np.ones((3, 3)), g, 0.5)
 
     def test_scaling_invariance(self):
         # bound(t^p S, t G, p) = bound(S, G, p)
@@ -205,6 +250,24 @@ class TestVerifyBound:
         for v in violations:
             r = subordination.subordination_ratio(E12, g, 0.5, v["vector"])
             np.testing.assert_allclose(r, v["ratio"], rtol=1e-10)
+
+    def test_coordinate_probes_follow_the_samples(self):
+        # b = 0 reports every probe with a nonzero ratio: all 7 here
+        s = np.arange(1.0, 10.0).reshape(3, 3)
+        violations = subordination.verify_bound(s, [1.0, 2.0, 3.0], 0.5, 0.0, sample_count=4,
+                                                seed=5)
+        assert [v["index"] for v in violations] == list(range(7))
+        probes = np.column_stack([v["vector"] for v in violations])
+        np.testing.assert_array_equal(
+            probes[:, :4], numerics.unit_columns(numerics.subrng(5, 2), 3, 4))
+        np.testing.assert_array_equal(probes[:, 4:], np.eye(3))
+
+    def test_coordinate_probe_catches_a_near_kernel_failure(self):
+        # the ratio at e_1 is 5.01; 1000 random unit vectors all stay below 1
+        s, g = near_kernel_case()
+        violations = subordination.verify_bound(s, g, 0.9, 1.0, 1000, 0)
+        assert [v["index"] for v in violations] == [1000]
+        np.testing.assert_allclose(violations[0]["ratio"], 10.0**0.7, rtol=1e-12)
 
     def test_zero_samples(self):
         assert subordination.verify_bound(E12, [1.0, 1.0], 0.5, 1.0, sample_count=0) == []
