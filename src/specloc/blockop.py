@@ -6,6 +6,12 @@ on the rays pi/2 and 3 pi/2, and S = [[0, B], [C, 0]]; S is subordinate to G
 with p = 0 and b = max(||B||, ||C||).  The spectrum is symmetric about the
 imaginary axis, confined to discs |z - i r_k| <= b, and kept away from the
 imaginary axis by the positivity floor gamma of B and C.
+
+``verify_hamiltonian`` checks these properties: the J1-skew residual is the
+norm of a 2 x 2 block matrix formed from T's blocks, and the z <-> -conj(z)
+symmetry is a maximum bipartite matching of the eigenvalues with their mirror
+images (Hopcroft-Karp), perfect exactly when the spectrum is symmetric within
+the tolerance.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse.csgraph
 
 from . import numerics, operators
 from .errors import DimensionError, InputError
@@ -68,13 +75,6 @@ class HamiltonianModel:
         return len(self.r_seq)
 
 
-def fundamental_symmetries(n: int):
-    """J1 = [[0, -iI], [iI, 0]] and J2 = [[0, I], [I, 0]] on C^{2n}."""
-    ident = np.eye(n, dtype=complex)
-    return (operators.offdiagonal_block(-1j * ident, 1j * ident),
-            operators.offdiagonal_block(ident, ident))
-
-
 def build_hamiltonian(model: HamiltonianModel) -> operators.PerturbedSystem:
     """Assemble the Hamiltonian block system (p = 0): G = diag(A, A) with
     A = i diag(r_seq) and S = [[0, B], [C, 0]], on the rays pi/2 (r >= 0) and
@@ -108,7 +108,10 @@ def verify_hamiltonian(system: operators.PerturbedSystem, model: HamiltonianMode
     """Check the structural spectral properties of the Hamiltonian system.
 
     - T is skew-adjoint for the indefinite product J1 (residual reported);
-    - spectrum symmetric about the imaginary axis (z <-> -conj(z) pairing);
+    - spectrum symmetric about the imaginary axis: a maximum matching pairs
+      each z with an eigenvalue within tol * scale of -conj(z) (z itself on
+      the axis); the unmatched eigenvalues, in eigenvalue order, are the
+      pairing defects;
     - |Re z| >= gamma for every eigenvalue;
     - every eigenvalue lies in some disc |z - i r_k| <= b, counted per disc.
 
@@ -117,29 +120,18 @@ def verify_hamiltonian(system: operators.PerturbedSystem, model: HamiltonianMode
     if not (np.isfinite(tol) and tol >= 0.0):
         raise InputError("need a finite tol >= 0, got %r" % tol)
     n = model.n
-    j1, _ = fundamental_symmetries(n)
-    m = j1 @ system.t
-    j1_res = numerics.opnorm(m + m.conj().T)
-    dec = numerics.eig(system.t)
+    t = system.t
+    t11, t12, t21, t22 = t[:n, :n], t[:n, n:], t[n:, :n], t[n:, n:]
+    # J1 T + (J1 T)* = diag(-iI, iI) K for J1 = [[0, -iI], [iI, 0]]; diag(-iI, iI) is unitary
+    j1_res = numerics.opnorm(np.block([[t21 - t21.conj().T, t22 + t11.conj().T],
+                                       [t11 + t22.conj().T, t12 - t12.conj().T]]))
+    dec = numerics.eig(t)
     values = dec.values
-    # pairing z <-> -conj(z) by greedy matching
-    unmatched = list(range(len(values)))
-    defects = []
     scale = max(float(np.max(np.abs(values), initial=0.0)), 1.0)
-    while unmatched:
-        i = unmatched.pop(0)
-        target = -np.conj(values[i])
-        if abs(values[i] - target) <= tol * scale:
-            continue  # on the imaginary axis, self-paired
-        best = None
-        for j in unmatched:
-            d = abs(values[j] - target)
-            if best is None or d < best[1]:
-                best = (j, d)
-        if best is not None and best[1] <= tol * scale:
-            unmatched.remove(best[0])
-        else:
-            defects.append(complex(values[i]))
+    mate = scipy.sparse.csgraph.maximum_bipartite_matching(
+        scipy.sparse.csr_array(np.abs(values[:, None] + values.conj()) <= tol * scale),
+        perm_type="column")
+    defects = tuple(complex(z) for z in values[mate < 0])
     floor = tuple(complex(z) for z in values if abs(z.real) < float(model.gamma) - tol * scale)
     b = model.subordination_norm
     centers = 1j * np.asarray(model.r_seq, dtype=float)
@@ -152,7 +144,7 @@ def verify_hamiltonian(system: operators.PerturbedSystem, model: HamiltonianMode
     simple = ~(inside[i] & inside[j]).any(axis=0)
     return SymmetryReport(
         j1_skew_residual=float(j1_res),
-        pairing_defects=tuple(defects),
+        pairing_defects=defects,
         real_part_floor_violations=floor,
         disc_violations=disc_violations,
         per_disc_counts=counts,

@@ -368,8 +368,6 @@ def _parse_seed_range(text: str):
 
 
 def cmd_sweep(args) -> int:
-    if args.suite != "enclosure":
-        raise InputError("unknown sweep suite %r" % args.suite)
     seeds = _parse_seed_range(args.seeds)
     cases = [instances.run_enclosure_case(s, alpha_factor=args.alpha_factor) for s in seeds]
     all_inside = all(c["allInside"] for c in cases)
@@ -386,8 +384,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    if args.what != "figure4":
-        raise InputError("unknown demo %r" % args.what)
     # built-in instance: quadratically spaced radii on one ray, p = 1/2
     k = np.arange(1, 13)
     radii = (k**2).astype(float)
@@ -481,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="randomized verification sweep")
     common(p, needs_input=False)
-    p.add_argument("--suite", default="enclosure")
+    p.add_argument("--suite", default="enclosure", choices=("enclosure",))
     p.add_argument("--seeds", default="0..49", help="range lo..hi or comma list")
     p.add_argument("--alpha-factor", type=float, default=1.1)
     p.set_defaults(func=cmd_sweep)
@@ -489,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="built-in demonstration datasets")
     common(p, needs_input=False)
     seed(p)
-    p.add_argument("what", nargs="?", default="figure4")
+    p.add_argument("what", nargs="?", default="figure4", choices=("figure4",))
     p.add_argument("--points", help="CSV path for the point cloud")
     p.set_defaults(func=cmd_demo)
 

@@ -67,13 +67,10 @@ def enclosure_instance(seed: int):
     ray_spec = operators.RaySpectrumSpec(rays=tuple(rays))
     g = ray_spec.eigenvalues()
 
-    # indices of the planted pair in G's diagonal
-    pair = np.flatnonzero(np.isclose(np.abs(g), r_max) & np.isclose(
-        np.mod(np.angle(g), _TWO_PI), np.mod(thetas[0], _TWO_PI), atol=1e-9))[:2]
-
+    # the planted pair: the last two radii of ray 0, first in G's diagonal
+    i, j = len(rays[0].radii) - 2, len(rays[0].radii) - 1
     strength = b_target * r_max**p
     s = np.zeros((len(g), len(g)), dtype=complex)
-    i, j = int(pair[0]), int(pair[1])
     phase = np.exp(1j * thetas[0])
     s[i, j] = strength * phase
     s[j, i] = -strength * phase

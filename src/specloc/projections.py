@@ -160,17 +160,11 @@ def spectral_projector_oracle(t_mat, region_predicate) -> np.ndarray:
     """
     dec = numerics.eig(t_mat)
     values = dec.values
-    root = list(range(len(values)))  # union-find: each cluster's root is its first member
-
-    def find(i):
-        while root[i] != i:
-            i = root[i]
-        return i
-
-    for i, j in zip(*np.nonzero(np.triu(np.abs(values[:, None] - values) <= 1e-8, 1))):
-        a, b = find(i), find(j)
-        root[max(a, b)] = min(a, b)
-    labels = np.array([find(i) for i in range(len(values))], dtype=int)
+    # square the within-1e-8 relation until it is transitive: its closure
+    reach, closure = None, np.abs(values[:, None] - values) <= 1e-8
+    while not np.array_equal(reach, closure):
+        reach, closure = closure, closure.astype(float) @ closure > 0.0
+    labels = np.argmax(reach, axis=1)  # each cluster's label is its first member
     indicator = np.array([float(bool(region_predicate(z))) for z in values])
     inside = np.bincount(labels, weights=indicator, minlength=len(values))
     mixed = np.flatnonzero((inside > 0.0) & (inside < np.bincount(labels, minlength=len(values))))

@@ -244,7 +244,7 @@ def subordination_bound(s, g, p: float) -> SubordinationResult:
                 " with %d open cells" % (lower, top, BRACKET_RTOL, depth, len(cells)),
                 residual=top / lower - 1.0,
             )
-        mid = np.sqrt(cells[:, 0] * cells[:, 1])
+        mid = np.sqrt(cells[:, 0]) * np.sqrt(cells[:, 1])  # no underflow of the product
         cells = np.concatenate([np.stack([cells[:, 0], mid], axis=1),
                                 np.stack([mid, cells[:, 1]], axis=1)])
 

@@ -102,14 +102,6 @@ class TestHamiltonianModel:
             self.model(r_seq=(8.0, 4.0), b_mat=np.eye(2), c_mat=np.eye(2))
 
 
-class TestFundamentalSymmetries:
-    def test_shapes_and_involutions(self):
-        j1, j2 = blockop.fundamental_symmetries(2)
-        for j in (j1, j2):
-            np.testing.assert_allclose(j @ j, np.eye(4), atol=1e-15)
-            np.testing.assert_allclose(j, j.conj().T, atol=1e-15)
-
-
 class TestHamiltonianSpectrum:
     def model(self, n=4):
         r = tuple(4.0 * k for k in range(1, n + 1))
@@ -202,3 +194,34 @@ class TestHamiltonianSpectrum:
         report = blockop.verify_hamiltonian(rogue, model)
         assert report.disc_violations
         assert not report.clean
+
+    def test_clustered_mirror_is_a_perfect_pairing(self):
+        # -1 + 10i pairs with 1.2 + 10i or 0.8 + 10i, and -1.6 + 10i only with
+        # 1.2 + 10i (tol * scale is about 0.5): a nearest-neighbour pass gives
+        # -1 the first of the two at distance 0.2, 1.2, and leaves 0.8 and -1.6
+        # without partners
+        system = types.SimpleNamespace(t=np.diag(np.array([-1.0, 1.2, 0.8, -1.6]) + 10j))
+        report = blockop.verify_hamiltonian(system, self.model(n=2), tol=0.05)
+        assert report.pairing_defects == ()
+
+    def test_pairing_defects_are_the_unmatched_eigenvalues_in_order(self):
+        # 3 + 8i and -3 + 8i mirror each other; 5i sits on the imaginary axis
+        # and is its own mirror; 2 + 4i, 1 + 12i and -7 + 16i have no mirror
+        values = np.array([2.0 + 4j, 3.0 + 8j, 5j, 1.0 + 12j, -3.0 + 8j, -7.0 + 16j])
+        report = blockop.verify_hamiltonian(types.SimpleNamespace(t=np.diag(values)),
+                                            self.model(n=3))
+        order = numerics.eig(np.diag(values)).values
+        expect = [z for z in order if z in (2.0 + 4j, 1.0 + 12j, -7.0 + 16j)]
+        assert report.pairing_defects == tuple(expect)
+        assert len(expect) == 3
+
+    def test_j1_residual_from_the_blocks(self):
+        rng = np.random.default_rng(3)
+        t = numerics.gaussian(rng, (6, 6))
+        ident, zero = np.eye(3), np.zeros((3, 3))
+        j1 = np.block([[zero, -1j * ident], [1j * ident, zero]])
+        m = j1 @ t
+        report = blockop.verify_hamiltonian(types.SimpleNamespace(t=t), self.model(n=3))
+        expect = numerics.opnorm(m + m.conj().T)
+        assert expect > 1.0  # T is not J1-skew
+        np.testing.assert_allclose(report.j1_skew_residual, expect, rtol=1e-12)

@@ -556,6 +556,13 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith("specloc: input error: ")
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("argv", [["sweep", "--suite", "other"], ["demo", "figure5"]],
+                             ids=["sweep-suite", "demo-what"])
+    def test_unknown_choice(self, tmp_path, capsys, argv):
+        assert cli.main(argv + ["--out", str(tmp_path / "report.json")]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_infinite_bound_blames_the_kernel(self, tmp_path, capsys):
         # G has the eigenvalue 0 and p > 0: S does not vanish on ker G
         spec = write_json(tmp_path / "kernel.json", {

@@ -157,6 +157,14 @@ class TestOracle:
         p = projections.spectral_projector_oracle(t, lambda z: abs(z) < 2.0)
         np.testing.assert_allclose(p, np.diag([1.0, 0.0, 1.0, 1.0]), atol=1e-12)
 
+    def test_chain_of_five_needs_two_squarings(self):
+        # neighbours 0.6e-8 apart, ends 2.4e-8 apart: one squaring of the
+        # within-1e-8 relation links points two steps apart, the second four
+        t = np.diag(1.0 + 0.6e-8 * np.arange(5.0))
+        with pytest.raises(AmbiguousClusterError) as info:
+            projections.spectral_projector_oracle(t, lambda z: z.real < 1.0 + 2.1e-8)
+        assert str(info.value).count("+0j)") == 5
+
     def test_names_the_cluster_with_the_lowest_index(self):
         # both clusters straddle; the one at 3 sorts first, so it is named
         t = np.diag([5.0, 3.0 + 1e-12, 5.0 + 1e-12, 3.0])

@@ -118,6 +118,15 @@ class TestBound:
         assert res.lower <= res.bound <= res.lower * (1.0 + 1e-6) * (1.0 + 1e-10)
         assert_certified(res, s, g, 0.9)
 
+    @pytest.mark.parametrize("modulus", [1e-140, 1e-150])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_modulus_does_not_underflow_the_bisection(self, modulus):
+        # a cell [a, c] near sigma^2 = 1e-280 splits at sqrt(a) sqrt(c); the
+        # product a c underflows to 0 and would leave a zero-width cell
+        s = np.random.default_rng(0).standard_normal((3, 3))
+        res = subordination.subordination_bound(s, [modulus, 1.0, 2.0], 0.3)
+        assert res.lower <= res.bound <= res.lower * (1.0 + 1e-6) * (1.0 + 1e-10)
+
     def test_kernel_columns_drop_out(self):
         # S vanishes on ker G = {0}, so b is that of the 2 x 2 block on {1, 2}
         s, g = near_kernel_case()
