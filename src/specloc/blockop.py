@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.csgraph
 
 from . import numerics, operators
 from .errors import DimensionError, InputError
@@ -119,6 +118,7 @@ def verify_hamiltonian(system: operators.PerturbedSystem, model: HamiltonianMode
     """
     if not (np.isfinite(tol) and tol >= 0.0):
         raise InputError("need a finite tol >= 0, got %r" % tol)
+    import scipy.sparse.csgraph  # here, not at module load: only this check needs scipy.sparse
     n = model.n
     t = system.t
     t11, t12, t21, t22 = t[:n, :n], t[:n, n:], t[n:, :n], t[n:, n:]

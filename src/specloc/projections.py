@@ -231,12 +231,6 @@ class ProjectionFamily:
         """The singular values of the stacked frames F of ``factors``, on first read."""
         return np.linalg.svd(self.factors[0], compute_uv=False)
 
-    @functools.cached_property
-    def owners(self) -> np.ndarray:
-        """The m x sum(r_k) 0/1 matrix whose row k marks member k's columns of ``factors``
-        (a zero row for rank 0)."""
-        return np.repeat(np.eye(len(self.entries)), [e.rank for e in self.entries], axis=1)
-
     def _rank_blocks(self):
         """(members, columns) for each nonzero rank r: the indices of the members of rank r
         and, one row each, their r columns of ``factors``."""

@@ -9,12 +9,13 @@ x_k ranging over the subspaces: c = max(sigma_max(W)^2, sigma_min(W)^-2),
 from one SVD of W (``riesz_constant``); a projection family's ranges are the
 frames of its ``factors`` (``range_family``).  Families of pairwise-disjoint
 projections are quantified through the sign-pattern norm
-C = max_eps || sum eps_k P_k || and the derived basis constant 4 C^2; a
-screen built from the stacked range frames W bounds every pattern's norm
-(most of them by a Cholesky test in place of an eigensolve), so only the
-patterns that can be the maximum are normed exactly, and kappa(W) bounds
-them all.  The singular values of W, taken once per family, also decide the
-two-sided estimate C^-2 sum ||P_k x||^2 <= || sum P_k x ||^2 <= C^2 sum ||P_k x||^2
+C = max_eps || sum eps_k P_k || over members of nonzero rank and the derived
+basis constant 4 C^2; a screen built from W and the adjoint of the stacked
+weighted coframes, W^-1 up to rounding, bounds every pattern's norm (most by
+a Cholesky test in place of an eigensolve), so only the patterns that can be
+the maximum are normed exactly, and kappa(W) bounds them all.  The singular
+values of W, taken once per family, also decide the two-sided estimate
+C^-2 sum ||P_k x||^2 <= || sum P_k x ||^2 <= C^2 sum ||P_k x||^2
 for every x at once, with no probe vectors.
 """
 
@@ -122,8 +123,10 @@ def _screen(family: ProjectionFamily) -> _Screen | None:
     products of length n (Higham, Lemma 3.5 and section 3.6), w = ||W||_F^2,
     y = ||Y~||_F^2, and 2-norms of |A||B| bounded by ||A||_F ||B||_F:
 
-    * Y~ = inv(W) leaves R = W Y~ - I with ||R|| <= r, the computed Frobenius
-      norm plus g sqrt(w y); Y~ = Y (I + R), so N_SS <= (Y~Y~*)_SS / (1 - r)^2;
+    * Y~ = C*, the stacked weighted coframes of ``factors`` (F C* = sum P~_k
+      is I up to rounding), leaves R = W Y~ - I with ||R|| <= r, the computed
+      Frobenius norm plus g sqrt(w y); for r < 1, W is invertible and
+      Y~ = Y (I + R), so N_SS <= (Y~Y~*)_SS / (1 - r)^2;
     * N~ = fl(Y~Y~*) is off by at most g y; lambda moves by ||M|| g y <= g w y;
     * M~ = fl(W*W) is off by at most g w; lambda moves by ||N~|| g w <= g w y;
     * the Cholesky factor has L L* = M~_SS + E, |E| <= g |L||L*| (Higham,
@@ -135,50 +138,38 @@ def _screen(family: ProjectionFamily) -> _Screen | None:
 
     So x^2 <= ((1 + rho) lambda~ + tau) / (1 - r)^2 with tau = 5 g w y.  With
     D = diag(eps) on the columns of F, the thin factors P~_k = F_k C_k* give
-    sum eps_k P~_k = F D Y~ + F D (C* - Y~) and F D Y~ = (sum eps_k Q_k)(I + R),
-    so the sum's norm is at most (1 + r) est(x) + sum_k ||F_k|| ||C_k* - Y~_k||_F,
-    where ||F_k||^2 <= 1 + o pads the frames' loss of orthonormality, o the
-    computed Frobenius norm of the diagonal blocks of M~ - I plus g w; the sum's
-    GEMM F (D C*) on the exact D C* rounds by at most g sqrt(w) ||C||_F.
-    delta = (1 + rho) sqrt(1 + o) sum_k d_k + g sqrt(w) ||C||_F, d_k the computed
-    ||C_k* - Y~_k||_F (one rounded subtraction, inside 1 + rho), covers both, and
-    a pattern's computed norm is at most (1 + rho)((1 + r) est + delta).  Every
+    sum eps_k P~_k = F D Y~ = (sum eps_k Q_k)(I + R) exactly, and the sum's GEMM
+    F (D C*) on the exact D C* rounds by at most delta = g sqrt(w y); so a
+    pattern's computed norm is at most (1 + rho)((1 + r) est + delta).  Every
     ||sum eps_k Q_k|| = ||W D Y|| is at most kappa(W), which the computed
     singular values (``ProjectionFamily.frame_singular_values``) give within
     kappa (1 + rho) / (1 - rho kappa): ``upper`` is that in place of est.
     Past est, only ||D|| = 1 enters, so ``upper`` bounds || sum_k w_k P~_k ||
     for every unimodular w too (``projections.projection_sum_bound``).
 
-    None unless the ranks are nonzero and sum to n, W is invertible, and r,
-    rho kappa and tau are below 1e-3.
+    None unless the ranks sum to n, s_min(W) > 0, and r, rho kappa and tau are
+    below 1e-3.
     """
     w, c = family.factors
     n = w.shape[0]
-    if w.shape[1] != n or min(e.rank for e in family.entries) == 0:
+    if w.shape[1] != n:
         return None
     s = family.frame_singular_values
     if not s[-1] > 0.0:
         return None
-    try:
-        y = np.linalg.inv(w)
-    except np.linalg.LinAlgError:
-        return None
+    y = c.conj().T
     g = numerics.gamma(n + 2)
     w2 = float(np.linalg.norm(w)) ** 2
-    y2 = float(np.linalg.norm(y)) ** 2
-    r = float(np.linalg.norm(w @ y - np.eye(n))) + g * math.sqrt(w2 * y2)
+    y2 = float(np.linalg.norm(c)) ** 2
+    delta = g * math.sqrt(w2 * y2)
+    r = float(np.linalg.norm(w @ y - np.eye(n))) + delta
     rho = n * n * numerics.EPS
     kappa = float(s[0]) / float(s[-1])
     tau = 5.0 * g * w2 * y2
     if max(r, rho * kappa, tau) >= 1e-3:
         return None
-    m_gram = w.conj().T @ w
-    owners = family.owners
-    o = float(np.linalg.norm((m_gram - np.eye(n)) * (owners.T @ owners))) + g * w2
-    d = float(np.sum(np.sqrt(owners @ np.sum(np.abs(c.conj().T - y) ** 2, axis=1))))
-    delta = (1.0 + rho) * math.sqrt(1.0 + o) * d + g * math.sqrt(w2) * float(np.linalg.norm(c))
     top = kappa * (1.0 + rho) / (1.0 - rho * kappa)
-    return _Screen(m_gram=m_gram, n_gram=y @ y.conj().T, rho=rho, tau=tau, r=r,
+    return _Screen(m_gram=w.conj().T @ w, n_gram=y @ c, rho=rho, tau=tau, r=r,
                    delta=delta, upper=(1.0 + rho) * ((1.0 + r) * top + delta))
 
 
@@ -328,23 +319,24 @@ def sign_pattern_constant(family: ProjectionFamily, seed: int = 0, report: bool 
     bound is normed exactly, and then only the patterns whose bound reaches
     that norm; a cap is a bound too, so a capped pattern that reaches it is
     normed like any other.
-    Without a screen (an incomplete family, a singular frame, a
-    failed Cholesky or a non-finite bound), or when a normed pattern exceeds
-    its own bound, every pattern is normed.  Either way C is the maximum of
-    exact norms taken by ``_pattern_norms``, the same bit for bit as norming
-    every pattern.  The batches of both stages run through
-    ``numerics.map_batches`` on one worker thread per usable core: keep BLAS
-    at one thread.
+    Without a screen (an incomplete family, a singular frame,
+    ||F C* - I|| >= 1e-3, a failed Cholesky or a non-finite bound), or when a
+    normed pattern exceeds its own bound, every pattern is normed.  Either
+    way C is the maximum of exact norms taken by ``_pattern_norms``, the same
+    bit for bit as norming every pattern.  The batches of both stages run
+    through ``numerics.map_batches`` on one worker thread per usable core:
+    keep BLAS at one thread.
 
     The norms are of the members' thin factors P~_k, within sum_k tail_k of
     those of the P_k (0 for gap families); cross_talk <= 1e-6 bounds every pad
-    tail_j ||P_k|| + ||P_j|| tail_k by 1e-6 before any pattern is normed.
+    tail_j ||P_k|| + ||P_j|| tail_k by 1e-6 before any pattern is normed, and
+    an empty family, a rank-zero member or ranks above n raise InputError
+    (``_check_ranks``) before the search too.
     """
     es = family.entries
-    if not es:
-        raise InputError("family is empty")
     if not family.cross_talk <= 1e-6:
         raise InputError("projections are not pairwise disjoint (P_j P_k != 0)")
+    _check_ranks(family)
     m = len(es)
     if m <= SIGN_EXHAUSTIVE_MAX:
         patterns = np.array([(1.0,) + rest

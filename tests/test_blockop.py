@@ -1,6 +1,9 @@
 """Tests for block operator assembly and the Hamiltonian special case."""
 
 import cmath
+import os
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -225,3 +228,14 @@ class TestHamiltonianSpectrum:
         expect = numerics.opnorm(m + m.conj().T)
         assert expect > 1.0  # T is not J1-skew
         np.testing.assert_allclose(report.j1_skew_residual, expect, rtol=1e-12)
+
+
+class TestImport:
+    def test_cli_import_leaves_out_scipy_sparse(self):
+        # only the pairing check needs the matching, so a command that never
+        # verifies a Hamiltonian does not load scipy.sparse
+        code = "import sys, specloc.cli\nprint('scipy.sparse' in sys.modules)\n"
+        src = os.path.dirname(os.path.dirname(blockop.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"

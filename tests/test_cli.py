@@ -256,9 +256,15 @@ class TestProject:
         report = read_report(out)
         assert [(p["rank"], p["gateMargin"]) for p in report["projections"]] == [(1, None)] * 2
 
-    def test_empty_gap(self, tmp_path, capsys):
+    def test_empty_gap(self, tmp_path, capsys, monkeypatch):
         # no eigenvalue of T lies in the gap (2, 3): project reports its member
-        # with rank zero, and rieszconst rejects the family
+        # with rank zero, and rieszconst rejects the family before it bounds
+        # or norms any sign pattern
+        def searched(*args):
+            raise AssertionError("the sign-pattern search ran")
+
+        monkeypatch.setattr(rieszbasis, "_pattern_bounds", searched)
+        monkeypatch.setattr(rieszbasis, "_pattern_norms", searched)
         spec = write_json(tmp_path / "empty.json", dict(TRIPLE, p=0.0))
         gaps = ["--input", spec, "--abscissas", "0.5,2,3,7,11", "--alpha", "1.0"]
         out = tmp_path / "report.json"

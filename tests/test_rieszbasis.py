@@ -317,6 +317,27 @@ class TestSignPatterns:
         assert not capped.any()
         assert search.eigensolves == 2**5 - 1
 
+    @pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-2])
+    def test_coframes_off_the_inverse_are_screened(self, eps):
+        # the screen takes the coframes C* as W's inverse: with F C* - I well
+        # above the rounding level, r still bounds it and every pattern's norm
+        # lies below its bound and below the upper end; far off, no screen
+        family = skew_family(6, 8, 0)
+        rng = np.random.default_rng(11)
+        family = projections.ProjectionFamily(entries=tuple(
+            dataclasses.replace(e, coframe=e.coframe + eps * numerics.gaussian(
+                rng, e.coframe.shape)) for e in family.entries))
+        screen = rieszbasis._screen(family)
+        if eps == 1e-2:
+            assert screen is None
+            return
+        f, c = family.factors
+        assert screen.r >= numerics.opnorm(f @ c.conj().T - np.eye(8)) > eps
+        patterns = self.searched_patterns(family)
+        norms = np.array(self.pattern_norms(family, patterns))
+        bound = reference_linalg.pattern_bounds(patterns, [e.rank for e in family.entries], screen)
+        assert np.all(norms <= bound) and np.all(norms <= screen.upper)
+
     @pytest.mark.parametrize("offset", [0.0, 1e-15, 1e-12, 1e-9])
     def test_a_top_eigenvalue_at_or_above_the_level_is_never_capped(self, offset):
         # H = V diag(1, ..., 1.2, lambda) V* with lambda at or just above the
@@ -724,6 +745,11 @@ class TestProbesFromFactors:
         family, mats = PROBE_FAMILIES[name]()
         if name.startswith("chain"):
             assert max(e.tail for e in family.entries) > 0.0
+        if name == "empty-gap":  # both the search and the estimate reject a rank-zero member
+            for check in (sum_bound, lambda f: rieszbasis.verify_projection_estimate(f, 1.1)):
+                with pytest.raises(InputError, match="'gap\\[7,8\\]' has rank zero"):
+                    check(family)
+            return
         # each sigma_1(P_k) is a lower end of C and their sum an upper end
         search, (c_hat, c_upper) = sum_bound(family)
         norms = [reference_linalg.svd_extremes(m)[0] for m in mats]
@@ -732,10 +758,6 @@ class TestProbesFromFactors:
         if name.startswith("hamiltonian"):  # tail 0, and the sign patterns decide both ends
             assert (c_hat, c_upper) == (search.constant, search.upper)
         for c, seed in [(1.1, 0), (3.0, 2)]:
-            if name == "empty-gap":
-                with pytest.raises(InputError, match="'gap\\[7,8\\]' has rank zero"):
-                    rieszbasis.verify_projection_estimate(family, c)
-                continue
             report = rieszbasis.verify_projection_estimate(family, c)
             slacks = [report.worst_lower_slack, report.worst_upper_slack]
             # never looser than the probes it replaces
