@@ -16,6 +16,7 @@ the eigenvalues and the violators) once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,8 @@ def contains(region: EnclosureRegion, z):
     # x + iy = e^{-i theta} z, one column per lobe on the last axis
     w = z[..., None] * np.exp(-1j * np.asarray(region.thetas))
     x, y = w.real, w.imag
-    in_lobe = (x >= 0.0) & (np.abs(y) <= region.alpha * np.maximum(x, 0.0) ** region.p)
+    with np.errstate(over="ignore"):  # an infinite half-width contains the point
+        in_lobe = (x >= 0.0) & (np.abs(y) <= region.alpha * np.maximum(x, 0.0) ** region.p)
     return (np.abs(z) <= region.r0) | in_lobe.any(axis=-1)
 
 
@@ -69,18 +71,17 @@ def certified_r0(b: float, p: float, alpha: float, epsilon: float, psi: float) -
     every |z| >= r0.
 
     Each condition is a power law in r, so r0 is the largest of their exact
-    thresholds, rounded up by ulps until the conditions hold in floating point.
-    Raises InputError when that radius exceeds the floating-point range.
+    thresholds, rounded up by ulps until the conditions hold in floating point
+    against epsilon (1 - 10 eps): with sin, cos and pow within an ulp,
+    x^(p-1) taken as x^p / x, and an overflowed d = alpha (r cos psi)^p as the
+    largest float, each left side is computed within 9 eps or above, so the
+    exact conditions hold too.  InputError when no float radius meets them.
     """
-    b = float(b)
-    p = float(p)
-    alpha = float(alpha)
-    epsilon = float(epsilon)
-    psi = float(psi)
+    b, p, alpha, epsilon, psi = map(float, (b, p, alpha, epsilon, psi))
     if b < 0.0 or not (0.0 <= p < 1.0):
         raise InputError("need b >= 0 and p in [0, 1)")
-    if not b < alpha:
-        raise InputError("need b < alpha")
+    if not b < alpha < math.inf:
+        raise InputError("need b < alpha < inf")
     if not (b / alpha < epsilon < 1.0):
         raise InputError("need b/alpha < epsilon < 1")
     if not (0.0 < psi < math.pi / 2.0):
@@ -88,31 +89,31 @@ def certified_r0(b: float, p: float, alpha: float, epsilon: float, psi: float) -
     if b == 0.0:
         return 0.0
 
-    sin_psi = math.sin(psi)
-    cos_psi = math.cos(psi)
+    sin_psi, cos_psi = math.sin(psi), math.cos(psi)
+    eps = epsilon * (1.0 - 10.0 * numerics.EPS)
 
     def certified(r):
         """r > 0 and the outer (|z| large, away from the ray axis), sector
         (psi <= |arg| <= pi/2 from the ray) and parabolic (near the ray,
         distance >= alpha (r cos psi)^p) conditions at r, in that order; each
         is monotone: once satisfied at r it holds for all larger radii."""
-        if not (r > 0.0 and 2.0**p * b * r ** (p - 1.0) <= epsilon
-                and b * (1.0 + 1.0 / sin_psi) ** p * (r * sin_psi) ** (p - 1.0) <= epsilon):
+        if not (r > 0.0 and 2.0**p * b * (r**p / r) <= eps
+                and b * (1.0 + 1.0 / sin_psi) ** p * ((r * sin_psi) ** p / (r * sin_psi)) <= eps):
             return False
         if p == 0.0:
             return True  # distance >= alpha gives b/alpha < epsilon directly
-        d = alpha * (r * cos_psi) ** p
-        return d != 0.0 and 2.0 * b * d ** (p - 1.0) + b / alpha <= epsilon
+        d = min(alpha * (r * cos_psi) ** p, sys.float_info.max)
+        return d != 0.0 and 2.0 * b * (d**p / d) + b / alpha <= eps
 
     try:
-        r0 = max((2.0**p * b / epsilon) ** (1.0 / (1.0 - p)),
-                 (b * (1.0 + 1.0 / sin_psi) ** p / epsilon) ** (1.0 / (1.0 - p)) / sin_psi)
+        r0 = max((2.0**p * b / eps) ** (1.0 / (1.0 - p)),
+                 (b * (1.0 + 1.0 / sin_psi) ** p / eps) ** (1.0 / (1.0 - p)) / sin_psi)
         if p > 0.0:
-            k = 2.0 * b / (alpha ** (1.0 - p) * (epsilon - b / alpha))
-            r0 = max(r0, k ** (1.0 / (p * (1.0 - p))) / math.cos(psi))
-    except OverflowError:
+            k = 2.0 * b / (alpha ** (1.0 - p) * max(eps - b / alpha, 0.0))
+            r0 = max(r0, k ** (1.0 / (p * (1.0 - p))) / cos_psi)
+    except (OverflowError, ZeroDivisionError):  # no float radius, or eps at b/alpha
         r0 = math.inf
-    if math.isinf(r0):
+    if math.isinf(r0) or not certified(sys.float_info.max):
         raise InputError("certified r0 exceeds the floating-point range (b=%g, p=%g)" % (b, p))
     while not certified(r0):
         r0 = math.nextafter(r0, math.inf)

@@ -6,7 +6,8 @@ and eigenvectors have unit columns.  Seeded randomness comes from
 ``subrng``: one independent stream per (seed, spawn key), so every instance
 and probe set is reproducible and independent of evaluation order.
 Independent batches of stacked work run through ``map_batches``, on one
-worker thread per usable core.
+worker thread per usable core.  ``below``, one Cholesky factorization, is
+the certified test of the sign-pattern screen and the subordination bracket.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ BATCH_ENTRIES = 1 << 15
 #: u = 2^-52, twice the unit roundoff, so first-order rounding bounds in u also
 #: cover their second-order terms and the few extra roundings of complex arithmetic
 EPS = float(np.finfo(float).eps)
+
+#: LAPACK's Cholesky factorization, one matrix per call with its own info
+_POTRF = scipy.linalg.get_lapack_funcs("potrf", dtype=complex)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -77,6 +81,35 @@ def gamma(k: int) -> float:
     """gamma_k = k u / (1 - k u) with u = EPS (Higham, section 3.1); a complex
     inner product of length n rounds within gamma_{n+2} (Lemma 3.5, section 3.6)."""
     return k * EPS / (1.0 - k * EPS)
+
+
+def below(h, level: float, rho: float) -> np.ndarray:
+    """Whether one LAPACK potrf certifies lambda_max(H) + rho ||H|| < level
+    for each Hermitian H of the stack ``h`` (its lower triangle, as potrf and
+    eigvalsh read it), rho being the caller's upstream error.
+
+    With u = EPS, g = gamma_{s+1} for s x s matrices, pad = 2 rho (s + 1)
+    |level|, c = fl(level - pad) and A = cI - H with its diagonal rounded
+    (H = cI - A + D, |D_ii| <= u |a_ii|), a factorization R*R = A + dA has
+    ||dA|| <= g ||R||_F^2 <= g t, t = tr A / (1 - g) (Higham, Accuracy and
+    Stability, Theorem 10.3, and ||R||_F^2 = tr(A + dA)).  A + dA >= 0 gives
+    lambda_max(H) <= c + e, e = g t + u max |a_ii|, and ||H|| <= |c| + t + e,
+    so lambda_max(H) + rho ||H|| < level once e + rho (|c| + t + e)
+    + u |level| < pad, checked after the factorization (u |level| covers the
+    rounding of c, of tr A and of the check).  For H >= 0, t <= s c nearly,
+    and the pad passes once g <= rho.
+    """
+    s = h.shape[-1]
+    g = gamma(s + 1)
+    pad = 2.0 * rho * (s + 1) * abs(level)
+    shift = level - pad
+    a = np.negative(h)
+    diag = a.reshape(len(a), s * s)[:, ::s + 1]  # a view of each diagonal
+    diag += shift
+    info = np.array([_POTRF(ai, lower=1, clean=0)[1] for ai in a])
+    r2 = diag.real.sum(axis=1) / (1.0 - g)
+    e = g * r2 + EPS * np.abs(diag.real).max(axis=1)
+    return (info == 0) & (e + rho * (abs(shift) + r2 + e) + EPS * abs(level) < pad)
 
 
 def batches(count: int, matrix_entries: int) -> list[slice]:

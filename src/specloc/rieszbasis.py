@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import numerics
 from .errors import InputError
@@ -49,10 +48,6 @@ CAP_STRIDE = 32
 #: far above a bound's slack over its norm (about 1.4e-9 on the Hamiltonian
 #: families), so the caps stay below the top norm
 CAP_RTOL = 1e-6
-
-#: LAPACK's Cholesky factorization, one matrix per call with its own info
-_POTRF = scipy.linalg.get_lapack_funcs("potrf", dtype=complex)
-
 
 @dataclass(frozen=True)
 class RieszConstantReport:
@@ -190,26 +185,6 @@ def _grams(cols, screen: _Screen) -> np.ndarray:
     return np.conj(chol, out=chol).transpose(0, 2, 1) @ h
 
 
-def _below(h, level: float, rho: float) -> np.ndarray:
-    """Whether a Cholesky factorization of (level - pad) I - H certifies that
-    eigvalsh puts lambda~ below ``level``, for each H of the stack ``h``
-    (``_pattern_bounds``); H is read from its lower triangle, as eigvalsh
-    and LAPACK potrf read it."""
-    s = h.shape[-1]
-    u = numerics.EPS
-    g = numerics.gamma(s + 1)
-    pad = 2.0 * rho * (s + 1) * abs(level)
-    shift = level - pad
-    a = np.negative(h)
-    d = np.arange(s)
-    a[:, d, d] += shift
-    diag = a[:, d, d].real
-    info = np.array([_POTRF(ai, lower=1, clean=0)[1] for ai in a])
-    r2 = diag.sum(axis=1) / (1.0 - g)
-    e = g * r2 + u * np.abs(diag).max(axis=1)
-    return (info == 0) & (e + rho * (abs(shift) + r2 + e) + u * abs(level) < pad)
-
-
 def _pattern_bounds(patterns, ranks,
                     screen: _Screen) -> tuple[np.ndarray, int] | None:
     """An upper bound on each pattern's computed norm (``_screen``), with the
@@ -219,33 +194,15 @@ def _pattern_bounds(patterns, ranks,
     With M_SS = LL*, the exact bound comes from lambda~ = lambda_max(H) by
     eigvalsh, H = L* N_SS L: one batched Cholesky and eigvalsh per size of S
     (at most n/2), in batches of ``numerics.map_batches``.  From
-    CAP_MIN_PATTERNS patterns on, eigvalsh runs only on every
-    CAP_STRIDE-th pattern and on the patterns that LAPACK potrf cannot cap:
-    mu' = (1 - CAP_RTOL) mu sits below the largest sampled lambda~ mu, and a
-    pattern whose factorization (mu' - pad) I - H = R*R succeeds gets the
-    bound of lambda~ = mu', which is at least its exact bound.  In the
-    conventions of ``_screen`` (u = 2^-52, gamma_k = ku / (1 - ku)), with
-    H = cI - A + D, c = fl(mu' - pad) and |D_ii| <= u |a_ii| the rounding of
-    the shifted diagonal:
-
-    * R*R = A + dA with |dA| <= gamma_{s+1} |R*||R| (Higham, Theorem 10.3),
-      so ||dA|| <= gamma_{s+1} ||R||_F^2, and on the diagonal
-      ||R||_F^2 = tr(A + dA) <= tr A + gamma_{s+1} ||R||_F^2: ||R||_F^2 is at
-      most t = tr A / (1 - gamma_{s+1}), read without R;
-    * A + dA >= 0 gives lambda_max(H) <= c + e, e = gamma_{s+1} t
-      + u max |a_ii|, and ||H|| <= |c| + ||A|| + ||D|| <= |c| + t + e;
-      eigvalsh's backward error moves lambda_max by at most rho ||H||
-      (``_screen``), so every lambda~ it can return is at most
-      c + e + rho (|c| + t + e);
-    * the cap holds when e + rho (|c| + t + e) + u |mu'| < pad, checked
-      after the factorization; u |mu'| covers the rounding of c, of tr A and
-      of the check.
-
-    The eigenvalues of H are the squared nonzero singular values of the
-    idempotent Q_S, at least 1, so tr A <= s c nearly, and
-    pad = 2 rho (s + 1) |mu'| passes the check.  The top pattern is never
-    capped: its lambda~ is at least mu > mu'.  No cap when the bound of mu'
-    does not lie below the bound of mu (a NaN sample included).
+    CAP_MIN_PATTERNS patterns on, eigvalsh runs only on every CAP_STRIDE-th
+    pattern and on the patterns that ``numerics.below``, with eigvalsh's
+    backward error rho (``_screen``) as the upstream error, cannot place
+    below mu' = (1 - CAP_RTOL) mu, mu the largest sampled lambda~: every
+    other pattern gets the bound of lambda~ = mu', at least its exact bound.
+    H's eigenvalues, the squared nonzero singular values of the idempotent
+    Q_S, are at least 1, so the pad passes its check.  The top pattern is
+    never capped (its lambda~ >= mu > mu'), and there is no cap when the
+    bound of mu' does not lie below that of mu (a NaN sample included).
     """
     minus = np.repeat(patterns < 0.0, ranks, axis=1)
     n = minus.shape[1]
@@ -263,7 +220,7 @@ def _pattern_bounds(patterns, ranks,
                 h = _grams(cols[b], screen)
                 if level is None:
                     return np.linalg.eigvalsh(h)[:, -1], np.zeros(len(h), dtype=bool)
-                low = _below(h, level, screen.rho)
+                low = numerics.below(h, level, screen.rho)
                 top = np.full(len(h), level)
                 top[~low] = np.linalg.eigvalsh(h[~low])[:, -1]
                 return top, low

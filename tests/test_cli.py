@@ -442,6 +442,16 @@ class TestSweepAndDemo:
         assert report["allInside"] is True
         assert report["negativeControlViolatorFraction"] == 1.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sweep_with_a_huge_alpha_factor_is_overflow_quiet(self, tmp_path):
+        # alpha = 1e308 b overflows a lobe's half-width to inf, which contains
+        # every point of its half-plane: no warning, and every case is inside
+        out = tmp_path / "report.json"
+        assert cli.main(["sweep", "--seeds", "0..2", "--alpha-factor", "1e308",
+                         "--out", str(out), "--no-timestamp"]) == 0
+        report = read_report(out)
+        assert report["allInside"] is True and report["alphaFactor"] == 1e308
+
     def test_sweep_deterministic_bytes(self, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

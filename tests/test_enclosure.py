@@ -2,8 +2,10 @@
 verdict."""
 
 import cmath
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -44,6 +46,13 @@ class TestContains:
         region = self.region(thetas=(np.pi / 2,), r0=0.1)
         assert enclosure.contains(region, 4.0j + 1.5)
         assert not enclosure.contains(region, 4.0 + 1.5j)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_half_width_contains_the_point(self):
+        # alpha x^p overflows to inf: the point lies in the lobe, quietly
+        region = self.region(alpha=1e308, p=0.5, r0=0.1)
+        assert enclosure.contains(region, 1e10 + 1e300j)
+        assert not enclosure.contains(region, -1e10 + 1.0j)
 
     def test_p_zero_strip(self):
         region = self.region(alpha=1.0, p=0.0, r0=0.1)
@@ -169,6 +178,37 @@ class TestCertifiedR0:
             conditions = r0_conditions(b, p, alpha, eps, psi)
             assert all(c(r0) for c in conditions)
             assert not all(c(r0 * (1.0 - 1e-10)) for c in conditions)
+
+    def test_conditions_hold_at_fifty_digits(self):
+        # the returned r0 meets the three conditions exactly, recomputed in
+        # mpmath from the same floats with the exact sin and cos of psi: r0 is
+        # the first float past a threshold, so some condition is always
+        # barely met there, and epsilon 1e-9 above b/alpha barely meets the
+        # parabolic one for every r
+        grid = itertools.product([1e-3, 0.37, 1.0, 25.0], [0.0, 0.01, 0.3, 0.5, 0.7, 0.9],
+                                 [1.05, 2.0, 1e3], [1e-9, 0.01, 0.5, 0.99],
+                                 [0.05, math.pi / 4, 1.5])
+        audited = 0
+        for b, p, factor, frac, psi in grid:
+            alpha = factor * b
+            eps = b / alpha + frac * (1.0 - b / alpha)
+            try:
+                r0 = enclosure.certified_r0(b, p, alpha, eps, psi)
+            except InputError:
+                continue
+            audited += 1
+            with mpmath.workdps(50):
+                b_, p_, alpha_, eps_, r = (mpmath.mpf(x) for x in (b, p, alpha, eps, r0))
+                sin, cos = mpmath.sin(mpmath.mpf(psi)), mpmath.cos(mpmath.mpf(psi))
+                assert 2**p_ * b_ * r ** (p_ - 1) <= eps_, (b, p, alpha, eps, psi)
+                sector = b_ * (1 + 1 / sin) ** p_ * (r * sin) ** (p_ - 1)
+                assert sector <= eps_, (b, p, alpha, eps, psi)
+                if p:
+                    d = alpha_ * (r * cos) ** p_
+                    assert 2 * b_ * d ** (p_ - 1) + b_ / alpha_ <= eps_, (b, p, alpha, eps, psi)
+                else:
+                    assert b_ / alpha_ < eps_
+        assert audited >= 800
 
     def test_radius_beyond_float_range(self):
         # at p = 0.001 the parabolic threshold is k^(1/(p(1-p))) with k ~ 40

@@ -15,7 +15,8 @@ It does not gate on bytes, since OpenBLAS picks its kernels by CPU, but it
 prints whether every file matches byte for byte.
 
 A change that moves a golden report rewrites the set with
-``PYTHONPATH=src python tests/test_golden.py`` and records which fields
+``PYTHONPATH=src python tests/test_golden.py``, which prints each moved float
+field of each changed golden with its largest move, and records which fields
 moved, by how much, and why.
 """
 
@@ -186,17 +187,27 @@ def _aligned(got, want):
     return [[z.real, z.imag] for z in g.tolist()]
 
 
-def compare(got, want, scale, field="", where="", errors=None):
+def _record(moves, field, got, want):
+    """Keep the largest (relative, absolute) move of ``field`` in ``moves``;
+    the relative move is absolute where the golden value is zero."""
+    if moves is not None and got != want:
+        move = abs(got - want)
+        rel, absolute = moves.get(field, (0.0, 0.0))
+        moves[field] = (max(rel, move / abs(want) if want else move), max(absolute, move))
+
+
+def compare(got, want, scale, field="", where="", errors=None, moves=None):
     """The differences between a regenerated report ``got`` and its golden
     ``want`` as a list of strings: keys, lengths, strings, booleans, integers
-    and nulls exactly, floats within the tolerance of their field."""
+    and nulls exactly, floats within the tolerance of their field.  A dict
+    ``moves`` collects each moved float field's largest move (``_record``)."""
     errors = [] if errors is None else errors
     if isinstance(want, dict):
         if not isinstance(got, dict) or sorted(got) != sorted(want):
             errors.append("%s: keys %r != %r" % (where, sorted(got), sorted(want)))
             return errors
         for key in want:
-            compare(got[key], want[key], scale, key, "%s.%s" % (where, key), errors)
+            compare(got[key], want[key], scale, key, "%s.%s" % (where, key), errors, moves)
     elif isinstance(want, list):
         if not isinstance(got, list) or len(got) != len(want):
             errors.append("%s: %r is not a list of length %d" % (where, got, len(want)))
@@ -204,10 +215,11 @@ def compare(got, want, scale, field="", where="", errors=None):
         if field == "witness" and want and isinstance(want[0], list):
             got = _aligned(got, want)
         for i, (g, w) in enumerate(zip(got, want)):
-            compare(g, w, scale, field, "%s[%d]" % (where, i), errors)
+            compare(g, w, scale, field, "%s[%d]" % (where, i), errors, moves)
     elif type(want) is float and type(got) is float:
         if not _close(got, want, TOLERANCES.get(field, DEFAULT_TOL), scale):
             errors.append("%s: %r != %r" % (where, got, want))
+        _record(moves, field, got, want)
     elif type(got) is not type(want) or got != want:
         errors.append("%s: %r != %r" % (where, got, want))
     return errors
@@ -223,9 +235,10 @@ def _number(cell):
             return cell
 
 
-def compare_csv(got_text, want_text, scale):
+def compare_csv(got_text, want_text, scale, moves=None):
     """The differences between two CSV artifacts: the same rows, the same
-    strings and integers, and floats within CSV_TOL."""
+    strings and integers, and floats within CSV_TOL; ``moves`` as in
+    ``compare``, by the column's header."""
     got = [[_number(c) for c in row] for row in csv.reader(got_text.splitlines())]
     want = [[_number(c) for c in row] for row in csv.reader(want_text.splitlines())]
     if [len(row) for row in got] != [len(row) for row in want]:
@@ -235,6 +248,7 @@ def compare_csv(got_text, want_text, scale):
         for j, (g, w) in enumerate(zip(grow, wrow)):
             if type(w) is float and type(g) is float:
                 ok = _close(g, w, CSV_TOL, scale)
+                _record(moves, want[0][j], g, w)
             else:
                 ok = type(g) is type(w) and g == w
             if not ok:
@@ -242,29 +256,35 @@ def compare_csv(got_text, want_text, scale):
     return errors
 
 
+def differences(workdir, moves=None):
+    """Golden name -> its differences (``compare``, ``compare_csv``) for each
+    file of the regenerated ``workdir`` that is not byte-identical to its
+    golden; ``moves``, a dict, collects golden name -> moved float fields."""
+    scales = {name: scale for name, (_, scale) in specs().items()}
+    table = runs()
+    errors = {}
+    for name in sorted(p.name for p in GOLDEN.iterdir()):
+        got, want = (workdir / name).read_bytes(), (GOLDEN / name).read_bytes()
+        if got == want:
+            continue
+        scale = scales.get(table.get(name.split(".")[0], (None, None))[1], 1.0)
+        moved = None if moves is None else moves.setdefault(name, {})
+        if name.endswith(".csv"):
+            errors[name] = compare_csv(got.decode(), want.decode(), scale, moved)
+        else:
+            errors[name] = compare(json.loads(got), json.loads(want), scale, moves=moved)
+    return errors
+
+
 def test_golden_reports(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     generate(tmp_path)
-    scales = {name: scale for name, (_, scale) in specs().items()}
-    table = runs()
     names = sorted(p.name for p in GOLDEN.iterdir())
     assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == names
-    errors, identical = {}, []
-    for name in names:
-        got, want = (tmp_path / name).read_bytes(), (GOLDEN / name).read_bytes()
-        if got == want:
-            identical.append(name)
-            continue
-        spec = table.get(name.split(".")[0], (None, None))[1]
-        scale = scales.get(spec, 1.0)
-        if name.endswith(".csv"):
-            errors[name] = compare_csv(got.decode(), want.decode(), scale)
-        else:
-            errors[name] = compare(json.loads(got), json.loads(want), scale)
+    errors = differences(tmp_path)
     print("golden: %d of %d files byte-identical%s"
-          % (len(identical), len(names),
-             "" if len(identical) == len(names)
-             else "; differing: " + ", ".join(sorted(set(names) - set(identical)))))
+          % (len(names) - len(errors), len(names),
+             "; differing: " + ", ".join(errors) if errors else ""))
     assert {name: e[:5] for name, e in errors.items() if e} == {}
 
 
@@ -280,10 +300,19 @@ def test_rieszconst_goldens_take_both_ends_of_c_from_the_search():
 
 
 if __name__ == "__main__":
-    # rewrite tests/golden from the current source
+    # rewrite tests/golden from the current source, printing for each changed
+    # golden its moved float fields with their largest moves
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         generate(tmp)
+        if GOLDEN.is_dir():
+            moves = {}
+            for name, errors in differences(pathlib.Path(tmp), moves).items():
+                print("%s: %s" % (name, "%d fields out of tolerance" % len(errors) if errors
+                                  else "within tolerance"))
+                for field, (rel, absolute) in sorted(moves[name].items()):
+                    print("    %-24s largest relative move %.3g (absolute %.3g)"
+                          % (field, rel, absolute))
         GOLDEN.mkdir(exist_ok=True)
         for old in GOLDEN.iterdir():
             old.unlink()

@@ -348,11 +348,11 @@ class TestSignPatterns:
         top = level * (1.0 + offset)
         diag = np.append(np.linspace(1.0, 1.2, 11), top)
         h = np.stack([np.diag(diag).astype(complex), (v * diag) @ v.conj().T])
-        assert not rieszbasis._below(h, level, rho).any()
+        assert not numerics.below(h, level, rho).any()
         # well below the level, the same matrices are capped
         low = np.append(np.linspace(1.0, 1.2, 11), level * (1.0 - 1e-9))
         h = np.stack([np.diag(low).astype(complex), (v * low) @ v.conj().T])
-        assert rieszbasis._below(h, level, rho).all()
+        assert numerics.below(h, level, rho).all()
 
     def test_caps_lie_above_every_eigvalsh(self):
         # top eigenvalues spread across the level: whatever is capped has its
@@ -364,7 +364,7 @@ class TestSignPatterns:
                             + 1j * rng.standard_normal((201, 16, 16)))
         diag = np.concatenate([np.tile(np.linspace(1.0, 1.2, 15), (201, 1)), tops[:, None]], 1)
         h = (v * diag[:, None, :]) @ v.conj().transpose(0, 2, 1)
-        capped = rieszbasis._below(h, level, rho)
+        capped = numerics.below(h, level, rho)
         assert np.all(np.linalg.eigvalsh(h[capped])[:, -1] < level)
         assert capped[tops < level * (1.0 - 1e-10)].all()
         assert not capped[tops >= level].any()

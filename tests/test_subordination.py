@@ -89,7 +89,7 @@ class TestBound:
         res = subordination.subordination_bound(E12, [1.0, 4.0], 0.5)
         np.testing.assert_allclose(res.bound, 0.5, rtol=1e-6)
         ratio = subordination.subordination_ratio(E12, [1.0, 4.0], 0.5, res.witness)
-        np.testing.assert_allclose(ratio, res.bound, rtol=1e-8)
+        np.testing.assert_allclose(ratio, 0.5, rtol=1e-8)
 
     def test_zero_perturbation(self):
         res = subordination.subordination_bound(np.zeros((3, 3)), [1.0, 2.0, 3.0], 0.5)
@@ -115,7 +115,7 @@ class TestBound:
         with mpmath.workdps(50):
             at_e1 = mpmath.mpf(1e-11) / mpmath.mpf(1e-13) ** mpmath.mpf(0.9)
             assert res.bound >= at_e1
-        assert res.lower <= res.bound <= res.lower * (1.0 + 1e-6) * (1.0 + 1e-10)
+        assert res.lower <= res.bound <= res.lower * (1.0 + subordination.BRACKET_RTOL)
         assert_certified(res, s, g, 0.9)
 
     @pytest.mark.parametrize("modulus", [1e-140, 1e-150])
@@ -125,7 +125,7 @@ class TestBound:
         # product a c underflows to 0 and would leave a zero-width cell
         s = np.random.default_rng(0).standard_normal((3, 3))
         res = subordination.subordination_bound(s, [modulus, 1.0, 2.0], 0.3)
-        assert res.lower <= res.bound <= res.lower * (1.0 + 1e-6) * (1.0 + 1e-10)
+        assert res.lower <= res.bound <= res.lower * (1.0 + subordination.BRACKET_RTOL)
 
     def test_kernel_columns_drop_out(self):
         # S vanishes on ker G = {0}, so b is that of the 2 x 2 block on {1, 2}
@@ -287,21 +287,57 @@ class TestPencilTops:
     def test_agrees_with_full_eigh(self, n):
         rng = np.random.default_rng(n)
         s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        sigma = np.exp(rng.uniform(0.0, np.log(1e3), n))
-        p = 0.4
         h = s.conj().T @ s
         diags = rng.uniform(0.1, 10.0, (5, n))
-        lam, u, ratio2 = subordination._pencil_tops(h, sigma**2, p, diags)
-        for d, top, vec, r2 in zip(diags, lam, u, ratio2):
+        scale = diags**-0.5
+        u = subordination._pencil_tops(scale, scale[:, :, None] * h * scale[:, None, :])
+        assert u.shape == (5, n)
+        for d, vec in zip(diags, u):
             scaled = h / np.sqrt(np.outer(d, d))
-            ref = np.linalg.eigh(scaled)[0][-1]
-            assert abs(top - ref) <= 1e-14 * ref
+            top = np.linalg.eigh(scaled)[0][-1]
             # u is the pencil eigenvector, z = D^(1/2) u the unit one of the scaled matrix
             z = np.sqrt(d) * vec
             np.testing.assert_allclose(np.linalg.norm(z), 1.0, rtol=1e-14)
             assert np.linalg.norm(scaled @ z - top * z) <= 1e-13 * numerics.opnorm(scaled)
-            ratio = subordination.subordination_ratio(s, sigma, p, vec)
-            np.testing.assert_allclose(r2, ratio**2, rtol=1e-12)
+
+    def test_the_level_test_follows_the_lower_end(self):
+        # D = c I puts lambda_max(H, D) at lambda_max(H) / c: with lower
+        # (1 + BRACKET_RTOL) = sqrt(2), 1e-3 below the level passes and 1e-3
+        # above it does not; no lower end yet, no pencil passes
+        rng = np.random.default_rng(4)
+        s = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        h = s.conj().T @ s
+        room = np.array([-1e-3, 1e-3, -1e-3, 1e-3, 1e-3])
+        scale = np.sqrt(2.0 * (1.0 + room) / np.linalg.eigvalsh(h)[-1])[:, None] * np.ones(6)
+        a = scale[:, :, None] * h * scale[:, None, :]
+        lower = np.sqrt(2.0) / (1.0 + subordination.BRACKET_RTOL)
+        np.testing.assert_array_equal(subordination._below(a, lower, 1e-12), room < 0.0)
+        assert not subordination._below(a, -math.inf, 1e-12).any()
+
+    @pytest.mark.parametrize("n", [3, 24])
+    def test_planted_tops_against_the_bracket_level(self, n):
+        # scaled pencils D^(-1/2) H D^(-1/2) formed as the bracket forms them,
+        # with H = D^(1/2) V diag(lambda) V* D^(1/2) and lambda_max planted at
+        # level (1 + k n u) by a unitary rotation V: under the bracket's
+        # upstream error nothing at or above the level passes, and every
+        # pencil with 1e-9 of room does
+        rng = np.random.default_rng(n)
+        level, u = 2.5, numerics.EPS
+        room = np.array([k * n * u for k in (-4, -1, 0, 1, 4, 64)] + [-1e-9] * 4)
+        v, _ = np.linalg.qr(rng.standard_normal((len(room), n, n))
+                            + 1j * rng.standard_normal((len(room), n, n)))
+        lam = np.concatenate([rng.uniform(0.0, 2.0, (len(room), n - 1)),
+                              level * (1.0 + room)[:, None]], axis=1)
+        x = (v * lam[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        d = rng.uniform(0.5, 4.0, (len(room), n))
+        h = np.sqrt(d)[:, :, None] * x * np.sqrt(d)[:, None, :]
+        scale = d**-0.5
+        a = scale[:, :, None] * h * scale[:, None, :]
+        rho = subordination._pencil_rho(n, np.geomspace(1e4, 1.0, n))
+        passed = numerics.below(a, level, rho)
+        assert not passed[room >= 0.0].any()
+        assert passed[room == -1e-9].all()
+        assert np.all(np.linalg.eigvalsh(a[passed])[:, -1] < level)
 
     def test_lapack_failure_raises(self, monkeypatch):
         heevr = subordination._HEEVR

@@ -6,8 +6,11 @@ where g is zero it is either exactly zero or of size 1e-11.  The float
 bracket must say "unbounded" exactly when S has a nonzero entry on ker G
 (p > 0), and otherwise lie on the safe side of the ratios recomputed in
 mpmath from the same floats: no coordinate vector and not the witness beats
-the upper end, and the lower end does not beat the witness.  These moduli
-keep the pencil weights in the float range, so the range guard, which
+the upper end, and the lower end does not beat the witness.  For p > 0
+every level at which the bracket closed a cell end must lie above
+lambda_max of the exact minorant pencil at that end, the tangents
+recomputed in mpmath from the same floats.  These moduli keep the pencil
+weights in the float range, so the range guard, which
 ``test_subordination.py`` pins, never fires here.
 """
 
@@ -15,6 +18,7 @@ import math
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from specloc import subordination
@@ -60,18 +64,93 @@ def exact_ratio(s, g, p, u):
         return mpmath.inf if den == 0 else su / den
 
 
+def closed_cells(s, g, p):
+    """Run the bracket and return its result with each cell end it closed, as
+    (top, a, c, x): the end x of the cell [a, c] that ``_below`` passed at a
+    level at most top^2.  At n <= 5 a level's pencils form one batch, so its
+    first test covers every end and a second one the ends the first left
+    open."""
+    levels = []
+    minorant, below = subordination._minorant, subordination._below
+
+    def record_cells(sigma2, p, a, c):
+        levels.append((a, c, []))
+        return minorant(sigma2, p, a, c)
+
+    def record_tests(a, lower, rho):
+        ok = below(a, lower, rho)
+        levels[-1][2].append((lower * (1.0 + subordination.BRACKET_RTOL), ok.copy()))
+        return ok
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subordination, "_minorant", record_cells)
+        mp.setattr(subordination, "_below", record_tests)
+        res = subordination.subordination_bound(s, g, p)
+    closed = []
+    for a, c, tests in levels:
+        ends = np.concatenate([a, c])
+        top = np.full(len(ends), np.nan)
+        (first, ok), *retest = tests
+        assert len(ok) == len(ends) and len(retest) <= 1
+        top[ok] = first
+        for again, passed in retest:
+            open_ = np.flatnonzero(~ok)
+            top[open_[passed]] = again
+        shut = ~np.isnan(top[:len(a)]) & ~np.isnan(top[len(a):])
+        closed += [(top[i], a[i % len(a)], c[i % len(a)], ends[i])
+                   for i in np.flatnonzero(np.concatenate([shut, shut]))]
+    return res, closed
+
+
+def positive_definite(a):
+    """Whether the Hermitian mpmath matrix (list of rows) has positive pivots
+    in Gaussian elimination, that is, is positive definite."""
+    a = [row[:] for row in a]
+    for j in range(len(a)):
+        if not a[j][j].real > 0:
+            return False
+        for i in range(j + 1, len(a)):
+            f = a[i][j] / a[j][j]
+            for k in range(j + 1, len(a)):
+                a[i][k] -= f * a[j][k]
+    return True
+
+
+def certified_above(s, g, p, top, a, c, x):
+    """Whether top^2 M(x) - H is positive definite at DIGITS digits, for
+    H = S* S on the nonzero moduli sorted down and M(x) the exact tangents of
+    d_i(t) = (1-p) t^p + p t^(p-1) |g_i|^2 at clip(|g_i|^2, a, c) in log t:
+    top^2 lies above lambda_max(H, M(x))."""
+    order = np.argsort(-np.abs(g), kind="stable")
+    cols = order[np.abs(g)[order] != 0.0]
+    with mpmath.workdps(DIGITS):
+        sv = [[mpmath.mpc(complex(z)) for z in row] for row in s[:, cols]]
+        p, a, c, x = (mpmath.mpf(v) for v in (p, a, c, x))
+        level = mpmath.mpf(top) ** 2
+        m = []
+        for i in cols:
+            sigma2 = abs(mpmath.mpc(complex(g[i]))) ** 2
+            t = min(max(sigma2, a), c)
+            d = (1 - p) * t**p + p * t ** (p - 1) * sigma2
+            m.append(d + p * (1 - p) * t ** (p - 1) * (t - sigma2) * mpmath.log(x / t))
+        return positive_definite([[level * m[i] * (i == j) - mpmath.fsum(
+            mpmath.conj(r[i]) * r[j] for r in sv) for j in range(len(m))] for i in range(len(m))])
+
+
 @given(instances())
 def test_bracket_is_safe_at_fifty_digits(case):
     s, g, p = case
-    res = subordination.subordination_bound(s, g, p)
+    res, closed = closed_cells(s, g, p)
     unbounded = p > 0.0 and bool(np.any(s[:, g == 0.0]))
     assert math.isinf(res.bound) == unbounded
     if unbounded:
         assert res.lower == math.inf and res.witness is None
         return
-    assert res.lower <= res.bound <= (res.lower * (1.0 + subordination.BRACKET_RTOL)
-                                      * (1.0 + subordination.ROUNDING_PAD))
+    assert res.lower <= res.bound <= res.lower * (1.0 + subordination.BRACKET_RTOL)
     for e in np.eye(len(g)):
         assert exact_ratio(s, g, p, e) <= res.bound
     witness = exact_ratio(s, g, p, res.witness)
     assert res.lower <= witness <= res.bound
+    for top, a, c, x in closed:
+        assert top <= res.bound
+        assert certified_above(s, g, p, top, a, c, x)
